@@ -320,7 +320,7 @@ def _tabulate(result: BenchResult, records: list, cfg: BenchConfig, settings) ->
 def neutral_point(g: Graph, mode: str = "ds") -> np.ndarray:
     """The barrier-only minimizer used as the common start of every profile."""
     m = build_arc_map(g)
-    x = initial_interior(g, m, mode)
+    x = initial_interior(m, mode)
     from .nullspace import build_Z
     from .inner import PhaseContext
 

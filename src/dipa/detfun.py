@@ -17,26 +17,13 @@ import numpy as np
 from dipa.graph import ArcVarMap
 
 
-def positions(m: ArcVarMap) -> dict:
-    return {v: t for t, v in enumerate(m.nodes)}
-
-
-def arc_positions(m: ArcVarMap) -> tuple:
-    """Row and column matrix positions of every arc, as two int arrays."""
-    pos = positions(m)
-    r = np.array([pos[i] for i, _ in m.arcs], dtype=np.intp)
-    c = np.array([pos[j] for _, j in m.arcs], dtype=np.intp)
-    return r, c
-
-
 def assemble_P(m: ArcVarMap, x: np.ndarray) -> np.ndarray:
     n = len(m.nodes)
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n_arcs,):
         raise ValueError(f"x has shape {x.shape}, expected ({m.n_arcs},)")
     P = np.zeros((n, n))
-    r, c = arc_positions(m)
-    P[r, c] = x
+    P[m.row, m.col] = x
     return P
 
 
@@ -130,7 +117,7 @@ def _minor_det_and_inv(P: np.ndarray) -> tuple:
     return det, inv
 
 
-def f_minor(x, m: ArcVarMap, n: int | None = None, validate: bool = True) -> float:
+def f_minor(x, m: ArcVarMap, validate: bool = True) -> float:
     """-det of the leading principal minor of I - P. Equals -1 exactly at a
     Hamiltonian cycle indicator and 0 at any other permutation matrix."""
     if validate:
@@ -148,7 +135,7 @@ def f_minor(x, m: ArcVarMap, n: int | None = None, validate: bool = True) -> flo
     return -float(np.prod(d[:-1]))
 
 
-def f_full(x, m: ArcVarMap, n: int | None = None, validate: bool = True) -> float:
+def f_full(x, m: ArcVarMap, validate: bool = True) -> float:
     """-det(I - P + J/n), the rank-one shifted determinant. Equals -n exactly
     at a Hamiltonian cycle indicator."""
     if validate:
@@ -160,58 +147,46 @@ def f_full(x, m: ArcVarMap, n: int | None = None, validate: bool = True) -> floa
 
 
 def _core(x, m: ArcVarMap, mode: str) -> tuple:
-    """Shared setup: per-arc row/col indices into the differentiated matrix,
-    its determinant, and its inverse. Arcs outside the matrix get index -1."""
+    """Shared setup: the determinant and inverse of the differentiated
+    matrix, and which arcs lie inside it (every arc in s mode; in ds mode the
+    arcs touching the last node fall outside the minor)."""
     P = assemble_P(m, x)
     nn = P.shape[0]
-    r, c = arc_positions(m)
     if mode == "ds":
         det, inv = _minor_det_and_inv(P)
-        inside = (r < nn - 1) & (c < nn - 1)
+        inside = (m.row < nn - 1) & (m.col < nn - 1)
     elif mode == "s":
         B = np.eye(nn) - P + np.ones((nn, nn)) / nn
         det = float(np.linalg.det(B))
         inv = np.linalg.inv(B)
-        inside = np.ones(len(r), dtype=bool)
+        inside = np.ones(m.n_arcs, dtype=bool)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return det, inv, r, c, inside
+    return det, inv, inside
 
 
-def grad(x, m: ArcVarMap, n: int | None = None, mode: str = "ds") -> np.ndarray:
-    det, inv, r, c, inside = _core(x, m, mode)
-    g = np.zeros(m.n_arcs)
-    g[inside] = det * inv[c[inside], r[inside]]
-    return g
-
-
-def hess(x, m: ArcVarMap, n: int | None = None, mode: str = "ds") -> np.ndarray:
-    det, inv, r, c, inside = _core(x, m, mode)
+def _hessian(det: float, inv: np.ndarray, m: ArcVarMap, inside: np.ndarray) -> np.ndarray:
     a = m.n_arcs
     H = np.zeros((a, a))
-    ri, ci = r[inside], c[inside]
-    v = inv[ci, ri]
-    T = inv[np.ix_(ci, ri)]
-    Hin = -det * (np.outer(v, v) - T * T.T)
-    idx = np.flatnonzero(inside)
-    H[np.ix_(idx, idx)] = Hin
-    return H
-
-
-def value_grad_hess(x, m: ArcVarMap, mode: str) -> tuple:
-    """One-pass f, gradient, Hessian sharing a single inversion."""
-    det, inv, r, c, inside = _core(x, m, mode)
-    f = -det
-    g = np.zeros(m.n_arcs)
-    g[inside] = det * inv[c[inside], r[inside]]
-    a = m.n_arcs
-    H = np.zeros((a, a))
-    ri, ci = r[inside], c[inside]
+    ri, ci = m.row[inside], m.col[inside]
     v = inv[ci, ri]
     T = inv[np.ix_(ci, ri)]
     idx = np.flatnonzero(inside)
     H[np.ix_(idx, idx)] = -det * (np.outer(v, v) - T * T.T)
-    return f, g, H
+    return H
+
+
+def hess(x, m: ArcVarMap, mode: str = "ds") -> np.ndarray:
+    det, inv, inside = _core(x, m, mode)
+    return _hessian(det, inv, m, inside)
+
+
+def value_grad_hess(x, m: ArcVarMap, mode: str) -> tuple:
+    """One-pass f, gradient, Hessian sharing a single inversion."""
+    det, inv, inside = _core(x, m, mode)
+    g = np.zeros(m.n_arcs)
+    g[inside] = det * inv[m.col[inside], m.row[inside]]
+    return -det, g, _hessian(det, inv, m, inside)
 
 
 def value_only(x, m: ArcVarMap, mode: str) -> float:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class GraphError(ValueError):
     """Malformed graph input or an operation violating graph invariants."""
@@ -72,12 +74,18 @@ def make_graph(n: int, edges) -> Graph:
 @dataclass(frozen=True)
 class ArcVarMap:
     """Row-major numbering of directed arcs: all arcs out of the smallest
-    node first (ordered by target), then the next node, and so on."""
+    node first (ordered by target), then the next node, and so on.
+
+    row[k] and col[k] are the matrix positions of arc k = (i, j): the
+    indices of i and j in nodes. Every matrix built from the arc variables
+    (P(x), the sum constraints, the rounding grid) is laid out from them."""
 
     nodes: tuple[int, ...]
     arcs: tuple
     index: dict = field(compare=False)
     twin: tuple[int, ...] = field(compare=False)
+    row: np.ndarray = field(compare=False)
+    col: np.ndarray = field(compare=False)
 
     @property
     def n_arcs(self) -> int:
@@ -91,10 +99,16 @@ class ArcVarMap:
 
 
 def arc_map_from_arcs(nodes, arcs) -> ArcVarMap:
+    nodes = tuple(sorted(nodes))
     arcs = tuple(sorted(arcs))
     index = {a: k for k, a in enumerate(arcs)}
     twin = tuple(index.get((j, i), -1) for i, j in arcs)
-    return ArcVarMap(nodes=tuple(sorted(nodes)), arcs=arcs, index=index, twin=twin)
+    pos = {v: t for t, v in enumerate(nodes)}
+    row = np.array([pos[i] for i, _ in arcs], dtype=np.intp)
+    col = np.array([pos[j] for _, j in arcs], dtype=np.intp)
+    # every layer reads the same two arrays; the map is frozen, so are they
+    row.flags.writeable = col.flags.writeable = False
+    return ArcVarMap(nodes=nodes, arcs=arcs, index=index, twin=twin, row=row, col=col)
 
 
 def build_arc_map(g: Graph) -> ArcVarMap:
@@ -205,9 +219,10 @@ def enumerate_hc(g: Graph, cap: int | None = None, node_limit: int = 32) -> list
     return found
 
 
-def deflate(g: Graph, m: ArcVarMap, arc) -> tuple:
+def deflate(m: ArcVarMap, arc) -> tuple:
     """Fix arc (i,j) to 1: remove node i, redirect arcs (k,i) to (k,j), and
-    zero the companions (i,k) k!=j, (k,j) k!=i, (j,i)."""
+    zero the companions (i,k) k!=j, (k,j) k!=i, (j,i). Returns the reduced
+    map and the record that splices i back into a cycle."""
     i, j = arc
     if arc not in m.index:
         raise GraphError(f"arc {arc} not present")
@@ -245,7 +260,6 @@ def deflate(g: Graph, m: ArcVarMap, arc) -> tuple:
         if out_deg[v] == 0 or in_deg[v] == 0:
             raise StarvationError(f"node {v} isolated after deflation of {arc}")
     m2 = arc_map_from_arcs(nodes2, kept)
-    g2 = support_graph(nodes2, kept)
     rec = DeflationRecord(
         fixed_arc=(i, j),
         removed_node=i,
@@ -253,10 +267,10 @@ def deflate(g: Graph, m: ArcVarMap, arc) -> tuple:
         zeroed_arcs=tuple(zeroed),
         dropped_selfloops=tuple(dropped),
     )
-    return g2, m2, rec
+    return m2, rec
 
 
-def delete_arc(g: Graph, m: ArcVarMap, arc) -> tuple:
+def delete_arc(m: ArcVarMap, arc) -> ArcVarMap:
     """Fix one directed arc variable to 0. The reverse arc is untouched."""
     i, j = arc
     if arc not in m.index:
@@ -266,9 +280,7 @@ def delete_arc(g: Graph, m: ArcVarMap, arc) -> tuple:
         raise StarvationError(f"node {i} starved: no out-arc after deleting {arc}")
     if not any(b == j for _, b in kept):
         raise StarvationError(f"node {j} starved: no in-arc after deleting {arc}")
-    m2 = arc_map_from_arcs(m.nodes, kept)
-    g2 = support_graph(m.nodes, kept)
-    return g2, m2
+    return arc_map_from_arcs(m.nodes, kept)
 
 
 def expand_cycle(records, c: CycleCertificate, original: Graph | None = None) -> CycleCertificate:

@@ -12,7 +12,7 @@ search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -182,7 +182,6 @@ def improve_negcurv(
 class LsResult:
     x: np.ndarray
     t: float
-    halvings: int
     merit: float
 
 
@@ -216,12 +215,12 @@ def linesearch(x, direction, alpha, spec: BarrierSpec, objective) -> LsResult:
     if not math.isfinite(tstar):
         tstar = 1.0 / max(float(np.max(np.abs(direction))), 1e-300)
     t = alpha * tstar
-    for halvings in range(51):
+    for _ in range(51):
         xt = x + t * direction
         if np.all(xt > 0.0) and (not spec.upper_log or np.all(xt < 1.0)):
             mt = merit(xt)
             if mt < m0:
-                return LsResult(x=xt, t=t, halvings=halvings, merit=mt)
+                return LsResult(x=xt, t=t, merit=mt)
         t *= 0.5
     raise LinesearchStall(f"no decrease along direction (merit {m0:.6e})")
 
@@ -415,27 +414,22 @@ class PhaseResult:
     x: np.ndarray
     status: str             # local-min | iteration-cap | stall
     iterations: int
-    history: list = field(default_factory=list)
 
 
 def minimize_phase(x0: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> PhaseResult:
     x = np.asarray(x0, dtype=float).copy()
     state = InnerState()
-    history: list = []
     for it in range(ctx.max_iter):
         info = step_once(x, spec, ctx, state)
-        history.append(info)
         if info.kind == "converged":
-            return PhaseResult(x=x, status="local-min", iterations=it, history=history)
+            return PhaseResult(x=x, status="local-min", iterations=it)
         if info.kind == "stall":
             if not info.modified:
                 x2, gnorm, unmod = newton_polish(x, spec, ctx)
                 anchor = abs(info.phi) if (ctx.neutral or math.isinf(spec.mu)) else abs(info.f)
                 if unmod and gnorm <= ctx.grad_tol * (1.0 + anchor):
-                    return PhaseResult(
-                        x=x2, status="local-min", iterations=it, history=history
-                    )
+                    return PhaseResult(x=x2, status="local-min", iterations=it)
                 x = x2
-            return PhaseResult(x=x, status="stall", iterations=it, history=history)
+            return PhaseResult(x=x, status="stall", iterations=it)
         x = info.x
-    return PhaseResult(x=x, status="iteration-cap", iterations=ctx.max_iter, history=history)
+    return PhaseResult(x=x, status="iteration-cap", iterations=ctx.max_iter)

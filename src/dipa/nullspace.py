@@ -20,27 +20,16 @@ import scipy.sparse as sp
 from dipa.graph import ArcVarMap
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    mode: str
-    mat: np.ndarray  # dense 0/1, row block then (ds only) column block
-
-    @property
-    def shape(self):
-        return self.mat.shape
-
-
-def build_A(m: ArcVarMap, n: int | None = None, mode: str = "ds") -> ConstraintMatrix:
+def build_A(m: ArcVarMap, mode: str = "ds") -> np.ndarray:
+    """Dense 0/1 sum constraints: the row block, then (ds only) the column
+    block."""
     nn = len(m.nodes)
-    pos = {v: t for t, v in enumerate(m.nodes)}
-    a = m.n_arcs
-    rows = nn if mode == "s" else 2 * nn
-    mat = np.zeros((rows, a))
-    for k, (i, j) in enumerate(m.arcs):
-        mat[pos[i], k] = 1.0
-        if mode == "ds":
-            mat[nn + pos[j], k] = 1.0
-    return ConstraintMatrix(mode=mode, mat=mat)
+    k = np.arange(m.n_arcs)
+    mat = np.zeros((nn if mode == "s" else 2 * nn, m.n_arcs))
+    mat[m.row, k] = 1.0
+    if mode == "ds":
+        mat[nn + m.col, k] = 1.0
+    return mat
 
 
 @dataclass(frozen=True)
@@ -67,16 +56,13 @@ def _retained_rows(mat: np.ndarray, n_row_block: int) -> list:
     return retained
 
 
-def reorder_ds(A: ConstraintMatrix) -> ReorderedDS:
+def reorder_ds(mat: np.ndarray) -> ReorderedDS:
     """Permute rows and columns of the doubly stochastic constraint matrix
-    into [B S] with B unit lower triangular.
+    (build_A in ds mode) into [B S] with B unit lower triangular.
 
     Columns with a single one among the still-active rows are pinned in
     batches, bottom row first; each batch prefers lower variable indices.
     """
-    if A.mode != "ds":
-        raise ValueError("reorder_ds applies to doubly stochastic constraints")
-    mat = A.mat
     n_nodes = mat.shape[0] // 2
     retained = _retained_rows(mat, n_nodes)
     am = mat[retained]
@@ -202,33 +188,20 @@ class NullSpaceRep:
         return np.asarray((zs.T.multiply(d) @ zs).todense())
 
 
-def build_Z(m: ArcVarMap, n: int | None = None, mode: str = "ds") -> NullSpaceRep:
+def build_Z(m: ArcVarMap, mode: str = "ds") -> NullSpaceRep:
     a = m.n_arcs
     if mode == "s":
-        pos = {v: t for t, v in enumerate(m.nodes)}
-        lead_of_node: dict = {}
-        for k, (i, _) in enumerate(m.arcs):
-            if i not in lead_of_node:
-                lead_of_node[i] = k
-        cols = []
-        leads = []
-        for k, (i, _) in enumerate(m.arcs):
-            if lead_of_node[i] != k:
-                cols.append(k)
-                leads.append(lead_of_node[i])
-        if len(lead_of_node) != len(m.nodes):
+        # arcs are numbered row-major, so each row's first arc leads it and
+        # every other arc of the row gives one basis column
+        lead = np.searchsorted(m.row, m.row)
+        rest = lead != np.arange(a)
+        if len(np.unique(m.row)) != len(m.nodes):
             raise ValueError("a node has no outgoing arc")
-        return NullSpaceRep(
-            mode="s",
-            n_vars=a,
-            dim=len(cols),
-            cols=np.asarray(cols, dtype=np.intp),
-            leads=np.asarray(leads, dtype=np.intp),
-        )
+        cols = np.flatnonzero(rest)
+        return NullSpaceRep(mode="s", n_vars=a, dim=len(cols), cols=cols, leads=lead[rest])
     if mode != "ds":
         raise ValueError(f"unknown mode {mode!r}")
-    A = build_A(m, mode="ds")
-    rds = reorder_ds(A)
+    rds = reorder_ds(build_A(m, mode="ds"))
     yk = _forward_substitute(rds.b, rds.s)
     vals = set(np.unique(yk)) if yk.size else set()
     if not vals <= {-1, 0, 1}:
@@ -252,8 +225,3 @@ def _forward_substitute(b: np.ndarray, s: np.ndarray) -> np.ndarray:
             y[p] -= b[p, nz] @ y[nz]
     return y
 
-
-def z_apply(Z: NullSpaceRep, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-    if transpose:
-        return Z.rmatvec(v)
-    return Z.apply(v)

@@ -37,8 +37,8 @@ from dipa.inner import (
     newton_polish,
     step_once,
 )
-from dipa.lp import LinearProgram, lp_solve, qp_least_distance
-from dipa.nullspace import ConstraintMatrix, NullSpaceRep, build_A, build_Z
+from dipa.lp import LinearProgram, LPError, lp_solve, qp_least_distance
+from dipa.nullspace import NullSpaceRep, build_A, build_Z
 
 HC_FOUND = "HC-found"
 NO_HC_DISCONNECTED = "no-HC-disconnected"
@@ -140,19 +140,13 @@ class SolveReport:
     n: int = 0
 
 
-def initial_interior(g: Graph, m: ArcVarMap, mode: str) -> np.ndarray:
+def initial_interior(m: ArcVarMap, mode: str) -> np.ndarray:
     """Strictly positive feasible start. Row mode spreads each row uniformly;
     doubly stochastic mode maximizes the uniform slack t with x = w + t e."""
-    a = m.n_arcs
     if mode == "s":
-        out = np.zeros(a)
-        deg: dict = {}
-        for i, _ in m.arcs:
-            deg[i] = deg.get(i, 0) + 1
-        for k, (i, _) in enumerate(m.arcs):
-            out[k] = 1.0 / deg[i]
-        return out
-    A = build_A(m, mode="ds").mat
+        return 1.0 / np.bincount(m.row)[m.row]
+    a = m.n_arcs
+    A = build_A(m, mode="ds")
     rows = A.shape[0]
     aeq = np.hstack([A, (A @ np.ones(a)).reshape(-1, 1)])
     c = np.zeros(a + 1)
@@ -220,7 +214,7 @@ def forced_zero_arcs(m: ArcVarMap) -> tuple:
     usable at all reaches value 1 at some vertex; maximizing sum(u) with
     u <= x, u <= 1/(4a) therefore saturates u at the cap exactly on the
     usable arcs and leaves it at zero on the forced ones."""
-    A = build_A(m, mode="ds").mat
+    A = build_A(m, mode="ds")
     rows, a = A.shape
     eps = 1.0 / (4.0 * a)
     # variables [x, u, s] with u - x + s = 0
@@ -245,21 +239,17 @@ def restore_S(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
     """Renormalize every out-neighborhood to sum one. Rows that lost exactly
     one variable of weight w are scaled by 1/(1-w); untouched rows are left
     as they were."""
-    x = np.asarray(xbar, dtype=float).copy()
-    sums: dict = {}
-    for k, (i, _) in enumerate(m.arcs):
-        sums[i] = sums.get(i, 0.0) + x[k]
-    for k, (i, _) in enumerate(m.arcs):
-        s = sums[i]
-        if s <= 0.0:
-            raise StarvationError(f"row {i} has zero mass after surgery")
-        x[k] /= s
-    return x
+    x = np.asarray(xbar, dtype=float)
+    sums = np.bincount(m.row, weights=x)[m.row]
+    if np.any(sums <= 0.0):
+        i, _ = m.arcs[int(np.argmax(sums <= 0.0))]
+        raise StarvationError(f"row {i} has zero mass after surgery")
+    return x / sums
 
 
 def restore_DS(
     xbar: np.ndarray,
-    A: ConstraintMatrix | np.ndarray,
+    A: np.ndarray,
     x_min: float | None = None,
     rho: float | None = None,
     x_min_floor: float = 1e-10,
@@ -272,11 +262,10 @@ def restore_DS(
     residual; gamma is priced at rho so any fully feasible reconciliation
     beats a residual one. When even the smallest x_min leaves gamma positive,
     the variables pinned at the floor are returned for deletion."""
-    mat = A.mat if isinstance(A, ConstraintMatrix) else np.asarray(A, dtype=float)
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
-    e = np.ones(mat.shape[0])
-    s = e - mat @ xbar
+    e = np.ones(A.shape[0])
+    s = e - A @ xbar
     if rho is None:
         rho = 1e3 * (1.0 + float(np.abs(s).sum()))
     if x_min is None:
@@ -286,7 +275,7 @@ def restore_DS(
         ub_v = np.maximum(xbar - x_min, 0.0)
         ub_u = np.maximum(1.0 - xbar, 0.0)
         c = np.concatenate([np.ones(a), np.ones(a), [rho]])
-        aeq = np.hstack([mat, -mat, s.reshape(-1, 1)])
+        aeq = np.hstack([A, -A, s.reshape(-1, 1)])
         lb = np.zeros(2 * a + 1)
         ub = np.concatenate([ub_u, ub_v, [1.0]])
         res = lp_solve(LinearProgram(c=c, a_eq=aeq, b_eq=s, lb=lb, ub=ub))
@@ -296,7 +285,7 @@ def restore_DS(
         x = xbar + res.x[:a] - res.x[a : 2 * a]
         last = (x, x_min)
         if gamma <= gamma_tol:
-            return _polish_equalities(x, mat), ()
+            return _polish_equalities(x, A), ()
         if x_min <= x_min_floor:
             break
         x_min = max(0.5 * x_min, x_min_floor)
@@ -307,7 +296,7 @@ def restore_DS(
 
 def restore_DS_qp(
     xbar: np.ndarray,
-    A: ConstraintMatrix | np.ndarray,
+    A: np.ndarray,
     x_min: float | None = None,
     x_min_floor: float = 1e-10,
 ) -> tuple:
@@ -315,22 +304,21 @@ def restore_DS_qp(
     bounds [x_min, 1], halving x_min while that box is infeasible. Falls back
     to the LP diagnosis when no x_min works, so deletions are identified the
     same way on both paths."""
-    mat = A.mat if isinstance(A, ConstraintMatrix) else np.asarray(A, dtype=float)
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
-    e = np.ones(mat.shape[0])
+    e = np.ones(A.shape[0])
     if x_min is None:
         x_min = max(float(np.min(xbar)), x_min_floor)
     for _ in range(11):
         x, status = qp_least_distance(
-            xbar, mat, e, np.full(a, x_min), np.ones(a)
+            xbar, A, e, np.full(a, x_min), np.ones(a)
         )
         if status == "optimal":
-            return _polish_equalities(x, mat), ()
+            return _polish_equalities(x, A), ()
         if x_min <= x_min_floor:
             break
         x_min = max(0.5 * x_min, x_min_floor)
-    return restore_DS(xbar, mat, x_min=x_min_floor, x_min_floor=x_min_floor)
+    return restore_DS(xbar, A, x_min=x_min_floor, x_min_floor=x_min_floor)
 
 
 def round_to_hc(
@@ -348,13 +336,10 @@ def round_to_hc(
     cycle, or None."""
     nodes = m.nodes
     rr = len(nodes)
-    pos = {v: t for t, v in enumerate(nodes)}
-    val = np.zeros((rr, rr))
+    work = np.zeros((rr, rr))
+    work[m.row, m.col] = x
     exists = np.zeros((rr, rr), dtype=bool)
-    for k, (i, j) in enumerate(m.arcs):
-        val[pos[i], pos[j]] = x[k]
-        exists[pos[i], pos[j]] = True
-    work = val.copy()
+    exists[m.row, m.col] = True
     order = sorted(range(rr), key=lambda r: (-np.max(work[r][exists[r]], initial=0.0), r))
     succ: dict = {}
     used: set = set()
@@ -413,10 +398,8 @@ class _Work:
     """Mutable solve state for the current reduced problem."""
 
     m: ArcVarMap
-    a_mat: ConstraintMatrix
     z: NullSpaceRep
     ctx: PhaseContext
-    dim: int
 
 
 def _carry_values(x, m_old: ArcVarMap, m_new: ArcVarMap, redirect_map) -> np.ndarray:
@@ -466,13 +449,13 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     m = build_arc_map(g)
     if params.drop_one_var:
         try:
-            _, m = delete_arc(support_graph(m.nodes, m.arcs), m, m.arcs[0])
+            m = delete_arc(m, m.arcs[0])
             deletions += 1
         except StarvationError as exc:
             return report(NO_HC_DISCONNECTED, message=str(exc))
 
     try:
-        x = initial_interior(support_graph(m.nodes, m.arcs), m, mode)
+        x = initial_interior(m, mode)
     except NoInteriorPoint as exc:
         if mode != "ds":
             return report(GAVE_UP, message=str(exc))
@@ -486,20 +469,19 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             return report(GAVE_UP, message=str(exc))
         try:
             for arc in [m.arcs[k] for k in forced]:
-                _, m = delete_arc(support_graph(m.nodes, m.arcs), m, arc)
+                m = delete_arc(m, arc)
                 deletions += 1
         except StarvationError as exc2:
             return report(NO_HC_DISCONNECTED, message=str(exc2))
         if not is_connected(support_graph(m.nodes, m.arcs)):
             return report(NO_HC_DISCONNECTED, message="support disconnected after reduction")
         try:
-            x = initial_interior(support_graph(m.nodes, m.arcs), m, mode)
+            x = initial_interior(m, mode)
         except NoInteriorPoint as exc2:
             return report(GAVE_UP, message=str(exc2))
 
     def make_work(m_now: ArcVarMap) -> _Work:
         z = build_Z(m_now, mode=mode)
-        a_mat = build_A(m_now, mode=mode)
         ctx = PhaseContext(
             z=z,
             f_bundle=lambda pt: detfun.value_grad_hess(pt, m_now, mode),
@@ -508,7 +490,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             alpha=params.alpha,
             max_iter=params.max_phase_iter,
         )
-        return _Work(m=m_now, a_mat=a_mat, z=z, ctx=ctx, dim=z.dim)
+        return _Work(m=m_now, z=z, ctx=ctx)
 
     work = make_work(m)
 
@@ -527,7 +509,10 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         """Threshold sweep: deflate any variable at or above the deflation
         threshold (lowest index first), else delete any at or below the
         deletion threshold, restoring feasibility after every change and
-        rescanning until clean. Returns (x, status | None, changed)."""
+        rescanning until clean. Returns (x, dead_end, changed); dead_end is
+        None, or a message when a change starved or disconnected the
+        support or its restoration failed. A dead end proves nothing about
+        the input graph."""
         nonlocal deflations, deletions, work
         m_now = work.m
         changed = False
@@ -551,31 +536,31 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                     break
             try:
                 if action == "deflate":
-                    _, m2, rec = deflate(support_graph(m_now.nodes, m_now.arcs), m_now, arc)
+                    m2, rec = deflate(m_now, arc)
                     redirect_map = {new: old for old, new in rec.redirected}
                     x2 = _carry_values(x, m_now, m2, redirect_map)
                     records.append(rec)
                     deflations += 1
                 else:
-                    _, m2 = delete_arc(support_graph(m_now.nodes, m_now.arcs), m_now, arc)
+                    m2 = delete_arc(m_now, arc)
                     keep = [kk for kk, aa in enumerate(m_now.arcs) if aa != arc]
                     x2 = x[keep]
                     deletions += 1
-            except StarvationError:
-                return x, NO_HC_DISCONNECTED, changed
-            changed = True
-            if not is_connected(support_graph(m2.nodes, m2.arcs)):
-                return x, NO_HC_DISCONNECTED, changed
-            if mode == "s":
-                x2 = restore_S(x2, m2)
-                new_forced: tuple = ()
-            else:
-                a2 = build_A(m2, mode="ds")
-                if params.restore == "lp":
-                    x2, nf = restore_DS(x2, a2, x_min_floor=params.x_min_floor)
+                changed = True
+                if not is_connected(support_graph(m2.nodes, m2.arcs)):
+                    return x, "surgery dead end: support disconnected", changed
+                if mode == "s":
+                    x2 = restore_S(x2, m2)
+                    new_forced: tuple = ()
                 else:
-                    x2, nf = restore_DS_qp(x2, a2, x_min_floor=params.x_min_floor)
-                new_forced = tuple(m2.arcs[int(k)] for k in nf)
+                    a2 = build_A(m2, mode="ds")
+                    if params.restore == "lp":
+                        x2, nf = restore_DS(x2, a2, x_min_floor=params.x_min_floor)
+                    else:
+                        x2, nf = restore_DS_qp(x2, a2, x_min_floor=params.x_min_floor)
+                    new_forced = tuple(m2.arcs[int(k)] for k in nf)
+            except (StarvationError, LPError) as exc:
+                return x, f"surgery dead end: {exc}", changed
             for k in np.flatnonzero(x2 <= 0.0):
                 bad = m2.arcs[int(k)]
                 if bad not in new_forced:
@@ -645,11 +630,11 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         if cert is not None:
             return report(HC_FOUND, cycle=cert, x=x, m=work.m)
 
-        x, status, changed = surgery(x)
-        if status is not None:
-            return report(status, message="surgery starved or disconnected the graph", x=x, m=work.m)
+        x, dead_end, changed = surgery(x)
+        if dead_end is not None:
+            return report(GAVE_UP, message=dead_end, x=x, m=work.m)
         if changed:
-            if work.dim <= 0:
+            if work.z.dim <= 0:
                 cert = round_to_hc(x, work.m, mode, records, original)
                 if cert is not None:
                     return report(HC_FOUND, cycle=cert, x=x, m=work.m)

@@ -6,7 +6,6 @@ from dipa.detfun import (
     check_feasible,
     f_full,
     f_minor,
-    grad,
     hess,
     lu_nopivot,
     value_grad_hess,
@@ -137,7 +136,7 @@ class TestFeasibility:
     def test_interior_point_passes(self):
         g = gen_random_graph(10, 3, 6, seed=4)
         m = build_arc_map(g)
-        x = initial_interior(g, m, "ds")
+        x = initial_interior(m, "ds")
         check_feasible(x, m, "ds")
 
     def test_negative_rejected(self):
@@ -180,16 +179,16 @@ class TestDerivatives:
     def test_gradient_matches_fd(self, mode):
         g = gen_random_graph(8, 3, 5, seed=7)
         m = build_arc_map(g)
-        x = initial_interior(g, m, mode)
+        x = initial_interior(m, mode)
         fun = lambda v: value_only(v, m, mode)
-        gd = grad(x, m, mode=mode)
+        _, gd, _ = value_grad_hess(x, m, mode)
         fd = central_diff_grad(fun, x)
         assert np.allclose(gd, fd, rtol=1e-6, atol=1e-8)
 
     def test_hessian_matches_fd(self):
         g = gen_random_graph(8, 3, 5, seed=8)
         m = build_arc_map(g)
-        x = initial_interior(g, m, "ds")
+        x = initial_interior(m, "ds")
         H = hess(x, m, mode="ds")
         fd = np.zeros_like(H)
         for k in range(x.size):
@@ -197,17 +196,16 @@ class TestDerivatives:
             xm = x.copy()
             xp[k] += 1e-5
             xm[k] -= 1e-5
-            fd[:, k] = (grad(xp, m, mode="ds") - grad(xm, m, mode="ds")) / 2e-5
+            fd[:, k] = (value_grad_hess(xp, m, "ds")[1] - value_grad_hess(xm, m, "ds")[1]) / 2e-5
         assert np.allclose(H, fd, rtol=1e-5, atol=1e-6)
         assert np.allclose(H, H.T, atol=1e-12)
 
     def test_bundle_consistency(self):
         g = gen_random_graph(8, 3, 5, seed=9)
         m = build_arc_map(g)
-        x = initial_interior(g, m, "ds")
+        x = initial_interior(m, "ds")
         f, gd, H = value_grad_hess(x, m, "ds")
         assert f == pytest.approx(f_minor(x, m, validate=False), abs=1e-14)
-        assert np.allclose(gd, grad(x, m, mode="ds"), atol=1e-14)
         assert np.allclose(H, hess(x, m, mode="ds"), atol=1e-14)
         assert value_only(x, m, "ds") == pytest.approx(f, abs=1e-14)
 

@@ -189,7 +189,7 @@ class TestPhases:
             assert all(g.degree(v) == 3 for v in g.nodes)
             m = build_arc_map(g)
             ctx = phase_context(g, m, "ds", grad_tol=1e-10, neutral=True)
-            x0 = initial_interior(g, m, "ds")
+            x0 = initial_interior(m, "ds")
             res = minimize_phase(x0, BarrierSpec(mu=math.inf), ctx)
             assert res.status == "local-min"
             assert np.allclose(res.x, 1.0 / 3.0, atol=1e-8)
@@ -198,7 +198,7 @@ class TestPhases:
         g = gen_random_graph(12, 3, 6, seed=21)
         m = build_arc_map(g)
         ctx = phase_context(g, m, "ds", grad_tol=1e-10, neutral=True)
-        res = minimize_phase(initial_interior(g, m, "ds"), BarrierSpec(mu=math.inf), ctx)
+        res = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf), ctx)
         x = res.x
         for k, t in enumerate(m.twin):
             assert x[k] == pytest.approx(x[t], abs=1e-8)
@@ -208,7 +208,7 @@ class TestPhases:
         m = build_arc_map(g)
         ctx = phase_context(g, m, "ds", grad_tol=1e-8, neutral=True)
         spec = BarrierSpec(mu=math.inf)
-        res = minimize_phase(initial_interior(g, m, "ds"), spec, ctx)
+        res = minimize_phase(initial_interior(m, "ds"), spec, ctx)
         info = step_once(res.x, spec, ctx, InnerState())
         assert info.kind == "converged"
 
@@ -218,7 +218,7 @@ class TestPhases:
         g = gen_random_graph(12, 3, 6, seed=23)
         m = build_arc_map(g)
         nctx = phase_context(g, m, "ds", grad_tol=1e-10, neutral=True)
-        start = minimize_phase(initial_interior(g, m, "ds"), BarrierSpec(mu=math.inf), nctx).x
+        start = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf), nctx).x
         ctx = phase_context(g, m, "ds", grad_tol=1e-9)
         spec = BarrierSpec(mu=1e-4)
         state = InnerState()
@@ -237,7 +237,7 @@ class TestPhases:
         m = build_arc_map(g)
         ctx = phase_context(g, m, "ds", grad_tol=1e-6, neutral=True)
         spec = BarrierSpec(mu=math.inf)
-        rough = minimize_phase(initial_interior(g, m, "ds"), spec, ctx)
+        rough = minimize_phase(initial_interior(m, "ds"), spec, ctx)
         x2, gnorm, clean = newton_polish(rough.x, spec, ctx)
         phi, gphi, _ = barrier_eval(x2, spec)
         assert gnorm == pytest.approx(float(np.max(np.abs(ctx.z.rmatvec(gphi)))), abs=1e-12)

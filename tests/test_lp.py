@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dipa.graph import build_arc_map, delete_arc, gen_random_graph, make_graph
+from dipa.graph import StarvationError, build_arc_map, delete_arc, gen_random_graph, make_graph
 from dipa.lp import LinearProgram, lp_solve, qp_least_distance, verify_qp
 from dipa.nullspace import build_A
 from dipa.outer import initial_interior, restore_DS, restore_DS_qp, restore_S
@@ -53,7 +53,7 @@ class TestQPLeastDistance:
         # a feasible xbar projects onto itself
         g = make_graph(3, [(1, 2), (1, 3), (2, 3)])
         m = build_arc_map(g)
-        mat = build_A(m, mode="ds").mat
+        mat = build_A(m, mode="ds")
         xbar = np.full(6, 0.5)
         x, status = qp_least_distance(
             xbar, mat, np.ones(6), np.zeros(6), np.ones(6)
@@ -64,9 +64,9 @@ class TestQPLeastDistance:
     def test_projection_optimality(self):
         g = gen_random_graph(10, 3, 6, seed=11)
         m = build_arc_map(g)
-        mat = build_A(m, mode="ds").mat
+        mat = build_A(m, mode="ds")
         rng = np.random.default_rng(4)
-        xbar = np.clip(initial_interior(g, m, "ds") + rng.normal(0, 0.1, m.n_arcs), 0, 1)
+        xbar = np.clip(initial_interior(m, "ds") + rng.normal(0, 0.1, m.n_arcs), 0, 1)
         lb = np.full(m.n_arcs, 1e-4)
         ub = np.ones(m.n_arcs)
         beq = np.ones(mat.shape[0])
@@ -98,21 +98,33 @@ class TestRestoreS:
     def test_row_sums_restored(self):
         g = gen_random_graph(10, 3, 6, seed=12)
         m = build_arc_map(g)
-        x = initial_interior(g, m, "s")
+        x = initial_interior(m, "s")
         # simulate a deletion: drop one arc and renormalize the survivor rows
-        g2, m2 = delete_arc(g, m, m.arcs[0])
+        m2 = delete_arc(m, m.arcs[0])
         xbar = np.array([x[m.index[a]] for a in m2.arcs])
         x2 = restore_S(xbar, m2)
         sums: dict = {}
         for k, (i, _) in enumerate(m2.arcs):
             sums[i] = sums.get(i, 0.0) + x2[k]
         assert np.allclose(sorted(sums.values()), 1.0, atol=1e-12)
+        # same sums in the same order as a per-arc loop, so bit-identical
+        mass: dict = {}
+        for k, (i, _) in enumerate(m2.arcs):
+            mass[i] = mass.get(i, 0.0) + xbar[k]
+        expected = [xbar[k] / mass[i] for k, (i, _) in enumerate(m2.arcs)]
+        assert x2.tolist() == expected
 
     def test_untouched_rows_unchanged(self):
         g = make_graph(3, [(1, 2), (1, 3), (2, 3)])
         m = build_arc_map(g)
         x = np.array([0.4, 0.6, 0.7, 0.3, 0.5, 0.5])
         assert np.allclose(restore_S(x, m), x, atol=1e-15)
+
+    def test_zero_mass_row_starves(self):
+        m = build_arc_map(make_graph(3, [(1, 2), (1, 3), (2, 3)]))
+        x = np.array([0.4, 0.6, 0.0, 0.0, 0.5, 0.5])
+        with pytest.raises(StarvationError, match="row 2"):
+            restore_S(x, m)
 
 
 class TestRestoreDS:
@@ -122,7 +134,7 @@ class TestRestoreDS:
         mat = build_A(m, mode="ds")
         rng = np.random.default_rng(seed)
         xbar = np.clip(
-            initial_interior(g, m, "ds") + rng.normal(0, 0.05, m.n_arcs), 0.0, 1.0
+            initial_interior(m, "ds") + rng.normal(0, 0.05, m.n_arcs), 0.0, 1.0
         )
         return mat, xbar
 
@@ -132,7 +144,7 @@ class TestRestoreDS:
         fn = restore_DS if which == "lp" else restore_DS_qp
         x, forced = fn(xbar, mat)
         assert forced == ()
-        r = mat.mat @ x
+        r = mat @ x
         assert np.max(np.abs(r - 1.0)) <= 1e-8
         assert np.min(x) >= -1e-12
 

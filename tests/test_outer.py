@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+import dipa.outer
 from dipa.detfun import check_feasible
 from dipa.graph import (
+    StarvationError,
     build_arc_map,
     deflate,
     enumerate_hc,
     gen_random_graph,
     make_graph,
     petersen,
+    support_graph,
 )
+from dipa.lp import LPError
 from dipa.outer import (
     GAVE_UP,
     HC_FOUND,
@@ -31,7 +35,7 @@ class TestInitialInterior:
     def test_s_mode_uniform_rows(self):
         g = gen_random_graph(12, 3, 6, seed=30)
         m = build_arc_map(g)
-        x = initial_interior(g, m, "s")
+        x = initial_interior(m, "s")
         check_feasible(x, m, "s")
         for v in g.nodes:
             ks = m.out_arcs(v)
@@ -40,7 +44,7 @@ class TestInitialInterior:
     def test_ds_mode_interior(self):
         g = gen_random_graph(12, 3, 6, seed=31)
         m = build_arc_map(g)
-        x = initial_interior(g, m, "ds")
+        x = initial_interior(m, "ds")
         check_feasible(x, m, "ds")
         assert np.min(x) > 1e-6
 
@@ -102,9 +106,9 @@ class TestRounding:
     def test_expansion_through_history(self):
         g = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 5)])
         m = build_arc_map(g)
-        g2, m2, rec = deflate(g, m, (1, 2))
+        m2, rec = deflate(m, (1, 2))
         x = np.full(m2.n_arcs, 1e-6)
-        small = enumerate_hc(g2)[0]
+        small = enumerate_hc(support_graph(m2.nodes, m2.arcs))[0]
         for a in small.arcs():
             x[m2.index[a]] = 1.0
         c = round_to_hc(x, m2, "ds", history=[rec], original=g)
@@ -179,6 +183,32 @@ class TestSolveSmall:
         rep = dipa_solve(g, DipaParams(mode="ds", time_limit=1e-9))
         assert rep.status == GAVE_UP
         assert "time" in rep.message
+
+
+class TestSurgeryDeadEnds:
+    """A dead end inside surgery says nothing about the input graph: it ends
+    the solve as gave-up and never raises out of dipa_solve."""
+
+    @pytest.mark.parametrize("error", [StarvationError, LPError])
+    def test_restoration_failure_gives_up(self, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("planted failure")
+
+        monkeypatch.setattr(dipa.outer, "restore_DS", fail)
+        g = gen_random_graph(14, 3, 6, seed=1)
+        rep = dipa_solve(g, DipaParams(mode="ds", restore="lp"))
+        assert rep.status == GAVE_UP
+        assert rep.message == "surgery dead end: planted failure"
+
+    @pytest.mark.parametrize("n, seed", [(40, 0), (40, 7), (50, 19)])
+    def test_planted_regressions_claim_no_proof(self, n, seed):
+        # 40/0 and 40/7 once returned no-HC-disconnected; 50/19 raised
+        # StarvationError out of restore_DS
+        g = gen_random_graph(n, 3, 6, seed=seed, plant=True)
+        rep = dipa_solve(g, DipaParams(mode="ds"))
+        assert not rep.status.startswith("no-HC")
+        if rep.status == HC_FOUND:
+            rep.cycle.validate(g)
 
 
 class TestReportShape:
