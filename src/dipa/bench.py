@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +27,9 @@ from .inner import BarrierSpec, minimize_phase
 from .outer import HC_FOUND, DipaParams, dipa_solve, initial_interior
 
 FLOAT_FMT = "%.17g"
+
+# status of a solve that raised instead of returning a report
+ERROR = "error"
 
 # sentinel thresholds that keep the surgery machinery from ever firing while
 # staying inside the documented parameter ranges
@@ -159,23 +164,32 @@ def _solve_job(task: tuple) -> dict:
     n, dmin, dmax, inst_seed, plant, setting, time_limit = task
     g = gen_random_graph(n, dmin, dmax, seed=inst_seed, plant=plant)
     params = setting.params(time_limit=time_limit, seed=inst_seed)
-    t0 = time.monotonic()
-    rep = dipa_solve(g, params)
-    wall = time.monotonic() - t0
-    cycle = "-".join(str(v) for v in rep.cycle.seq) if rep.cycle is not None else ""
-    return {
+    row = {
         "graph_id": f"n{n}-s{inst_seed}",
         "n": n,
         "mode": setting.mode,
         "setting": setting.name,
         "params_hash": setting.params_hash(),
-        "status": rep.status,
-        "iterations": rep.iterations,
-        "deflations": rep.deflations,
-        "deletions": rep.deletions,
-        "wall_time": wall,
-        "cycle": cycle,
     }
+    t0 = time.monotonic()
+    try:
+        rep = dipa_solve(g, params)
+    except Exception:
+        # one instance that raises must not cost the campaign its other rows
+        print(f"{row['graph_id']} {setting.name}:", file=sys.stderr)
+        traceback.print_exc()
+        row.update(status=ERROR, iterations=0, deflations=0, deletions=0,
+                   wall_time=time.monotonic() - t0, cycle="")
+        return row
+    row.update(
+        status=rep.status,
+        iterations=rep.iterations,
+        deflations=rep.deflations,
+        deletions=rep.deletions,
+        wall_time=time.monotonic() - t0,
+        cycle="-".join(str(v) for v in rep.cycle.seq) if rep.cycle is not None else "",
+    )
+    return row
 
 
 def _write_csv(path: Path, header: tuple, rows: list) -> None:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from dipa.nullspace import NullSpaceRep
 
@@ -62,7 +62,12 @@ class CholResult:
 def modified_cholesky(mred: np.ndarray, delta: float = 0.0) -> CholResult:
     """Factor mred - delta I + E = R.T R with E >= 0 diagonal, elements grown
     only as far as a Gill-Murray-Wright style bound requires. modified is
-    True exactly when E is nonzero; j reports where E is largest."""
+    True exactly when E is nonzero; j reports where E is largest.
+
+    LAPACK factors C = mred - delta I first. When it succeeds and no pivot
+    d_j = R[j,j]**2 falls below the growth bound theta_j**2 / beta2 or below
+    small, the loop would add E = 0 and produce the same factor, so R is
+    returned as it is; otherwise the loop runs."""
     C = np.asarray(mred, dtype=float) - delta * np.eye(mred.shape[0])
     n = C.shape[0]
     gamma = float(np.max(np.abs(np.diag(C)), initial=0.0))
@@ -72,6 +77,24 @@ def modified_cholesky(mred: np.ndarray, delta: float = 0.0) -> CholResult:
     beta2 = max(gamma, xi / nu, 1e-30)
     small = 2.2e-16 * max(gamma + xi, 1.0)
 
+    try:
+        R = cholesky(C, lower=False, check_finite=False)
+    except LinAlgError:
+        return _gmw_loop(C, beta2, small)
+    rjj = np.diag(R)
+    d = rjj * rjj
+    # row j of R past the diagonal is the loop's column j scaled by 1/R[j,j]
+    theta = rjj * np.max(np.abs(np.triu(R, 1)), axis=1, initial=0.0)
+    if np.all(d >= theta * theta / beta2) and np.all(d >= small):
+        return CholResult(r=R, modified=False, j=-1, e_max=0.0)
+    return _gmw_loop(C, beta2, small)
+
+
+def _gmw_loop(C: np.ndarray, beta2: float, small: float) -> CholResult:
+    """Column-by-column Gill-Murray-Wright factorization of C: each pivot is
+    raised to at least theta_j**2 / beta2 and small, and E records by how
+    much."""
+    n = C.shape[0]
     L = np.eye(n)
     d = np.zeros(n)
     E = np.zeros(n)

@@ -42,7 +42,6 @@ from dipa.nullspace import NullSpaceRep, build_A, build_Z
 
 HC_FOUND = "HC-found"
 NO_HC_DISCONNECTED = "no-HC-disconnected"
-NO_HC_LOCAL_MIN = "no-HC-nonHC-local-min"
 GAVE_UP = "gave-up"
 
 
@@ -509,13 +508,13 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         """Threshold sweep: deflate any variable at or above the deflation
         threshold (lowest index first), else delete any at or below the
         deletion threshold, restoring feasibility after every change and
-        rescanning until clean. Returns (x, dead_end, changed); dead_end is
-        None, or a message when a change starved or disconnected the
-        support or its restoration failed. A dead end proves nothing about
-        the input graph."""
-        nonlocal deflations, deletions, work
+        rescanning until clean. Returns (x, m, dead_end): x lives on the map
+        m, which is work.m when nothing changed; dead_end is None, or a
+        message when a change starved or disconnected the support or its
+        restoration failed, and then x and m are from before that change.
+        A dead end proves nothing about the input graph."""
+        nonlocal deflations, deletions
         m_now = work.m
-        changed = False
         forced_arcs: list = []
         while True:
             action = None
@@ -546,9 +545,8 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                     keep = [kk for kk, aa in enumerate(m_now.arcs) if aa != arc]
                     x2 = x[keep]
                     deletions += 1
-                changed = True
                 if not is_connected(support_graph(m2.nodes, m2.arcs)):
-                    return x, "surgery dead end: support disconnected", changed
+                    return x, m_now, "surgery dead end: support disconnected"
                 if mode == "s":
                     x2 = restore_S(x2, m2)
                     new_forced: tuple = ()
@@ -560,7 +558,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                         x2, nf = restore_DS_qp(x2, a2, x_min_floor=params.x_min_floor)
                     new_forced = tuple(m2.arcs[int(k)] for k in nf)
             except (StarvationError, LPError) as exc:
-                return x, f"surgery dead end: {exc}", changed
+                return x, m_now, f"surgery dead end: {exc}"
             for k in np.flatnonzero(x2 <= 0.0):
                 bad = m2.arcs[int(k)]
                 if bad not in new_forced:
@@ -570,9 +568,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             for aa in new_forced:
                 if aa not in forced_arcs:
                     forced_arcs.append(aa)
-        if changed:
-            work = make_work(m_now)
-        return x, None, changed
+        return x, m_now, None
 
     spec = BarrierSpec(mu=mu, upper_log=params.upper_log)
     while True:
@@ -603,14 +599,10 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                 )
             )
             if mu2 < params.mu_min:
-                near_binary = bool(np.all(np.minimum(x, np.abs(1.0 - x)) <= 0.25))
-                if near_binary:
-                    return report(
-                        NO_HC_LOCAL_MIN,
-                        message="barrier weight exhausted at a near-binary non-cycle point",
-                        x=x, m=work.m,
-                    )
-                return report(GAVE_UP, message="barrier weight exhausted", x=x, m=work.m)
+                message = "barrier weight exhausted"
+                if np.all(np.minimum(x, np.abs(1.0 - x)) <= 0.25):
+                    message += " at a near-binary non-cycle point"
+                return report(GAVE_UP, message=message, x=x, m=work.m)
             mu = mu2
             spec = BarrierSpec(mu=mu, upper_log=params.upper_log)
             state = InnerState()
@@ -630,16 +622,17 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         if cert is not None:
             return report(HC_FOUND, cycle=cert, x=x, m=work.m)
 
-        x, dead_end, changed = surgery(x)
+        x, m_now, dead_end = surgery(x)
         if dead_end is not None:
-            return report(GAVE_UP, message=dead_end, x=x, m=work.m)
-        if changed:
+            return report(GAVE_UP, message=dead_end, x=x, m=m_now)
+        if m_now is not work.m:
+            work = make_work(m_now)
             if work.z.dim <= 0:
                 cert = round_to_hc(x, work.m, mode, records, original)
                 if cert is not None:
                     return report(HC_FOUND, cycle=cert, x=x, m=work.m)
                 return report(
-                    NO_HC_LOCAL_MIN,
+                    GAVE_UP,
                     message="reduced problem fully determined but not a cycle",
                     x=x, m=work.m,
                 )

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import dipa.bench
 from dipa.bench import (
+    ERROR,
     GRIDS,
     BenchConfig,
     grid_paper_def,
@@ -139,6 +141,28 @@ class TestRunBench:
         run_bench(BenchConfig(out_dir=str(pooled), workers=2, **cfg))
         for fname in ("solves.csv", "results.csv", "combos.csv", "certificates.csv"):
             assert (serial / fname).read_bytes() == (pooled / fname).read_bytes()
+
+    def test_raising_instance_writes_error_row(self, tmp_path, monkeypatch):
+        real = dipa.bench.dipa_solve
+
+        def raise_once(g, params):
+            if (params.seed, params.restore, params.deflation_threshold) == (101, "qp", 0.95):
+                raise RuntimeError("planted failure")
+            return real(g, params)
+
+        monkeypatch.setattr(dipa.bench, "dipa_solve", raise_once)
+        cfg = BenchConfig(
+            sizes=(8,), count=3, grid="paper-def", seed=100,
+            out_dir=str(tmp_path), workers=1,
+        )
+        res = run_bench(cfg)
+        lines = (tmp_path / "solves.csv").read_text().splitlines()[1:]
+        assert len(lines) == 4 * 3
+        assert sum(",error," in line for line in lines) == 1
+        errors = [r for r in res.solves if r["status"] == ERROR]
+        assert [(r["graph_id"], r["setting"]) for r in errors] == [("n8-s101", "qp-0.95")]
+        assert (errors[0]["iterations"], errors[0]["deflations"], errors[0]["deletions"]) == (0, 0, 0)
+        assert errors[0]["cycle"] == ""
 
 
 class TestPaths:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+import dipa.inner
 from dipa.detfun import value_grad_hess, value_only
 from dipa.graph import build_arc_map, gen_random_graph, make_graph
 from dipa.inner import (
@@ -93,6 +95,69 @@ class TestModifiedCholesky:
         g = np.array([1.0, -2.0])
         d = descent_direction(res.r, g)
         assert np.allclose(M @ d, -g, atol=1e-12)
+
+
+class TestCholeskyFastPath:
+    """modified_cholesky returns the LAPACK factor only where the GMW loop
+    would add nothing, and otherwise is the loop."""
+
+    @staticmethod
+    def loop_only(monkeypatch, M, delta):
+        def no_lapack(*args, **kwargs):
+            raise LinAlgError("forced")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(dipa.inner, "cholesky", no_lapack)
+            return modified_cholesky(M, delta)
+
+    @staticmethod
+    def count_loop_calls(monkeypatch):
+        calls = []
+        loop = dipa.inner._gmw_loop
+
+        def spy(*args):
+            calls.append(args)
+            return loop(*args)
+
+        monkeypatch.setattr(dipa.inner, "_gmw_loop", spy)
+        return calls
+
+    def test_positive_definite_matches_loop(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for n in range(81):
+            A = rng.standard_normal((n, n))
+            M = A @ A.T + n * np.eye(n)
+            ref = self.loop_only(monkeypatch, M, -1e-8)
+            calls = self.count_loop_calls(monkeypatch)
+            res = modified_cholesky(M, -1e-8)
+            monkeypatch.undo()
+            assert not calls
+            assert (res.modified, res.j, res.e_max) == (ref.modified, ref.j, ref.e_max)
+            assert res.r.shape == (n, n)
+            scale = float(np.max(np.abs(ref.r), initial=0.0))
+            np.testing.assert_allclose(res.r, ref.r, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_pivot_below_small_takes_loop(self, monkeypatch):
+        M = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1e-17]])
+        ref = self.loop_only(monkeypatch, M, 0.0)
+        calls = self.count_loop_calls(monkeypatch)
+        res = modified_cholesky(M)
+        assert len(calls) == 1
+        assert not res.modified and res.e_max > 0.0
+        assert (res.modified, res.j, res.e_max) == (ref.modified, ref.j, ref.e_max)
+        assert np.array_equal(res.r, ref.r)
+
+    def test_indefinite_is_the_loop(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((12, 12))
+        M = (A + A.T) / 2
+        ref = self.loop_only(monkeypatch, M, -1e-8)
+        calls = self.count_loop_calls(monkeypatch)
+        res = modified_cholesky(M, -1e-8)
+        assert len(calls) == 1
+        assert res.modified
+        assert (res.modified, res.j, res.e_max) == (ref.modified, ref.j, ref.e_max)
+        assert np.array_equal(res.r, ref.r)
 
 
 class TestNegativeCurvature:
