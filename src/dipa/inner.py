@@ -144,22 +144,30 @@ def improve_negcurv(
     H = np.asarray(H, dtype=float)
     d = np.asarray(d, dtype=float).copy()
     n = len(d)
-    G = metric if metric is not None else None
+    G = np.asarray(metric, dtype=float) if metric is not None else np.eye(n)
 
     nrm = float(np.linalg.norm(d))
     if nrm == 0.0:
         raise ValueError("zero start vector")
     d /= nrm
-    hd = H @ d
-    gd = G @ d if G is not None else d.copy()
+    # hd = H d and gd = G d are the rows of s, so a move on coordinate i
+    # updates both with one add of cols[i] = [H[:, i], G[:, i]]
+    s = np.empty((2, n))
+    s[0] = H @ d
+    s[1] = G @ d if metric is not None else d
+    hd, gd = s
+    cols = np.stack([H.T, G.T], axis=1)
+    buf = np.empty((2, n))
+    h_diag = np.diagonal(H).tolist()
+    g_diag = np.diagonal(G).tolist()
     num = float(d @ hd)
     den = float(d @ gd)
     for _ in range(max(sweeps, 0)):
         for i in range(n):
-            b = hd[i]
-            c = H[i, i]
-            q = gd[i]
-            r = G[i, i] if G is not None else 1.0
+            b = hd.item(i)
+            c = h_diag[i]
+            q = gd.item(i)
+            r = g_diag[i]
             # stationary points of (num + 2bt + ct^2) / (den + 2qt + rt^2)
             A2 = c * q - b * r
             A1 = c * den - num * r
@@ -184,18 +192,14 @@ def improve_negcurv(
             if best_t != 0.0:
                 t = best_t
                 d[i] += t
-                hd += t * H[:, i]
-                if G is not None:
-                    gd += t * G[:, i]
-                else:
-                    gd[i] += t
+                np.multiply(cols[i], t, out=buf)
+                s += buf
                 num = float(d @ hd)
                 den = float(d @ gd)
         nrm = float(np.linalg.norm(d))
         if nrm > 0:
             d /= nrm
-            hd /= nrm
-            gd /= nrm
+            s /= nrm
             num = float(d @ hd)
             den = float(d @ gd)
     return d, num / den

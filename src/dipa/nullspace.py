@@ -2,12 +2,14 @@
 space bases built without floating-point elimination.
 
 Row mode constrains each out-neighborhood to sum to one. In doubly
-stochastic mode the in-sums join and the stacked matrix loses rank
-(one dependency for a connected support with an odd closed walk, two when
-the support is bipartite). reorder_ds drops dependent rows from the end of
-the column block and permutes variables so the leading square block is unit
-lower triangular over the integers; the null space basis then has entries
-in {-1, 0, +1} by integer forward substitution.
+stochastic mode the in-sums join and the stacked matrix loses rank: one
+dependency for each connected component of the graph that joins a row to
+the columns of its arcs (one for a support with arcs both ways and an odd
+cycle, two when that support is bipartite, more after surgery leaves arcs
+one way only). reorder_ds drops dependent rows from the end of the column
+block and permutes variables so the leading square block is unit lower
+triangular over the integers; the null space basis then has entries in
+{-1, 0, +1} by integer forward substitution.
 """
 
 from __future__ import annotations
@@ -43,17 +45,36 @@ class ReorderedDS:
 
 
 def _retained_rows(mat: np.ndarray, n_row_block: int) -> list:
-    target = int(np.linalg.matrix_rank(mat))
-    retained = list(range(mat.shape[0]))
-    idx = mat.shape[0] - 1
-    while len(retained) > target and idx >= n_row_block:
-        trial = [r for r in retained if r != idx]
-        if np.linalg.matrix_rank(mat[trial]) == target:
-            retained = trial
-        idx -= 1
-    if len(retained) != target:
+    """Rows of the stacked ds matrix (build_A in ds mode) that are linearly
+    independent and span its row space.
+
+    Join row i and column row n_row_block + j whenever an arc (i, j) exists.
+    In each connected component of that graph the rows of one block sum to
+    the rows of the other, and that is the component's only dependency. So
+    the rank is the row count minus the component count, and dropping the
+    highest column row of each component gives exactly the rows that greedy
+    rank tests from the last row down would keep."""
+    rows = mat.shape[0]
+    root = list(range(rows))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    # nonzeros column by column: consecutive entries of one column are joined
+    k, r = np.nonzero(mat.T)
+    same = (k[1:] == k[:-1]).tolist()
+    r = r.tolist()
+    for t, joined in enumerate(same):
+        if joined:
+            root[find(r[t])] = find(r[t + 1])
+    last = {find(v): v for v in range(n_row_block, rows)}
+    if any(find(v) not in last for v in range(n_row_block)):
         raise ValueError("could not reach full row rank by dropping column rows")
-    return retained
+    drop = set(last.values())
+    return [v for v in range(rows) if v not in drop]
 
 
 def reorder_ds(mat: np.ndarray) -> ReorderedDS:

@@ -571,6 +571,8 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         return x, m_now, None
 
     spec = BarrierSpec(mu=mu, upper_log=params.upper_log)
+    # step_once calls since the last trigger; surgery does not reset it
+    phase_steps = 0
     while True:
         if out_of_time():
             return report(GAVE_UP, message="time limit", x=x, m=work.m)
@@ -579,7 +581,11 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         iterations += 1
 
         info = step_once(x, spec, work.ctx, state)
-        if info.kind in ("converged", "stall"):
+        x = info.x
+        phase_steps += 1
+        # a phase that spends its budget keeps its last step and ends like a
+        # converged one
+        if info.kind in ("converged", "stall") or phase_steps >= params.max_phase_iter:
             if info.kind == "stall" and not info.modified:
                 x, _, _ = newton_polish(x, spec, work.ctx)
             tctx = TriggerContext(
@@ -606,9 +612,9 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             mu = mu2
             spec = BarrierSpec(mu=mu, upper_log=params.upper_log)
             state = InnerState()
+            phase_steps = 0
             continue
 
-        x = info.x
         trace.append(
             TraceRow(
                 it=iterations, mu=mu, f=info.f, phi=info.phi, merit=info.merit,

@@ -209,6 +209,101 @@ class TestNegativeCurvature:
         assert q1 >= float(np.min(w.real)) - 1e-9
 
 
+def improve_negcurv_reference(H, d, metric=None, sweeps=1):
+    """improve_negcurv as a per-coordinate loop over NumPy scalars, kept as
+    the reference the vectorised version must match bit for bit."""
+    H = np.asarray(H, dtype=float)
+    d = np.asarray(d, dtype=float).copy()
+    n = len(d)
+    G = metric if metric is not None else None
+
+    nrm = float(np.linalg.norm(d))
+    if nrm == 0.0:
+        raise ValueError("zero start vector")
+    d /= nrm
+    hd = H @ d
+    gd = G @ d if G is not None else d.copy()
+    num = float(d @ hd)
+    den = float(d @ gd)
+    for _ in range(max(sweeps, 0)):
+        for i in range(n):
+            b = hd[i]
+            c = H[i, i]
+            q = gd[i]
+            r = G[i, i] if G is not None else 1.0
+            A2 = c * q - b * r
+            A1 = c * den - num * r
+            A0 = b * den - num * q
+            ts: list = []
+            if abs(A2) > 1e-300:
+                disc = A1 * A1 - 4.0 * A2 * A0
+                if disc >= 0.0:
+                    sq = math.sqrt(disc)
+                    ts = [(-A1 + sq) / (2 * A2), (-A1 - sq) / (2 * A2)]
+            elif abs(A1) > 1e-300:
+                ts = [-A0 / A1]
+            best_t = 0.0
+            best_q = num / den
+            for t in ts:
+                dn = den + 2.0 * q * t + r * t * t
+                if dn <= 1e-14 * den:
+                    continue
+                qq = (num + 2.0 * b * t + c * t * t) / dn
+                if qq < best_q:
+                    best_q, best_t = qq, t
+            if best_t != 0.0:
+                t = best_t
+                d[i] += t
+                hd += t * H[:, i]
+                if G is not None:
+                    gd += t * G[:, i]
+                else:
+                    gd[i] += t
+                num = float(d @ hd)
+                den = float(d @ gd)
+        nrm = float(np.linalg.norm(d))
+        if nrm > 0:
+            d /= nrm
+            hd /= nrm
+            gd /= nrm
+            num = float(d @ hd)
+            den = float(d @ gd)
+    return d, num / den
+
+
+class TestImproveNegcurvReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("with_metric", [False, True])
+    def test_bit_identical_to_loop(self, seed, with_metric):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 81):
+            A = rng.standard_normal((n, n))
+            H = (A + A.T) / 2 - 0.5 * np.eye(n)
+            metric = None
+            if with_metric:
+                B = rng.standard_normal((n, n))
+                metric = B @ B.T + np.eye(n)
+            d0 = rng.standard_normal(n)
+            for sweeps in (1, 3):
+                d, q = improve_negcurv(H, d0, metric=metric, sweeps=sweeps)
+                d_ref, q_ref = improve_negcurv_reference(H, d0, metric=metric, sweeps=sweeps)
+                assert np.array_equal(d, d_ref)
+                assert np.array_equal(q, q_ref)
+
+    def test_bit_identical_in_gram_metric(self):
+        # the solver's own case: a reduced Hessian in the metric Z'Z
+        g = gen_random_graph(14, 3, 6, seed=5, plant=True)
+        m = build_arc_map(g)
+        z = build_Z(m, mode="ds")
+        x = initial_interior(m, "ds")
+        h_red = z.reduce_hessian(value_grad_hess(x, m, "ds")[2])
+        d0 = np.random.default_rng(3).standard_normal(z.dim)
+        d, q = improve_negcurv(h_red, d0, metric=z.gram(), sweeps=3)
+        d_ref, q_ref = improve_negcurv_reference(h_red, d0, metric=z.gram(), sweeps=3)
+        assert np.array_equal(d, d_ref)
+        assert np.array_equal(q, q_ref)
+
+
 class TestLinesearch:
     def test_boundary_step_lower_only(self):
         x = np.array([0.5, 0.2])

@@ -1,8 +1,19 @@
+import random
+
 import numpy as np
 import pytest
 
-from dipa.graph import build_arc_map, gen_random_graph, make_graph
-from dipa.nullspace import build_A, build_Z
+from dipa.graph import (
+    StarvationError,
+    build_arc_map,
+    deflate,
+    delete_arc,
+    gen_random_graph,
+    is_connected,
+    make_graph,
+    support_graph,
+)
+from dipa.nullspace import _retained_rows, build_A, build_Z
 
 
 def cases():
@@ -127,3 +138,86 @@ class TestNullSpace:
             assert np.all(A @ Z.dense() == 0.0)
             rank = np.linalg.matrix_rank(A)
             assert Z.dim == m2.n_arcs - rank
+
+
+def retained_rows_by_rank(mat, n_row_block):
+    """The greedy _retained_rows replaced: drop column rows from the last one
+    down while an SVD rank test says the rank holds."""
+    target = int(np.linalg.matrix_rank(mat))
+    retained = list(range(mat.shape[0]))
+    idx = mat.shape[0] - 1
+    while len(retained) > target and idx >= n_row_block:
+        trial = [r for r in retained if r != idx]
+        if np.linalg.matrix_rank(mat[trial]) == target:
+            retained = trial
+        idx -= 1
+    if len(retained) != target:
+        raise ValueError("could not reach full row rank by dropping column rows")
+    return retained
+
+
+def random_bipartite(n_side, extra, seed):
+    """Connected bipartite graph: an even cycle through both sides plus
+    random chords between the sides."""
+    rng = random.Random(seed)
+    n = 2 * n_side
+    edges = {(min(k, k % n + 1), max(k, k % n + 1)) for k in range(1, n + 1)}
+    for _ in range(extra):
+        a = 2 * rng.randrange(n_side) + 1
+        b = 2 * rng.randrange(n_side) + 2
+        edges.add((min(a, b), max(a, b)))
+    return make_graph(n, sorted(edges))
+
+
+def surgery_maps(m, steps, seed):
+    """Maps reached from m by random deflations and deletions that keep the
+    support connected."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(steps):
+        arc = rng.choice(m.arcs)
+        try:
+            m2 = deflate(m, arc)[0] if rng.random() < 0.5 else delete_arc(m, arc)
+        except StarvationError:
+            continue
+        if not is_connected(support_graph(m2.nodes, m2.arcs)):
+            break
+        m = m2
+        out.append(m)
+    return out
+
+
+class TestRetainedRows:
+    def test_matches_rank_tests(self):
+        maps = []
+        for seed in range(12):
+            g = gen_random_graph(6 + 2 * seed, 3, 5, seed=seed)
+            maps.append(build_arc_map(g))
+            maps.extend(surgery_maps(maps[-1], 10, seed))
+            b = random_bipartite(3 + seed % 5, 2 + seed, seed)
+            maps.append(build_arc_map(b))
+            maps.extend(surgery_maps(maps[-1], 6, seed))
+        ranks = set()
+        for m in maps:
+            A = build_A(m, mode="ds")
+            rows = _retained_rows(A, len(m.nodes))
+            assert rows == retained_rows_by_rank(A, len(m.nodes))
+            ranks.add(A.shape[0] - len(rows))
+        # the family covers one, two and more dependencies
+        assert {1, 2, 3} <= ranks
+
+    def test_bipartite_drops_two_rows(self):
+        m = build_arc_map(random_bipartite(4, 3, 0))
+        A = build_A(m, mode="ds")
+        rows = _retained_rows(A, len(m.nodes))
+        assert len(rows) == A.shape[0] - 2 == np.linalg.matrix_rank(A)
+
+    def test_empty_out_row_raises(self):
+        # a node with no out-arc is a zero row in the row block, which no
+        # column row can stand in for
+        A = np.zeros((4, 1))
+        A[0, 0] = A[3, 0] = 1.0
+        with pytest.raises(ValueError):
+            _retained_rows(A, 2)
+        with pytest.raises(ValueError):
+            retained_rows_by_rank(A, 2)

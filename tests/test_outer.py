@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dipa.outer
+from dipa.bench import SUPPRESS_DEFLATION, SUPPRESS_DELETION
 from dipa.detfun import check_feasible
 from dipa.graph import (
     StarvationError,
@@ -272,3 +273,49 @@ class TestReportShape:
         rep = dipa_solve(g, DipaParams(mode="ds", max_outer=3))
         assert rep.iterations <= 3
         assert len(rep.trace) == rep.iterations
+
+
+def phase_lengths(trace) -> list:
+    """step_once calls per barrier phase: the rows up to and including each
+    trigger row, then the rows after the last trigger."""
+    lengths, run = [], 0
+    for row in trace:
+        run += 1
+        if row.kind == "trigger":
+            lengths.append(run)
+            run = 0
+    return lengths + [run] if run else lengths
+
+
+class TestPhaseBudget:
+    """max_phase_iter bounds every barrier phase of the main loop: a phase
+    that spends it ends with a trigger row, like a converged one."""
+
+    def test_budget_ends_phases(self):
+        g = gen_random_graph(14, 3, 6, seed=46, plant=True)
+        rep = dipa_solve(g, DipaParams(mode="ds", max_phase_iter=3))
+        assert len(rep.trace) == rep.iterations
+        lengths = phase_lengths(rep.trace)
+        assert max(lengths) <= 3
+        # the count restarts at each trigger, so a later phase spends the
+        # whole budget again
+        assert 3 in lengths[1:]
+        if rep.status == HC_FOUND:
+            rep.cycle.validate(g)
+
+    def test_s_mode_crawl_gives_up_within_budget(self):
+        # without surgery this solve used to spend about 3,000 steps in one
+        # phase at mu = 1e-5 before the barrier weight ran out
+        g = gen_random_graph(20, 3, 6, seed=101, plant=True)
+        params = DipaParams(
+            mode="s",
+            deflation_threshold=SUPPRESS_DEFLATION,
+            deletion_threshold=SUPPRESS_DELETION,
+        )
+        rep = dipa_solve(g, params)
+        assert rep.status == GAVE_UP
+        assert rep.message == "barrier weight exhausted"
+        assert len(rep.trace) == rep.iterations
+        lengths = phase_lengths(rep.trace)
+        assert max(lengths) == params.max_phase_iter
+        assert rep.iterations < 2 * params.max_phase_iter
