@@ -209,6 +209,8 @@ def improve_negcurv(
 class LsResult:
     x: np.ndarray
     t: float
+    f: float | None         # objective at x; None when the merit skips it
+    phi: float
     merit: float
 
 
@@ -231,13 +233,14 @@ def linesearch(x, direction, alpha, spec: BarrierSpec, objective) -> LsResult:
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
 
-    def merit(pt) -> float:
+    def merit(pt) -> tuple:
         phi, _, _ = barrier_eval(pt, spec)
         if math.isinf(spec.mu):
-            return phi
-        return objective(pt) + spec.mu * phi
+            return None, phi, phi
+        f = objective(pt)
+        return f, phi, f + spec.mu * phi
 
-    m0 = merit(x)
+    m0 = merit(x)[2]
     tstar = max_boundary_step(x, direction, spec.upper_log)
     if not math.isfinite(tstar):
         tstar = 1.0 / max(float(np.max(np.abs(direction))), 1e-300)
@@ -245,9 +248,9 @@ def linesearch(x, direction, alpha, spec: BarrierSpec, objective) -> LsResult:
     for _ in range(51):
         xt = x + t * direction
         if np.all(xt > 0.0) and (not spec.upper_log or np.all(xt < 1.0)):
-            mt = merit(xt)
+            ft, phit, mt = merit(xt)
             if mt < m0:
-                return LsResult(x=xt, t=t, merit=mt)
+                return LsResult(x=xt, t=t, f=ft, phi=phit, merit=mt)
         t *= 0.5
     raise LinesearchStall(f"no decrease along direction (merit {m0:.6e})")
 
@@ -274,6 +277,9 @@ class InnerState:
 
 @dataclass
 class StepInfo:
+    """One step's outcome; f, phi and merit are all valued at x, the point
+    the step ends on."""
+
     kind: str               # converged | descent | negcurv | stall
     x: np.ndarray
     f: float
@@ -314,7 +320,8 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
     z = ctx.z
     phi, gphi, hphi = barrier_eval(x, spec)
     if ctx.neutral or math.isinf(spec.mu):
-        f = ctx.f_value(x) if ctx.f_value is not None else 0.0
+        # the step does not need f; finish values it once, where it ends
+        f = None
         g_full = gphi
         h_red = z.reduce_diag_quadform(hphi)
         merit = phi
@@ -332,12 +339,23 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
     res, delta_used = _factor_with_policy(h_red, state)
     tol = ctx.grad_tol * (1.0 + anchor)
 
+    def finish(kind, ls=None, delta_hat=0.0, g_dot_vmin=None) -> StepInfo:
+        # without a linesearch result the step ends where it started
+        if ls is None:
+            pt, f_pt, phi_pt, merit_pt, t = x, f, phi, merit, 0.0
+        else:
+            pt, f_pt, phi_pt, merit_pt, t = ls.x, ls.f, ls.phi, ls.merit, ls.t
+        if f_pt is None:
+            f_pt = ctx.f_value(pt) if ctx.f_value is not None else 0.0
+        return StepInfo(
+            kind=kind, x=pt, f=f_pt, phi=phi_pt, merit=merit_pt, step=t,
+            delta_hat=delta_hat, modified=res.modified, g_dot_vmin=g_dot_vmin,
+            grad_red_norm=gnorm,
+        )
+
     if gnorm <= tol and not res.modified:
         state.delta = None
-        return StepInfo(
-            kind="converged", x=x, f=f, phi=phi, merit=merit, step=0.0,
-            delta_hat=0.0, modified=False, g_dot_vmin=None, grad_red_norm=gnorm,
-        )
+        return finish("converged")
 
     g_dot_vmin = None
     if res.modified:
@@ -376,24 +394,12 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
 
     direction = z.apply(d_z)
     if float(np.max(np.abs(direction), initial=0.0)) == 0.0:
-        return StepInfo(
-            kind="stall", x=x, f=f, phi=phi, merit=merit, step=0.0,
-            delta_hat=delta_hat, modified=res.modified, g_dot_vmin=g_dot_vmin,
-            grad_red_norm=gnorm,
-        )
+        return finish("stall", delta_hat=delta_hat, g_dot_vmin=g_dot_vmin)
     try:
         ls = linesearch(x, direction, ctx.alpha, spec, ctx.f_value)
     except LinesearchStall:
-        return StepInfo(
-            kind="stall", x=x, f=f, phi=phi, merit=merit, step=0.0,
-            delta_hat=delta_hat, modified=res.modified, g_dot_vmin=g_dot_vmin,
-            grad_red_norm=gnorm,
-        )
-    return StepInfo(
-        kind=kind, x=ls.x, f=f, phi=phi, merit=ls.merit, step=ls.t,
-        delta_hat=delta_hat, modified=res.modified, g_dot_vmin=g_dot_vmin,
-        grad_red_norm=gnorm,
-    )
+        return finish("stall", delta_hat=delta_hat, g_dot_vmin=g_dot_vmin)
+    return finish(kind, ls, delta_hat=delta_hat, g_dot_vmin=g_dot_vmin)
 
 
 def newton_polish(x, spec: BarrierSpec, ctx: PhaseContext, max_steps: int = 8) -> tuple:

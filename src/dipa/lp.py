@@ -119,7 +119,10 @@ def qp_least_distance(
 ) -> tuple:
     """argmin 0.5 ||x - xbar||^2 subject to a_eq x = b_eq, lb <= x <= ub.
 
-    Primal active-set iteration started from a phase-one vertex. Returns
+    Primal active-set iteration started from the feasible point nearest to
+    clip(xbar, lb, ub) in the 1-norm, found by one bounded-change LP. That
+    point has few bounds active, so few releases stand between it and the
+    projection; an arbitrary feasible vertex has many. Returns
     (x, "optimal") or (None, "infeasible").
     """
     xbar = np.asarray(xbar, dtype=float)
@@ -129,11 +132,23 @@ def qp_least_distance(
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
 
-    start = lp_solve(LinearProgram(c=np.zeros(a), a_eq=aeq, b_eq=beq, lb=lb, ub=ub))
+    # x = xc + u - v with u in [0, ub - xc] and v in [0, xc - lb], minimizing
+    # sum(u) + sum(v): the bounded-change LP of restore_DS without its
+    # residual variable gamma. xbar may lie outside the box, hence the clip.
+    xc = np.clip(xbar, lb, ub)
+    start = lp_solve(
+        LinearProgram(
+            c=np.ones(2 * a),
+            a_eq=np.hstack([aeq, -aeq]),
+            b_eq=beq - aeq @ xc,
+            lb=np.zeros(2 * a),
+            ub=np.concatenate([ub - xc, xc - lb]),
+        )
+    )
     if start.status != "optimal":
         return None, "infeasible"
-    x = np.clip(start.x, lb, ub)
-    # The phase-one vertex can carry solver-tolerance violations, and the LP
+    x = np.clip(xc + start.x[:a] - start.x[a:], lb, ub)
+    # The LP optimum can carry solver-tolerance violations, and the LP
     # solver's default feasibility tolerance can even report "feasible" for a
     # box that admits no exact solution. Alternating least-norm equality
     # corrections with box clips either repairs the start or exposes that.

@@ -2,9 +2,134 @@ import numpy as np
 import pytest
 
 from dipa.graph import StarvationError, build_arc_map, delete_arc, gen_random_graph, make_graph
-from dipa.lp import LinearProgram, lp_solve, qp_least_distance, verify_qp
+from dipa.lp import LinearProgram, LPError, lp_solve, qp_least_distance, verify_qp
 from dipa.nullspace import build_A
 from dipa.outer import initial_interior, restore_DS, restore_DS_qp, restore_S
+
+
+def qp_least_distance_reference(
+    xbar: np.ndarray,
+    a_eq: np.ndarray,
+    b_eq: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+) -> tuple:
+    """qp_least_distance started from an arbitrary feasible vertex (a
+    zero-cost phase-one LP) instead of the 1-norm nearest feasible point,
+    kept as the reference: the projection is unique, so both starts must
+    reach the same x and the same verdict."""
+    xbar = np.asarray(xbar, dtype=float)
+    a = len(xbar)
+    aeq = np.asarray(a_eq, dtype=float).reshape(-1, a)
+    beq = np.asarray(b_eq, dtype=float)
+    lb = np.asarray(lb, dtype=float)
+    ub = np.asarray(ub, dtype=float)
+
+    start = lp_solve(LinearProgram(c=np.zeros(a), a_eq=aeq, b_eq=beq, lb=lb, ub=ub))
+    if start.status != "optimal":
+        return None, "infeasible"
+    x = np.clip(start.x, lb, ub)
+    # The phase-one vertex can carry solver-tolerance violations, and the LP
+    # solver's default feasibility tolerance can even report "feasible" for a
+    # box that admits no exact solution. Alternating least-norm equality
+    # corrections with box clips either repairs the start or exposes that.
+    ftol = 1e-10 * (1.0 + float(np.max(np.abs(beq), initial=0.0)))
+    gap_norm = float(np.max(np.abs(beq - aeq @ x), initial=0.0))
+    for _ in range(40):
+        if gap_norm <= ftol:
+            break
+        fix, *_ = np.linalg.lstsq(aeq, beq - aeq @ x, rcond=None)
+        x = np.clip(x + fix, lb, ub)
+        gap_norm = float(np.max(np.abs(beq - aeq @ x), initial=0.0))
+    if gap_norm > ftol:
+        return None, "infeasible"
+
+    atol = 1e-9 * (1.0 + np.max(np.abs(beq), initial=0.0))
+    active_lo = np.abs(x - lb) <= atol
+    active_hi = np.abs(x - ub) <= atol
+
+    # bounds whose release produced no progress (degenerate at this vertex);
+    # cleared whenever the iterate actually moves
+    banned = np.zeros(a, dtype=bool)
+    last_release = -1
+
+    max_iter = 20 * (a + aeq.shape[0]) + 200
+    for _ in range(max_iter):
+        fixed = active_lo | active_hi
+        free = ~fixed
+        xfix = np.where(active_lo, lb, ub)
+        rhs = beq - aeq[:, fixed] @ xfix[fixed] if fixed.any() else beq.copy()
+        af = aeq[:, free]
+        # minimize ||x_F - xbar_F|| s.t. af x_F = rhs. The least-norm update
+        # x_F = xbar_F + pinv(af) resid is computed from af itself; forming
+        # af af^T squares the condition number and the resulting multiplier
+        # signs can contradict the actual projection step.
+        resid = rhs - af @ xbar[free]
+        corr, *_ = np.linalg.lstsq(af, resid, rcond=None)
+        xt = x.copy()
+        xt[free] = xbar[free] + corr
+        xt[fixed] = xfix[fixed]
+
+        step = xt - x
+        if np.max(np.abs(step)) <= atol:
+            # candidate stationary point; check bound multipliers with the
+            # equality multipliers recovered from the same factorization
+            lam, *_ = np.linalg.lstsq(af.T, corr, rcond=None)
+            grad = x - xbar - aeq.T @ lam
+            mult_lo = np.where(active_lo, grad, 0.0)
+            mult_hi = np.where(active_hi, -grad, 0.0)
+            release_tol = -1e-8 * (1.0 + float(np.max(np.abs(x - xbar), initial=0.0)))
+            viol = (mult_lo < release_tol) | (mult_hi < release_tol)
+            bad = np.flatnonzero(viol & ~banned)
+            if bad.size == 0:
+                # remove the float drift accumulated over blocked partial
+                # steps with one least-norm correction; the free block alone
+                # can be row-rank-deficient, so correct over all variables
+                gap = beq - aeq @ x
+                if float(np.max(np.abs(gap))) > 1e-12:
+                    fix, *_ = np.linalg.lstsq(aeq, gap, rcond=None)
+                    x = np.clip(x + fix, lb, ub)
+                return x, "optimal"
+            # release the lowest violating index (Bland's rule); picking the
+            # most negative multiplier can cycle at degenerate vertices
+            k = int(bad[0])
+            if mult_lo[k] < release_tol:
+                active_lo[k] = False
+            else:
+                active_hi[k] = False
+            last_release = k
+            continue
+
+        # longest feasible step toward the equality-constrained optimum
+        beta = 1.0
+        block = -1
+        block_hi = False
+        for k in np.flatnonzero(free):
+            if step[k] < -atol and x[k] + step[k] < lb[k] - atol:
+                t = (lb[k] - x[k]) / step[k]
+                if t < beta:
+                    beta, block, block_hi = t, k, False
+            elif step[k] > atol and x[k] + step[k] > ub[k] + atol:
+                t = (ub[k] - x[k]) / step[k]
+                if t < beta:
+                    beta, block, block_hi = t, k, True
+        moved = beta * float(np.max(np.abs(step)))
+        x = x + beta * step
+        if moved > atol:
+            banned[:] = False
+            last_release = -1
+        elif block == last_release and block >= 0:
+            # releasing this bound only re-blocked it with zero progress:
+            # treat the bound as degenerately optimal and stop revisiting it
+            banned[block] = True
+        if block >= 0:
+            if block_hi:
+                active_hi[block] = True
+                x[block] = ub[block]
+            else:
+                active_lo[block] = True
+                x[block] = lb[block]
+    raise LPError("active-set projection did not converge")
 
 
 class TestLPSolve:
@@ -93,6 +218,52 @@ class TestQPLeastDistance:
         assert status == "optimal"
         assert np.allclose(x, [0.5, 0.5], atol=1e-8)
 
+    def test_xbar_outside_box(self):
+        # the start clips xbar into the box before the bounded-change LP
+        mat = np.array([[1.0, 1.0, 1.0]])
+        xbar = np.array([1.7, -0.4, 0.2])
+        lb, ub = np.full(3, 0.1), np.ones(3)
+        x, status = qp_least_distance(xbar, mat, np.array([1.0]), lb, ub)
+        assert status == "optimal"
+        assert np.allclose(x, [0.8, 0.1, 0.1], atol=1e-12)
+
+
+class TestQPMatchesVertexStart:
+    """The nearest-point start against the frozen vertex start on the boxes
+    restore_DS_qp builds: doubly stochastic sums of a planted graph, a
+    uniform floor, and a noisy row-uniform xbar, left unclipped on every
+    third box so that it can sit outside [lb, 1]."""
+
+    @staticmethod
+    def planted_box(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 25))
+        m = build_arc_map(gen_random_graph(n, 3, 6, seed=seed, plant=True))
+        mat = build_A(m, mode="ds")
+        floor = (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2)[seed % 6]
+        noise = (0.01, 0.05, 0.2, 0.5)[seed % 4]
+        xbar = 1.0 / np.bincount(m.row)[m.row] + rng.normal(0.0, noise, m.n_arcs)
+        if seed % 3:
+            xbar = np.clip(xbar, 0.0, 1.0)
+        a = m.n_arcs
+        return xbar, mat, np.ones(mat.shape[0]), np.full(a, floor), np.ones(a)
+
+    def test_same_status_and_point(self):
+        statuses = []
+        for seed in range(24):
+            xbar, mat, beq, lb, ub = self.planted_box(seed)
+            x, status = qp_least_distance(xbar, mat, beq, lb, ub)
+            x_ref, status_ref = qp_least_distance_reference(xbar, mat, beq, lb, ub)
+            assert status == status_ref, seed
+            statuses.append(status)
+            if status == "optimal":
+                assert np.max(np.abs(x - x_ref)) <= 1e-12, seed
+                assert verify_qp(x, xbar, mat, beq, lb, ub) <= 1e-7, seed
+            else:
+                assert x is None and x_ref is None
+        # both verdicts are exercised
+        assert "optimal" in statuses and "infeasible" in statuses
+
 
 class TestRestoreS:
     def test_row_sums_restored(self):
@@ -147,6 +318,12 @@ class TestRestoreDS:
         r = mat @ x
         assert np.max(np.abs(r - 1.0)) <= 1e-8
         assert np.min(x) >= -1e-12
+        if which == "qp":
+            # the first box restore_DS_qp tries, [min(xbar), 1], is feasible
+            # here, so x is the projection onto it
+            a = len(xbar)
+            lb = np.full(a, max(float(np.min(xbar)), 1e-10))
+            assert verify_qp(x, xbar, mat, np.ones(mat.shape[0]), lb, np.ones(a)) <= 1e-7
 
     def test_lp_stays_close(self):
         mat, xbar = self.setup_unbalanced(14)

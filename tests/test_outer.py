@@ -244,6 +244,15 @@ class TestReportShape:
             assert row.kind in ("descent", "negcurv", "trigger", "converged", "stall")
             assert row.csv().count(",") == 9
 
+    def test_rows_value_one_point(self):
+        # f, phi and merit of a step row are all taken at the accepted point
+        g = gen_random_graph(14, 3, 6, seed=46, plant=True)
+        rep = dipa_solve(g, DipaParams(mode="ds"))
+        rows = [r for r in rep.trace if r.kind != "trigger" and math.isfinite(r.mu)]
+        assert len(rows) >= 2
+        for row in rows:
+            assert row.f + row.mu * row.phi == pytest.approx(row.merit, rel=1e-12, abs=0.0)
+
     def test_report_counts(self):
         g = gen_random_graph(14, 3, 6, seed=47)
         rep = dipa_solve(g, DipaParams(mode="ds"))
@@ -273,6 +282,26 @@ class TestReportShape:
         rep = dipa_solve(g, DipaParams(mode="ds", max_outer=3))
         assert rep.iterations <= 3
         assert len(rep.trace) == rep.iterations
+
+
+class TestProofStatuses:
+    """A no-HC-* status claims the input has no Hamiltonian cycle; on small
+    unplanted graphs exhaustive enumeration checks the claim."""
+
+    @pytest.mark.parametrize("restore", ["lp", "qp"])
+    def test_proofs_agree_with_enumeration(self, restore):
+        proofs = 0
+        for n, dmax in ((10, 4), (12, 3), (14, 3)):
+            for seed in range(12):
+                g = gen_random_graph(n, 2, dmax, seed=seed, plant=False)
+                rep = dipa_solve(g, DipaParams(mode="ds", restore=restore))
+                if rep.status.startswith("no-HC"):
+                    assert enumerate_hc(g) == [], (n, seed)
+                    proofs += 1
+                elif rep.status == HC_FOUND:
+                    rep.cycle.validate(g)
+        # the families include graphs the solver proves non-Hamiltonian
+        assert proofs > 0
 
 
 def phase_lengths(trace) -> list:
