@@ -338,14 +338,7 @@ def neutral_point(g: Graph, mode: str = "ds") -> np.ndarray:
     from .nullspace import build_Z
     from .inner import PhaseContext
 
-    z = build_Z(m, mode=mode)
-    ctx = PhaseContext(
-        z=z,
-        f_bundle=lambda pt: detfun.value_grad_hess(pt, m, mode),
-        f_value=lambda pt: detfun.value_only(pt, m, mode),
-        grad_tol=1e-10,
-        neutral=True,
-    )
+    ctx = PhaseContext(z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=1e-10)
     res = minimize_phase(x, BarrierSpec(mu=math.inf), ctx)
     return res.x
 

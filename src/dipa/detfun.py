@@ -2,10 +2,16 @@
 pivot-free LU factorization for the structured matrices they produce.
 
 The weight vector x assembles into a row-stochastic matrix P. Two smooth
-objectives are exposed: f_minor(x) = -det(M) with M the leading principal
-minor of I - P (doubly stochastic mode), and f_full(x) = -det(I - P + J/n)
-with J the all-ones matrix (row stochastic mode). Both reach their feasible
-minimum exactly at Hamiltonian cycle indicators.
+objectives are exposed: f = -det(M) with M the leading principal minor of
+I - P (doubly stochastic mode), and f = -det(I - P + J/n) with J the
+all-ones matrix (row stochastic mode). Both reach their feasible minimum
+exactly at Hamiltonian cycle indicators.
+
+The solver values both modes with LAPACK: value_only and value_grad_hess
+take the determinant of the one matrix that _matrix builds, so the
+linesearch merit and the step's f are the same number. lu_nopivot and
+f_minor are the paper's pivot-free routine for the minor, kept off the
+solve path for the library checks and the path profiles.
 """
 
 from __future__ import annotations
@@ -109,30 +115,16 @@ def lu_nopivot(A: np.ndarray) -> LUResult:
     return LUResult(l=l, u=u, transposed=transposed, skipped=tuple(skipped))
 
 
-def _minor_det_and_inv(P: np.ndarray) -> tuple:
-    n = P.shape[0]
-    M = (np.eye(n) - P)[: n - 1, : n - 1]
-    det = float(np.linalg.det(M))
-    inv = np.linalg.inv(M)
-    return det, inv
-
-
 def f_minor(x, m: ArcVarMap, validate: bool = True) -> float:
-    """-det of the leading principal minor of I - P. Equals -1 exactly at a
-    Hamiltonian cycle indicator and 0 at any other permutation matrix."""
+    """-det of the leading principal minor of I - P, by the pivot-free LU
+    (the paper's routine). Equals -1 exactly at a Hamiltonian cycle
+    indicator and 0 at any other permutation matrix. Raises ValueError where
+    the row sums of I - P do not vanish."""
     if validate:
         check_feasible(x, m, mode="s")
     P = assemble_P(m, x)
-    nn = P.shape[0]
-    B = np.eye(nn) - P
-    try:
-        lu = lu_nopivot(B)
-    except ValueError:
-        # off-manifold probe (e.g. a finite-difference perturbation broke the
-        # zero row sums); fall back to a plain determinant of the minor
-        return -float(np.linalg.det(B[: nn - 1, : nn - 1]))
-    d = np.diag(lu.u)
-    return -float(np.prod(d[:-1]))
+    lu = lu_nopivot(np.eye(P.shape[0]) - P)
+    return -float(np.prod(np.diag(lu.u)[:-1]))
 
 
 def f_full(x, m: ArcVarMap, validate: bool = True) -> float:
@@ -140,29 +132,27 @@ def f_full(x, m: ArcVarMap, validate: bool = True) -> float:
     at a Hamiltonian cycle indicator."""
     if validate:
         check_feasible(x, m, mode="s")
-    P = assemble_P(m, x)
-    nn = P.shape[0]
-    B = np.eye(nn) - P + np.ones((nn, nn)) / nn
-    return -float(np.linalg.det(B))
+    return value_only(x, m, "s")
 
 
-def _core(x, m: ArcVarMap, mode: str) -> tuple:
-    """Shared setup: the determinant and inverse of the differentiated
-    matrix, and which arcs lie inside it (every arc in s mode; in ds mode the
-    arcs touching the last node fall outside the minor)."""
+def _matrix(x, m: ArcVarMap, mode: str) -> tuple:
+    """The differentiated matrix and which arcs lie inside it: the leading
+    principal minor of I - P in ds mode, where the arcs touching the last
+    node fall outside, and I - P + J/n with every arc in s mode."""
     P = assemble_P(m, x)
     nn = P.shape[0]
     if mode == "ds":
-        det, inv = _minor_det_and_inv(P)
-        inside = (m.row < nn - 1) & (m.col < nn - 1)
-    elif mode == "s":
-        B = np.eye(nn) - P + np.ones((nn, nn)) / nn
-        det = float(np.linalg.det(B))
-        inv = np.linalg.inv(B)
-        inside = np.ones(m.n_arcs, dtype=bool)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return det, inv, inside
+        return (np.eye(nn) - P)[: nn - 1, : nn - 1], (m.row < nn - 1) & (m.col < nn - 1)
+    if mode == "s":
+        return np.eye(nn) - P + np.ones((nn, nn)) / nn, np.ones(m.n_arcs, dtype=bool)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _core(x, m: ArcVarMap, mode: str) -> tuple:
+    """The determinant and inverse of the differentiated matrix, and the
+    arcs inside it."""
+    M, inside = _matrix(x, m, mode)
+    return float(np.linalg.det(M)), np.linalg.inv(M), inside
 
 
 def _hessian(det: float, inv: np.ndarray, m: ArcVarMap, inside: np.ndarray) -> np.ndarray:
@@ -190,6 +180,6 @@ def value_grad_hess(x, m: ArcVarMap, mode: str) -> tuple:
 
 
 def value_only(x, m: ArcVarMap, mode: str) -> float:
-    if mode == "ds":
-        return f_minor(x, m, validate=False)
-    return f_full(x, m, validate=False)
+    """f alone, from the same determinant of the same matrix as
+    value_grad_hess, so the two agree to the last bit."""
+    return -float(np.linalg.det(_matrix(x, m, mode)[0]))

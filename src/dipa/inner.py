@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
+from dipa import detfun
+from dipa.graph import ArcVarMap
 from dipa.nullspace import NullSpaceRep
 
 
@@ -226,10 +228,11 @@ def max_boundary_step(x: np.ndarray, direction: np.ndarray, upper_log: bool) -> 
     return t
 
 
-def linesearch(x, direction, alpha, spec: BarrierSpec, objective) -> LsResult:
+def linesearch(x, direction, alpha, spec: BarrierSpec, objective, m0: float) -> LsResult:
     """Crude backtracking: start at alpha times the boundary step, halve until
-    the merit strictly decreases. objective(x) supplies the smooth term; it
-    is skipped entirely in the barrier-only phase."""
+    the merit strictly decreases below m0, the merit at x. objective(x)
+    supplies the smooth term; it is skipped entirely in the barrier-only
+    phase."""
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
 
@@ -240,7 +243,6 @@ def linesearch(x, direction, alpha, spec: BarrierSpec, objective) -> LsResult:
         f = objective(pt)
         return f, phi, f + spec.mu * phi
 
-    m0 = merit(x)[2]
     tstar = max_boundary_step(x, direction, spec.upper_log)
     if not math.isfinite(tstar):
         tstar = 1.0 / max(float(np.max(np.abs(direction))), 1e-300)
@@ -257,15 +259,16 @@ def linesearch(x, direction, alpha, spec: BarrierSpec, objective) -> LsResult:
 
 @dataclass
 class PhaseContext:
-    """Problem data for one barrier phase."""
+    """Problem data for one barrier phase: the objective is f on the arc
+    map m in mode (see dipa.detfun); z spans the null space of m's sum
+    constraints."""
 
     z: NullSpaceRep
-    f_bundle: object        # callable x -> (f, grad, hess); ignored at mu=inf
-    f_value: object         # callable x -> f
+    m: ArcVarMap
+    mode: str
     grad_tol: float         # relative factor, scaled by 1 + |merit anchor|
     alpha: float = 0.9
     max_iter: int = 500
-    neutral: bool = False
 
 
 @dataclass
@@ -316,25 +319,28 @@ def _factor_with_policy(h_red: np.ndarray, state: InnerState) -> tuple:
     return res, delta
 
 
-def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerState) -> StepInfo:
+def reduced_model(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> tuple:
+    """(f, phi, reduced gradient, reduced Hessian) of the merit at x. At
+    mu = inf the merit is the barrier alone and f is None: nothing values
+    the objective."""
     z = ctx.z
     phi, gphi, hphi = barrier_eval(x, spec)
-    if ctx.neutral or math.isinf(spec.mu):
+    if math.isinf(spec.mu):
+        return None, phi, z.rmatvec(gphi), z.reduce_diag_quadform(hphi)
+    f, gf, hf = detfun.value_grad_hess(x, ctx.m, ctx.mode)
+    h_red = z.reduce_hessian(hf + spec.mu * np.diag(hphi))
+    return f, phi, z.rmatvec(gf + spec.mu * gphi), h_red
+
+
+def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerState) -> StepInfo:
+    f, phi, g_red, h_red = reduced_model(x, spec, ctx)
+    if f is None:
         # the step does not need f; finish values it once, where it ends
-        f = None
-        g_full = gphi
-        h_red = z.reduce_diag_quadform(hphi)
         merit = phi
         anchor = abs(phi)
     else:
-        f, gf, hf = ctx.f_bundle(x)
-        g_full = gf + spec.mu * gphi
-        h_full = hf + spec.mu * np.diag(hphi)
-        h_red = z.reduce_hessian(h_full)
         merit = f + spec.mu * phi
         anchor = abs(f)
-
-    g_red = z.rmatvec(g_full)
     gnorm = float(np.max(np.abs(g_red), initial=0.0))
     res, delta_used = _factor_with_policy(h_red, state)
     tol = ctx.grad_tol * (1.0 + anchor)
@@ -346,7 +352,7 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
         else:
             pt, f_pt, phi_pt, merit_pt, t = ls.x, ls.f, ls.phi, ls.merit, ls.t
         if f_pt is None:
-            f_pt = ctx.f_value(pt) if ctx.f_value is not None else 0.0
+            f_pt = detfun.value_only(pt, ctx.m, ctx.mode)
         return StepInfo(
             kind=kind, x=pt, f=f_pt, phi=phi_pt, merit=merit_pt, step=t,
             delta_hat=delta_hat, modified=res.modified, g_dot_vmin=g_dot_vmin,
@@ -360,7 +366,7 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
     g_dot_vmin = None
     if res.modified:
         d_z = negcurv_direction(res.r, res.j, g_red)
-        gram = z.gram()
+        gram = ctx.z.gram()
         # Several cheap univariate sweeps pull the direction much closer to
         # the extreme eigenvector; direction quality decides which basin the
         # polarization cascade lands in, so the extra sweeps pay for
@@ -392,11 +398,12 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
         state.delta = None
         delta_hat = 0.0
 
-    direction = z.apply(d_z)
+    direction = ctx.z.apply(d_z)
     if float(np.max(np.abs(direction), initial=0.0)) == 0.0:
         return finish("stall", delta_hat=delta_hat, g_dot_vmin=g_dot_vmin)
+    objective = lambda pt: detfun.value_only(pt, ctx.m, ctx.mode)
     try:
-        ls = linesearch(x, direction, ctx.alpha, spec, ctx.f_value)
+        ls = linesearch(x, direction, ctx.alpha, spec, objective, merit)
     except LinesearchStall:
         return finish("stall", delta_hat=delta_hat, g_dot_vmin=g_dot_vmin)
     return finish(kind, ls, delta_hat=delta_hat, g_dot_vmin=g_dot_vmin)
@@ -407,33 +414,19 @@ def newton_polish(x, spec: BarrierSpec, ctx: PhaseContext, max_steps: int = 8) -
     the reduced gradient is still above tolerance: take damped Newton steps
     and accept on gradient-norm decrease instead of merit decrease. Returns
     (x, gnorm, unmodified) at the last accepted point."""
-    z = ctx.z
-
-    def eval_at(pt):
-        phi, gphi, hphi = barrier_eval(pt, spec)
-        if ctx.neutral or math.isinf(spec.mu):
-            g_full = gphi
-            h_red = z.reduce_diag_quadform(hphi)
-        else:
-            _, gf, hf = ctx.f_bundle(pt)
-            g_full = gf + spec.mu * gphi
-            h_red = z.reduce_hessian(hf + spec.mu * np.diag(hphi))
-        g_red = z.rmatvec(g_full)
-        return g_red, h_red
-
-    g_red, h_red = eval_at(x)
+    _, _, g_red, h_red = reduced_model(x, spec, ctx)
     gnorm = float(np.max(np.abs(g_red), initial=0.0))
     res = modified_cholesky(h_red, _default_delta(h_red))
     for _ in range(max_steps):
         if res.modified:
             break
-        p = z.apply(descent_direction(res.r, g_red))
+        p = ctx.z.apply(descent_direction(res.r, g_red))
         tmax = max_boundary_step(x, p, spec.upper_log)
         t = min(1.0, 0.5 * tmax)
         if t <= 0.0:
             break
         xt = x + t * p
-        gt_red, ht_red = eval_at(xt)
+        _, _, gt_red, ht_red = reduced_model(xt, spec, ctx)
         gt = float(np.max(np.abs(gt_red), initial=0.0))
         if gt >= gnorm:
             break
@@ -459,7 +452,7 @@ def minimize_phase(x0: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> Phas
         if info.kind == "stall":
             if not info.modified:
                 x2, gnorm, unmod = newton_polish(x, spec, ctx)
-                anchor = abs(info.phi) if (ctx.neutral or math.isinf(spec.mu)) else abs(info.f)
+                anchor = abs(info.phi) if math.isinf(spec.mu) else abs(info.f)
                 if unmod and gnorm <= ctx.grad_tol * (1.0 + anchor):
                     return PhaseResult(x=x2, status="local-min", iterations=it)
                 x = x2

@@ -136,9 +136,10 @@ class NullSpaceRep:
     mode: str
     n_vars: int
     dim: int
-    # ds fields
-    perm: tuple = ()
-    y: np.ndarray | None = None  # rank x dim integer block, Z = P [-Y; I]
+    # ds fields: Z = P [-Y; I] with P placing rows at basis, then free
+    basis: np.ndarray | None = None  # variable index per row of Y
+    free: np.ndarray | None = None   # variable index per basis column
+    y: np.ndarray | None = None      # rank x dim integer block
     # s fields
     cols: np.ndarray | None = None   # variable index per basis column
     leads: np.ndarray | None = None  # leading variable of the same row
@@ -150,11 +151,8 @@ class NullSpaceRep:
         v = np.asarray(v, dtype=float)
         out = np.zeros(self.n_vars)
         if self.mode == "ds":
-            rank = self.n_vars - self.dim
-            basis = np.asarray(self.perm[:rank], dtype=np.intp)
-            free = np.asarray(self.perm[rank:], dtype=np.intp)
-            out[free] = v
-            out[basis] = -(self.y @ v)
+            out[self.free] = v
+            out[self.basis] = -(self.y @ v)
         else:
             np.add.at(out, self.cols, v)
             np.subtract.at(out, self.leads, v)
@@ -164,21 +162,15 @@ class NullSpaceRep:
         """Z.T @ w for full-space vectors w."""
         w = np.asarray(w, dtype=float)
         if self.mode == "ds":
-            rank = self.n_vars - self.dim
-            basis = np.asarray(self.perm[:rank], dtype=np.intp)
-            free = np.asarray(self.perm[rank:], dtype=np.intp)
-            return w[free] - self.y.T @ w[basis]
+            return w[self.free] - self.y.T @ w[self.basis]
         return w[self.cols] - w[self.leads]
 
     def sparse(self) -> sp.csc_matrix:
         if self._sp is None:
             if self.mode == "ds":
-                rank = self.n_vars - self.dim
                 zm = np.zeros((self.n_vars, self.dim))
-                basis = np.asarray(self.perm[:rank], dtype=np.intp)
-                free = np.asarray(self.perm[rank:], dtype=np.intp)
-                zm[basis] = -self.y
-                zm[free] = np.eye(self.dim)
+                zm[self.basis] = -self.y
+                zm[self.free] = np.eye(self.dim)
                 self._sp = sp.csc_matrix(zm)
             else:
                 data = np.concatenate([np.ones(self.dim), -np.ones(self.dim)])
@@ -231,7 +223,8 @@ def build_Z(m: ArcVarMap, mode: str = "ds") -> NullSpaceRep:
         mode="ds",
         n_vars=a,
         dim=a - rds.rank,
-        perm=rds.perm,
+        basis=np.asarray(rds.perm[: rds.rank], dtype=np.intp),
+        free=np.asarray(rds.perm[rds.rank :], dtype=np.intp),
         y=yk.astype(float),
     )
 

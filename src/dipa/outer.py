@@ -392,15 +392,6 @@ def round_to_hc(
         return None
 
 
-@dataclass
-class _Work:
-    """Mutable solve state for the current reduced problem."""
-
-    m: ArcVarMap
-    z: NullSpaceRep
-    ctx: PhaseContext
-
-
 def _carry_values(x, m_old: ArcVarMap, m_new: ArcVarMap, redirect_map) -> np.ndarray:
     out = np.zeros(m_new.n_arcs)
     for k, arc in enumerate(m_new.arcs):
@@ -479,22 +470,20 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         except NoInteriorPoint as exc2:
             return report(GAVE_UP, message=str(exc2))
 
-    def make_work(m_now: ArcVarMap) -> _Work:
-        z = build_Z(m_now, mode=mode)
-        ctx = PhaseContext(
-            z=z,
-            f_bundle=lambda pt: detfun.value_grad_hess(pt, m_now, mode),
-            f_value=lambda pt: detfun.value_only(pt, m_now, mode),
+    def make_work(m_now: ArcVarMap) -> PhaseContext:
+        return PhaseContext(
+            z=build_Z(m_now, mode=mode),
+            m=m_now,
+            mode=mode,
             grad_tol=params.grad_tol,
             alpha=params.alpha,
             max_iter=params.max_phase_iter,
         )
-        return _Work(m=m_now, z=z, ctx=ctx)
 
     work = make_work(m)
 
     # barrier-only phase settles the neutral analytic center
-    neutral_ctx = replace(work.ctx, grad_tol=params.neutral_tol, neutral=True)
+    neutral_ctx = replace(work, grad_tol=params.neutral_tol)
     res = minimize_phase(x, BarrierSpec(mu=math.inf, upper_log=params.upper_log), neutral_ctx)
     x = res.x
 
@@ -580,14 +569,14 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             return report(GAVE_UP, message="outer iteration cap", x=x, m=work.m)
         iterations += 1
 
-        info = step_once(x, spec, work.ctx, state)
+        info = step_once(x, spec, work, state)
         x = info.x
         phase_steps += 1
         # a phase that spends its budget keeps its last step and ends like a
         # converged one
         if info.kind in ("converged", "stall") or phase_steps >= params.max_phase_iter:
             if info.kind == "stall" and not info.modified:
-                x, _, _ = newton_polish(x, spec, work.ctx)
+                x, _, _ = newton_polish(x, spec, work)
             tctx = TriggerContext(
                 m=work.m,
                 z=work.z,

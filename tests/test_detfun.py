@@ -120,6 +120,14 @@ class TestObjectiveAnchors:
         x = hc_vector(m, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)])
         assert f_minor(x, m) == pytest.approx(0.0, abs=1e-10)
 
+    def test_f_minor_needs_vanishing_row_sums(self):
+        g = gen_random_graph(8, 3, 5, seed=9)
+        m = build_arc_map(g)
+        x = initial_interior(m, "ds")
+        x[0] += 1e-6
+        with pytest.raises(ValueError):
+            f_minor(x, m, validate=False)
+
     def test_hc_values_planted_instances(self):
         from dipa.graph import enumerate_hc
 
@@ -200,14 +208,25 @@ class TestDerivatives:
         assert np.allclose(H, fd, rtol=1e-5, atol=1e-6)
         assert np.allclose(H, H.T, atol=1e-12)
 
-    def test_bundle_consistency(self):
+    @pytest.mark.parametrize("mode", ["ds", "s"])
+    def test_bundle_consistency(self, mode):
+        # the step's f and the linesearch's f are one determinant of one
+        # matrix, also at the off-manifold points finite differences probe
         g = gen_random_graph(8, 3, 5, seed=9)
         m = build_arc_map(g)
-        x = initial_interior(m, "ds")
-        f, gd, H = value_grad_hess(x, m, "ds")
-        assert f == pytest.approx(f_minor(x, m, validate=False), abs=1e-14)
-        assert np.allclose(H, hess(x, m, mode="ds"), atol=1e-14)
-        assert value_only(x, m, "ds") == pytest.approx(f, abs=1e-14)
+        x = initial_interior(m, mode)
+        f, gd, H = value_grad_hess(x, m, mode)
+        reference = f_minor if mode == "ds" else f_full
+        assert f == pytest.approx(reference(x, m, validate=False), abs=1e-14)
+        assert np.allclose(H, hess(x, m, mode=mode), atol=1e-14)
+        points = [x]
+        for k in range(x.size):
+            for h in (1e-6, -1e-6):
+                xp = x.copy()
+                xp[k] += h
+                points.append(xp)
+        for pt in points:
+            assert value_only(pt, m, mode) == value_grad_hess(pt, m, mode)[0]
 
 
 def test_assemble_P_layout():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
+import dipa.detfun
 import dipa.inner
-from dipa.detfun import value_grad_hess, value_only
+from dipa.detfun import value_grad_hess
 from dipa.graph import build_arc_map, gen_random_graph, make_graph
 from dipa.inner import (
     BarrierSpec,
@@ -27,15 +28,8 @@ from dipa.nullspace import build_Z
 from dipa.outer import initial_interior
 
 
-def phase_context(g, m, mode, grad_tol=1e-9, neutral=False):
-    z = build_Z(m, mode=mode)
-    return PhaseContext(
-        z=z,
-        f_bundle=lambda pt: value_grad_hess(pt, m, mode),
-        f_value=lambda pt: value_only(pt, m, mode),
-        grad_tol=grad_tol,
-        neutral=neutral,
-    )
+def phase_context(g, m, mode, grad_tol=1e-9):
+    return PhaseContext(z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=grad_tol)
 
 
 class TestBarrier:
@@ -325,7 +319,7 @@ class TestLinesearch:
         phi0, _, _ = barrier_eval(x, spec)
         m0 = objective(x) + 0.1 * phi0
         d = np.array([-0.05, -0.3])
-        res = linesearch(x, d, 0.9, spec, objective)
+        res = linesearch(x, d, 0.9, spec, objective, m0)
         assert res.merit < m0
         assert res.t <= 0.9 * max_boundary_step(x, d, False) + 1e-15
 
@@ -335,8 +329,10 @@ class TestLinesearch:
         # any nonzero move pays a huge objective penalty, so no trial step
         # can produce a strict merit decrease
         objective = lambda v: 0.0 if np.array_equal(v, x) else 1e9
+        phi0, _, _ = barrier_eval(x, spec)
+        m0 = objective(x) + 1.0 * phi0
         with pytest.raises(LinesearchStall):
-            linesearch(x, np.array([-0.4, 0.4]), 0.9, spec, objective)
+            linesearch(x, np.array([-0.4, 0.4]), 0.9, spec, objective, m0)
 
 
 class TestPhases:
@@ -348,7 +344,7 @@ class TestPhases:
             g = make_graph(n, edges)
             assert all(g.degree(v) == 3 for v in g.nodes)
             m = build_arc_map(g)
-            ctx = phase_context(g, m, "ds", grad_tol=1e-10, neutral=True)
+            ctx = phase_context(g, m, "ds", grad_tol=1e-10)
             x0 = initial_interior(m, "ds")
             res = minimize_phase(x0, BarrierSpec(mu=math.inf), ctx)
             assert res.status == "local-min"
@@ -357,7 +353,7 @@ class TestPhases:
     def test_neutral_twin_symmetry(self):
         g = gen_random_graph(12, 3, 6, seed=21)
         m = build_arc_map(g)
-        ctx = phase_context(g, m, "ds", grad_tol=1e-10, neutral=True)
+        ctx = phase_context(g, m, "ds", grad_tol=1e-10)
         res = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf), ctx)
         x = res.x
         for k, t in enumerate(m.twin):
@@ -366,7 +362,7 @@ class TestPhases:
     def test_step_once_converged_at_neutral(self):
         g = gen_random_graph(10, 3, 6, seed=22)
         m = build_arc_map(g)
-        ctx = phase_context(g, m, "ds", grad_tol=1e-8, neutral=True)
+        ctx = phase_context(g, m, "ds", grad_tol=1e-8)
         spec = BarrierSpec(mu=math.inf)
         res = minimize_phase(initial_interior(m, "ds"), spec, ctx)
         info = step_once(res.x, spec, ctx, InnerState())
@@ -377,7 +373,7 @@ class TestPhases:
         # reduced merit Hessian quickly turns indefinite
         g = gen_random_graph(12, 3, 6, seed=23)
         m = build_arc_map(g)
-        nctx = phase_context(g, m, "ds", grad_tol=1e-10, neutral=True)
+        nctx = phase_context(g, m, "ds", grad_tol=1e-10)
         start = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf), nctx).x
         ctx = phase_context(g, m, "ds", grad_tol=1e-9)
         spec = BarrierSpec(mu=1e-4)
@@ -392,10 +388,37 @@ class TestPhases:
             x = info.x
         assert "negcurv" in kinds
 
+    def test_linesearch_values_trial_points_only(self, monkeypatch):
+        # step_once hands the linesearch the merit it already holds at x, so
+        # every value_only call of a finite-mu step is at one trial point
+        g = gen_random_graph(12, 3, 6, seed=23)
+        m = build_arc_map(g)
+        ctx = phase_context(g, m, "ds", grad_tol=1e-10)
+        x = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf), ctx).x
+        spec = BarrierSpec(mu=1e-2)
+        points = []
+        real = dipa.detfun.value_only
+
+        def spy(pt, m_, mode):
+            points.append(np.array(pt))
+            return real(pt, m_, mode)
+
+        monkeypatch.setattr(dipa.detfun, "value_only", spy)
+        info = step_once(x, spec, ctx, InnerState())
+        assert info.kind == "descent"
+        # trials halve t from alpha times the boundary step down to the
+        # accepted step, and the last one is where the step ends
+        direction = (info.x - x) / info.step
+        t0 = ctx.alpha * max_boundary_step(x, direction, False)
+        trials = round(math.log2(t0 / info.step)) + 1
+        assert trials > 1
+        assert len(points) == trials
+        assert np.array_equal(points[-1], info.x)
+
     def test_newton_polish_tightens(self):
         g = gen_random_graph(10, 3, 6, seed=25)
         m = build_arc_map(g)
-        ctx = phase_context(g, m, "ds", grad_tol=1e-6, neutral=True)
+        ctx = phase_context(g, m, "ds", grad_tol=1e-6)
         spec = BarrierSpec(mu=math.inf)
         rough = minimize_phase(initial_interior(m, "ds"), spec, ctx)
         x2, gnorm, clean = newton_polish(rough.x, spec, ctx)
