@@ -24,7 +24,7 @@ import numpy as np
 from . import detfun
 from .graph import Graph, build_arc_map, enumerate_hc, gen_random_graph
 from .inner import BarrierSpec, minimize_phase
-from .outer import HC_FOUND, DipaParams, dipa_solve, initial_interior
+from .outer import HC_FOUND, NEUTRAL_TOL, DipaParams, dipa_solve, initial_interior
 
 FLOAT_FMT = "%.17g"
 
@@ -148,7 +148,6 @@ class BenchConfig:
 @dataclass
 class BenchResult:
     solves: list = field(default_factory=list)
-    timings: list = field(default_factory=list)
     results: list = field(default_factory=list)
     combos: list = field(default_factory=list)
     certificates: list = field(default_factory=list)
@@ -220,7 +219,7 @@ def _flush(result: BenchResult, out_dir: str | None) -> None:
         ("graph_id", "setting", "wall_time"),
         [
             (r["graph_id"], r["setting"], FLOAT_FMT % r["wall_time"])
-            for r in result.timings
+            for r in result.solves
         ],
     )
     _write_csv(
@@ -286,7 +285,6 @@ def _tabulate(result: BenchResult, records: list, cfg: BenchConfig, settings) ->
         records, key=lambda r: (r["n"], order[r["setting"]], r["graph_id"])
     )
     result.solves = records
-    result.timings = records
 
     solved: dict = {}
     for r in records:
@@ -338,9 +336,8 @@ def neutral_point(g: Graph, mode: str = "ds") -> np.ndarray:
     from .nullspace import build_Z
     from .inner import PhaseContext
 
-    ctx = PhaseContext(z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=1e-10)
-    res = minimize_phase(x, BarrierSpec(mu=math.inf), ctx)
-    return res.x
+    ctx = PhaseContext(z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=NEUTRAL_TOL)
+    return minimize_phase(x, BarrierSpec(mu=math.inf), ctx)
 
 
 def trace_paths(g: Graph, samples: int = 101, cap: int = 100000) -> list:
@@ -387,7 +384,7 @@ def trace_solve(g: Graph, params: DipaParams):
             (
                 str(rep.iterations),
                 FLOAT_FMT % 0.0,
-                FLOAT_FMT % (rep.f_final if rep.f_final is not None else math.nan),
+                FLOAT_FMT % rep.f_final,
                 FLOAT_FMT % 0.0,
                 FLOAT_FMT % 0.0,
                 FLOAT_FMT % 0.0,
@@ -399,9 +396,3 @@ def trace_solve(g: Graph, params: DipaParams):
         )
     )
     return rep, rows
-
-
-def trace_header() -> str:
-    from .outer import TraceRow
-
-    return TraceRow.header()

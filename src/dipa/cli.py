@@ -17,13 +17,12 @@ from .bench import (
     GRIDS,
     BenchConfig,
     run_bench,
-    trace_header,
     trace_paths,
     trace_solve,
     write_paths_csv,
 )
 from .graph import EnumerationCapError, GraphError, gen_random_graph, read_graph, write_graph
-from .outer import DipaParams
+from .outer import DipaParams, TraceRow
 
 EXIT_FOUND = 0
 EXIT_NO_HC = 2
@@ -38,19 +37,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
+    defaults = DipaParams()
     ps = sub.add_parser("solve", help="solve a single graph file")
     ps.add_argument("--graph", required=True, help="instance file (header 'N M', then edge lines 'i j')")
     ps.add_argument("--mode", required=True, choices=("s", "ds"), help="stochastic or doubly stochastic relaxation")
-    ps.add_argument("--mu0", type=float, default=0.01, help="initial barrier weight")
-    ps.add_argument("--mu-shrink", type=float, default=0.1, help="barrier weight reduction factor")
-    ps.add_argument("--alpha", type=float, default=0.9, help="fraction of the feasible step taken by the linesearch")
-    ps.add_argument("--deflate", type=float, default=0.9, help="deflation threshold")
-    ps.add_argument("--delete", type=float, default=1e-5, help="deletion threshold")
-    ps.add_argument("--restore", choices=("lp", "qp"), default="lp", help="feasibility restoration method")
+    ps.add_argument("--mu0", type=float, default=defaults.mu_initial, help="initial barrier weight")
+    ps.add_argument("--mu-shrink", type=float, default=defaults.mu_shrink, help="barrier weight reduction factor")
+    ps.add_argument("--alpha", type=float, default=defaults.alpha, help="fraction of the feasible step taken by the linesearch")
+    ps.add_argument("--deflate", type=float, default=defaults.deflation_threshold, help="deflation threshold")
+    ps.add_argument("--delete", type=float, default=defaults.deletion_threshold, help="deletion threshold")
+    ps.add_argument("--restore", choices=("lp", "qp"), default=defaults.restore, help="feasibility restoration method")
     ps.add_argument("--upper-log", action="store_true", help="add the barrier on x <= 1")
     ps.add_argument("--drop-var", action="store_true", help="remove the lowest-index arc variable before solving")
-    ps.add_argument("--seed", type=int, default=0, help="recorded in the report; the solve itself is deterministic")
-    ps.add_argument("--time-limit", type=float, default=60.0, help="wall-clock budget in seconds")
+    ps.add_argument("--seed", type=int, default=defaults.seed, help="recorded in the report; the solve itself is deterministic")
+    ps.add_argument("--time-limit", type=float, default=defaults.time_limit, help="wall-clock budget in seconds")
     ps.add_argument("--trace", help="write the per-iteration trace CSV here")
 
     pb = sub.add_parser("bench", help="run a benchmark grid")
@@ -99,7 +99,7 @@ def _cmd_solve(args) -> int:
     rep, rows = trace_solve(g, params)
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.write(trace_header() + "\n")
+            fh.write(TraceRow.header() + "\n")
             for row in rows:
                 fh.write(row + "\n")
     print(f"status: {rep.status}")

@@ -134,7 +134,6 @@ class DeflationRecord:
     removed_node: int
     redirected: tuple  # pairs ((k, i), (k, j))
     zeroed_arcs: tuple
-    dropped_selfloops: tuple = ()
 
     @property
     def redirect_sources(self) -> frozenset:
@@ -229,7 +228,6 @@ def deflate(m: ArcVarMap, arc) -> tuple:
     kept = []
     redirected = []
     zeroed = []
-    dropped = []
     for a, b in m.arcs:
         if (a, b) == (i, j):
             continue
@@ -240,12 +238,9 @@ def deflate(m: ArcVarMap, arc) -> tuple:
         elif b == j:
             zeroed.append((a, b))
         elif b == i:
-            if a == j:
-                # unreachable, (j,i) is zeroed above; kept as a guard
-                dropped.append((a, b))
-            else:
-                redirected.append(((a, b), (a, j)))
-                kept.append((a, j))
+            # a != j here: (j,i) is zeroed above, so no self-loop (j,j) forms
+            redirected.append(((a, b), (a, j)))
+            kept.append((a, j))
         else:
             kept.append((a, b))
     nodes2 = tuple(v for v in m.nodes if v != i)
@@ -265,7 +260,6 @@ def deflate(m: ArcVarMap, arc) -> tuple:
         removed_node=i,
         redirected=tuple(redirected),
         zeroed_arcs=tuple(zeroed),
-        dropped_selfloops=tuple(dropped),
     )
     return m2, rec
 

@@ -281,18 +281,16 @@ class InnerState:
 @dataclass
 class StepInfo:
     """One step's outcome; f, phi and merit are all valued at x, the point
-    the step ends on."""
+    the step ends on. At mu = inf the merit is phi and f is None."""
 
     kind: str               # converged | descent | negcurv | stall
     x: np.ndarray
-    f: float
+    f: float | None
     phi: float
     merit: float
     step: float
     delta_hat: float
     modified: bool
-    g_dot_vmin: float | None
-    grad_red_norm: float
 
 
 def _default_delta(h_red: np.ndarray) -> float:
@@ -335,7 +333,6 @@ def reduced_model(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> tuple:
 def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerState) -> StepInfo:
     f, phi, g_red, h_red = reduced_model(x, spec, ctx)
     if f is None:
-        # the step does not need f; finish values it once, where it ends
         merit = phi
         anchor = abs(phi)
     else:
@@ -345,25 +342,21 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
     res, delta_used = _factor_with_policy(h_red, state)
     tol = ctx.grad_tol * (1.0 + anchor)
 
-    def finish(kind, ls=None, delta_hat=0.0, g_dot_vmin=None) -> StepInfo:
+    def finish(kind, ls=None, delta_hat=0.0) -> StepInfo:
         # without a linesearch result the step ends where it started
         if ls is None:
             pt, f_pt, phi_pt, merit_pt, t = x, f, phi, merit, 0.0
         else:
             pt, f_pt, phi_pt, merit_pt, t = ls.x, ls.f, ls.phi, ls.merit, ls.t
-        if f_pt is None:
-            f_pt = detfun.value_only(pt, ctx.m, ctx.mode)
         return StepInfo(
             kind=kind, x=pt, f=f_pt, phi=phi_pt, merit=merit_pt, step=t,
-            delta_hat=delta_hat, modified=res.modified, g_dot_vmin=g_dot_vmin,
-            grad_red_norm=gnorm,
+            delta_hat=delta_hat, modified=res.modified,
         )
 
     if gnorm <= tol and not res.modified:
         state.delta = None
         return finish("converged")
 
-    g_dot_vmin = None
     if res.modified:
         d_z = negcurv_direction(res.r, res.j, g_red)
         gram = ctx.z.gram()
@@ -382,9 +375,6 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
             kind = "negcurv"
             state.delta = q
             delta_hat = q
-            g_dot_vmin = abs(float(g_red @ d_z)) / (
-                float(np.linalg.norm(g_red)) * float(np.linalg.norm(d_z)) + 1e-300
-            )
         else:
             # modification without usable curvature: take the regularized
             # Newton step, which the factorization makes safely positive
@@ -400,24 +390,24 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
 
     direction = ctx.z.apply(d_z)
     if float(np.max(np.abs(direction), initial=0.0)) == 0.0:
-        return finish("stall", delta_hat=delta_hat, g_dot_vmin=g_dot_vmin)
+        return finish("stall", delta_hat=delta_hat)
     objective = lambda pt: detfun.value_only(pt, ctx.m, ctx.mode)
     try:
         ls = linesearch(x, direction, ctx.alpha, spec, objective, merit)
     except LinesearchStall:
-        return finish("stall", delta_hat=delta_hat, g_dot_vmin=g_dot_vmin)
-    return finish(kind, ls, delta_hat=delta_hat, g_dot_vmin=g_dot_vmin)
+        return finish("stall", delta_hat=delta_hat)
+    return finish(kind, ls, delta_hat=delta_hat)
 
 
-def newton_polish(x, spec: BarrierSpec, ctx: PhaseContext, max_steps: int = 8) -> tuple:
+def newton_polish(x, spec: BarrierSpec, ctx: PhaseContext, max_steps: int = 8) -> np.ndarray:
     """Endgame for when merit differences drop below float resolution while
     the reduced gradient is still above tolerance: take damped Newton steps
     and accept on gradient-norm decrease instead of merit decrease. Returns
-    (x, gnorm, unmodified) at the last accepted point."""
+    the last accepted point."""
     _, _, g_red, h_red = reduced_model(x, spec, ctx)
     gnorm = float(np.max(np.abs(g_red), initial=0.0))
-    res = modified_cholesky(h_red, _default_delta(h_red))
     for _ in range(max_steps):
+        res = modified_cholesky(h_red, _default_delta(h_red))
         if res.modified:
             break
         p = ctx.z.apply(descent_direction(res.r, g_red))
@@ -431,31 +421,22 @@ def newton_polish(x, spec: BarrierSpec, ctx: PhaseContext, max_steps: int = 8) -
         if gt >= gnorm:
             break
         x, g_red, h_red, gnorm = xt, gt_red, ht_red, gt
-        res = modified_cholesky(h_red, _default_delta(h_red))
-    return x, gnorm, not res.modified
+    return x
 
 
-@dataclass
-class PhaseResult:
-    x: np.ndarray
-    status: str             # local-min | iteration-cap | stall
-    iterations: int
-
-
-def minimize_phase(x0: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> PhaseResult:
+def minimize_phase(x0: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> np.ndarray:
+    """Step at a fixed barrier weight until a step converges or stalls, or
+    ctx.max_iter steps are spent. Returns where the phase ends; a stall on
+    an unmodified factorization ends at the Newton-polished point."""
     x = np.asarray(x0, dtype=float).copy()
     state = InnerState()
-    for it in range(ctx.max_iter):
+    for _ in range(ctx.max_iter):
         info = step_once(x, spec, ctx, state)
         if info.kind == "converged":
-            return PhaseResult(x=x, status="local-min", iterations=it)
+            break
         if info.kind == "stall":
             if not info.modified:
-                x2, gnorm, unmod = newton_polish(x, spec, ctx)
-                anchor = abs(info.phi) if math.isinf(spec.mu) else abs(info.f)
-                if unmod and gnorm <= ctx.grad_tol * (1.0 + anchor):
-                    return PhaseResult(x=x2, status="local-min", iterations=it)
-                x = x2
-            return PhaseResult(x=x, status="stall", iterations=it)
+                x = newton_polish(x, spec, ctx)
+            break
         x = info.x
-    return PhaseResult(x=x, status="iteration-cap", iterations=ctx.max_iter)
+    return x

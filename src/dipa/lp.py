@@ -30,9 +30,7 @@ class LinearProgram:
 @dataclass(frozen=True)
 class LPResult:
     x: np.ndarray | None
-    objective: float | None
     status: str
-    y_eq: np.ndarray | None = None
 
 
 _STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}
@@ -74,22 +72,22 @@ def lp_solve(p: LinearProgram, verify: bool = True) -> LPResult:
     status = _STATUS.get(res.status, f"failed-{res.status}")
     if status != "optimal":
         if status in ("infeasible", "unbounded"):
-            return LPResult(x=None, objective=None, status=status)
+            return LPResult(x=None, status=status)
         raise LPError(f"linear program solve failed: {res.message}")
     x = np.asarray(res.x)
-    y = np.asarray(res.eqlin.marginals)
     if verify:
-        _verify_lp(c, aeq, beq, lb, ub, x, y, res)
-    return LPResult(x=x, objective=float(c @ x), status="optimal", y_eq=y)
+        _verify_lp(c, aeq, beq, lb, ub, x, res)
+    return LPResult(x=x, status="optimal")
 
 
-def _verify_lp(c, aeq, beq, lb, ub, x, y, res, tol: float = 1e-7) -> None:
+def _verify_lp(c, aeq, beq, lb, ub, x, res, tol: float = 1e-7) -> None:
     scale = 1.0 + max(np.max(np.abs(beq), initial=0.0), np.max(np.abs(x), initial=0.0))
     resid = np.max(np.abs(aeq @ x - beq)) if aeq.size else 0.0
     if resid > tol * scale:
         raise LPError(f"equality residual {resid:.3e}")
     if np.any(x < lb - tol * scale) or np.any(x > ub + tol * scale):
         raise LPError("bound violation in reported optimum")
+    y = np.asarray(res.eqlin.marginals)
     zl = np.asarray(res.lower.marginals)
     zu = np.asarray(res.upper.marginals)
     # complementary slackness: a nonzero bound multiplier needs a tight bound

@@ -38,11 +38,16 @@ from dipa.inner import (
     step_once,
 )
 from dipa.lp import LinearProgram, LPError, lp_solve, qp_least_distance
-from dipa.nullspace import NullSpaceRep, build_A, build_Z
+from dipa.nullspace import build_A, build_Z
 
 HC_FOUND = "HC-found"
 NO_HC_DISCONNECTED = "no-HC-disconnected"
 GAVE_UP = "gave-up"
+
+# the barrier weight below which the path gives up
+MU_MIN = 1e-8
+# gradient tolerance of the barrier-only phase that settles the neutral point
+NEUTRAL_TOL = 1e-10
 
 
 class NoInteriorPoint(RuntimeError):
@@ -54,7 +59,6 @@ class DipaParams:
     mode: str = "ds"
     mu_initial: float = 0.01
     mu_shrink: float = 0.1
-    mu_min: float = 1e-8
     alpha: float = 0.9
     deflation_threshold: float = 0.9
     deletion_threshold: float = 1e-5
@@ -62,11 +66,9 @@ class DipaParams:
     upper_log: bool = False
     drop_one_var: bool = False
     grad_tol: float = 1e-6
-    neutral_tol: float = 1e-10
     max_outer: int = 20000
     max_phase_iter: int = 500
     time_limit: float = 60.0
-    x_min_floor: float = 1e-10
     # recorded with results for provenance; every code path is deterministic,
     # so the value never changes the solve itself
     seed: int = 0
@@ -100,7 +102,6 @@ class TraceRow:
     delta_hat: float
     x_min: float
     deflations: int
-    g_dot_vmin: float | None = None
 
     @staticmethod
     def header() -> str:
@@ -177,29 +178,19 @@ def propose_mu(lam_hat: float, lam_bar: float, mu: float, shrink: float) -> floa
     return mu2
 
 
-@dataclass
-class TriggerContext:
-    m: ArcVarMap
-    z: NullSpaceRep
-    mode: str
-    upper_log: bool
-    shrink: float
-    mu_min: float
-
-
-def mu_trigger(x: np.ndarray, mu: float, ctx: TriggerContext) -> float:
-    """Barrier weight after a local minimum: shrink, then keep dividing by 10
-    while the objective's negative curvature stays drowned out (reduced merit
-    Hessian still positive definite)."""
+def mu_trigger(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, shrink: float) -> float:
+    """Barrier weight after the phase at spec ends at x: shrink spec.mu, then
+    keep dividing by 10 while the objective's negative curvature stays
+    drowned out (reduced merit Hessian still positive definite)."""
     hd = detfun.hess(x, ctx.m, mode=ctx.mode)
     hz = ctx.z.reduce_hessian(hd)
     lam_hat = float(np.linalg.eigvalsh(hz)[0]) if hz.size else 0.0
-    _, _, hphi = barrier_eval(x, BarrierSpec(mu=1.0, upper_log=ctx.upper_log))
+    _, _, hphi = barrier_eval(x, spec)
     pz = ctx.z.reduce_diag_quadform(hphi)
     lam_bar = float(np.linalg.eigvalsh(pz)[-1]) if pz.size else 1.0
-    mu2 = propose_mu(lam_hat, lam_bar, mu, ctx.shrink)
+    mu2 = propose_mu(lam_hat, lam_bar, spec.mu, shrink)
     if lam_hat < 0.0:
-        while mu2 >= ctx.mu_min:
+        while mu2 >= MU_MIN:
             w = np.linalg.eigvalsh(hz + mu2 * pz)
             if w[0] <= 0.0:
                 break
@@ -250,23 +241,21 @@ def restore_DS(
     xbar: np.ndarray,
     A: np.ndarray,
     x_min: float | None = None,
-    rho: float | None = None,
     x_min_floor: float = 1e-10,
-    gamma_tol: float = 1e-9,
 ) -> tuple:
     """Reconcile row and column sums after surgery by a bounded-change LP.
 
     Decision variables are an increase u in [0, 1-xbar], a decrease v in
     [0, xbar - x_min], and a scalar artificial gamma multiplying the sum
-    residual; gamma is priced at rho so any fully feasible reconciliation
-    beats a residual one. When even the smallest x_min leaves gamma positive,
-    the variables pinned at the floor are returned for deletion."""
+    residual s; gamma is priced at rho = 1e3 (1 + |s|_1) so any fully
+    feasible reconciliation beats a residual one. When even the smallest
+    x_min leaves gamma positive, the variables pinned at the floor are
+    returned for deletion."""
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
     e = np.ones(A.shape[0])
     s = e - A @ xbar
-    if rho is None:
-        rho = 1e3 * (1.0 + float(np.abs(s).sum()))
+    rho = 1e3 * (1.0 + float(np.abs(s).sum()))
     if x_min is None:
         x_min = max(float(np.min(xbar)), x_min_floor)
     last = None
@@ -283,7 +272,7 @@ def restore_DS(
         gamma = float(res.x[-1])
         x = xbar + res.x[:a] - res.x[a : 2 * a]
         last = (x, x_min)
-        if gamma <= gamma_tol:
+        if gamma <= 1e-9:
             return _polish_equalities(x, A), ()
         if x_min <= x_min_floor:
             break
@@ -483,9 +472,8 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     work = make_work(m)
 
     # barrier-only phase settles the neutral analytic center
-    neutral_ctx = replace(work, grad_tol=params.neutral_tol)
-    res = minimize_phase(x, BarrierSpec(mu=math.inf, upper_log=params.upper_log), neutral_ctx)
-    x = res.x
+    neutral_ctx = replace(work, grad_tol=NEUTRAL_TOL)
+    x = minimize_phase(x, BarrierSpec(mu=math.inf, upper_log=params.upper_log), neutral_ctx)
 
     mu = params.mu_initial
     state = InnerState()
@@ -542,9 +530,9 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                 else:
                     a2 = build_A(m2, mode="ds")
                     if params.restore == "lp":
-                        x2, nf = restore_DS(x2, a2, x_min_floor=params.x_min_floor)
+                        x2, nf = restore_DS(x2, a2)
                     else:
-                        x2, nf = restore_DS_qp(x2, a2, x_min_floor=params.x_min_floor)
+                        x2, nf = restore_DS_qp(x2, a2)
                     new_forced = tuple(m2.arcs[int(k)] for k in nf)
             except (StarvationError, LPError) as exc:
                 return x, m_now, f"surgery dead end: {exc}"
@@ -576,16 +564,8 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         # converged one
         if info.kind in ("converged", "stall") or phase_steps >= params.max_phase_iter:
             if info.kind == "stall" and not info.modified:
-                x, _, _ = newton_polish(x, spec, work)
-            tctx = TriggerContext(
-                m=work.m,
-                z=work.z,
-                mode=mode,
-                upper_log=params.upper_log,
-                shrink=params.mu_shrink,
-                mu_min=params.mu_min,
-            )
-            mu2 = mu_trigger(x, mu, tctx)
+                x = newton_polish(x, spec, work)
+            mu2 = mu_trigger(x, spec, work, params.mu_shrink)
             trace.append(
                 TraceRow(
                     it=iterations, mu=mu, f=info.f, phi=info.phi, merit=info.merit,
@@ -593,7 +573,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                     x_min=float(np.min(x)), deflations=deflations,
                 )
             )
-            if mu2 < params.mu_min:
+            if mu2 < MU_MIN:
                 message = "barrier weight exhausted"
                 if np.all(np.minimum(x, np.abs(1.0 - x)) <= 0.25):
                     message += " at a near-binary non-cycle point"
@@ -609,7 +589,6 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                 it=iterations, mu=mu, f=info.f, phi=info.phi, merit=info.merit,
                 step=info.step, kind=info.kind, delta_hat=info.delta_hat,
                 x_min=float(np.min(x)), deflations=deflations,
-                g_dot_vmin=info.g_dot_vmin,
             )
         )
 

@@ -1,5 +1,7 @@
+import dipa.cli
 from dipa.cli import main
 from dipa.graph import petersen, write_graph
+from dipa.outer import GAVE_UP, DipaParams, SolveReport
 
 
 def run(*argv):
@@ -110,3 +112,21 @@ class TestTopLevel:
 
     def test_no_command(self, capsys):
         assert run() == 3
+
+
+class TestSolveDefaults:
+    def test_defaults_are_dipa_params(self, tmp_path, monkeypatch, capsys):
+        # every option left unset takes its value from DipaParams
+        gfile = tmp_path / "g.txt"
+        run("gen", "--n", "8", "--seed", "2", "--plant", "--out", str(gfile))
+        seen = []
+
+        def fake_trace_solve(g, params):
+            seen.append(params)
+            rep = SolveReport(status=GAVE_UP, cycle=None, iterations=0,
+                              deflations=0, deletions=0, trace=[])
+            return rep, []
+
+        monkeypatch.setattr(dipa.cli, "trace_solve", fake_trace_solve)
+        assert run("solve", "--graph", str(gfile), "--mode", "ds") == 2
+        assert seen == [DipaParams(mode="ds")]
