@@ -1,9 +1,17 @@
 """Small dense linear programs with certified solutions, plus a primal
 active-set solver for least-distance projection onto {Ax = b, lb <= x <= ub}.
 
-The LP path delegates the simplex work to scipy's HiGHS backend and then
-re-verifies feasibility, complementary slackness, and strong duality from
-the returned multipliers, so a silently wrong solve cannot propagate.
+The LP path hands the simplex work to HiGHS and then re-verifies
+feasibility, complementary slackness, and strong duality from the returned
+multipliers, so a silently wrong solve cannot propagate.
+
+lp_solve drives the HiGHS binding that scipy ships
+(scipy.optimize._highspy._core) directly, not through
+scipy.optimize.linprog: on these LPs the wrapper's option checks and input
+cleaning took about 55% of each solve. The model, options, status table and
+multipliers are the ones linprog(method="highs") passes and reads, and a
+tier-1 test (tests/test_lp.py) pins x, the row duals and the bound
+multipliers to linprog's, bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 
 class LPError(RuntimeError):
@@ -33,7 +41,105 @@ class LPResult:
     status: str
 
 
-_STATUS = {0: "optimal", 1: "iteration-limit", 2: "infeasible", 3: "unbounded"}
+def _options(presolve: str = "on", tight: bool = False):
+    opts = highs.HighsOptions()
+    opts.presolve = presolve
+    opts.simplex_strategy = int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    opts.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = False
+    opts.log_to_console = False
+    if tight:
+        opts.primal_feasibility_tolerance = 1e-9
+        opts.dual_feasibility_tolerance = 1e-9
+    return opts
+
+
+# the options linprog(method="highs") sets on each of lp_solve's three rungs
+_TIGHT = _options(tight=True)
+_DEFAULT = _options()
+_NO_PRESOLVE = _options(presolve="off")
+
+_COLWISE = int(highs.MatrixFormat.kColwise)
+_MINIMIZE = int(highs.ObjSense.kMinimize)
+_LOWER = highs.HighsBasisStatus.kLower.value
+_UPPER = highs.HighsBasisStatus.kUpper.value
+_MS = highs.HighsModelStatus
+# scipy's _highs_to_scipy_status_message table, read as lp_solve reads it:
+# every model status it does not list here is a failure
+_STATUS = {
+    _MS.kOptimal: "optimal",
+    _MS.kInfeasible: "infeasible",
+    _MS.kModelError: "infeasible",
+    _MS.kUnbounded: "unbounded",
+}
+
+
+@dataclass(frozen=True)
+class _Solution:
+    status: str
+    message: str
+    x: np.ndarray | None = None
+    y: np.ndarray | None = None   # equality multipliers (row duals)
+    zl: np.ndarray | None = None  # lower-bound multipliers
+    zu: np.ndarray | None = None  # upper-bound multipliers
+
+
+def _run(model: tuple, b_eq: np.ndarray, lb: np.ndarray, ub: np.ndarray, opts) -> _Solution:
+    solver = highs._Highs()
+    solver.passOptions(opts)
+    if solver.passModel(*model) == highs.HighsStatus.kError:
+        return _Solution("infeasible", "model error")
+    solver.run()
+    ms = solver.getModelStatus()
+    status = _STATUS.get(ms, "failed")
+    message = solver.modelStatusToString(ms)
+    if ms != _MS.kOptimal:
+        return _Solution(status, message)
+    sol = solver.getSolution()
+    x = np.array(sol.col_value)
+    # linprog demotes an optimum that misses a bound or a row by more than
+    # 10 sqrt(1e-9), or holds a NaN (which fails every comparison), to a
+    # failure, and that sends it to the next rung
+    tol = np.sqrt(1e-9) * 10
+    con = b_eq - np.array(sol.row_value)
+    if not (np.all((x >= lb - tol) & (x <= ub + tol)) and np.all(np.abs(con) <= tol)):
+        return _Solution("failed", "solution does not satisfy the constraints")
+    # a bound's multiplier is the column dual when the basis holds the
+    # column at that bound, and 0 otherwise
+    col_status = np.array([s.value for s in solver.getBasis().col_status])
+    col_dual = np.array(sol.col_dual)
+    zl = np.where(col_status == _LOWER, col_dual, 0.0)
+    zu = np.where(col_status == _UPPER, col_dual, 0.0)
+    return _Solution(status, message, x=x, y=np.array(sol.row_dual), zl=zl, zu=zu)
+
+
+def _highs_solve(c, aeq, beq, lb, ub) -> _Solution:
+    """Solve at tight tolerances. Tight tolerances can misreport problems
+    whose feasible box is microscopic, so a failure there is retried at
+    default tolerances; the simplex presolve occasionally exits without
+    setting a model status at all, and solving the unreduced problem
+    recovers those."""
+    rows, cols = aeq.shape
+    # column-wise, rows ascending, exact zeros dropped: the matrix linprog
+    # builds with csc_array
+    at = np.ascontiguousarray(aeq.T)
+    nz = np.flatnonzero(at)
+    start = np.concatenate(([0], np.cumsum(np.count_nonzero(at, axis=1))))
+    model = (
+        cols, rows, nz.size, _COLWISE, _MINIMIZE, 0.0,
+        c,
+        np.clip(lb, -highs.kHighsInf, highs.kHighsInf),
+        np.clip(ub, -highs.kHighsInf, highs.kHighsInf),
+        beq, beq,
+        start.astype(np.int32), (nz % rows).astype(np.int32), at.ravel()[nz],
+        np.zeros(cols, dtype=np.int32),  # every column continuous
+    )
+    res = _run(model, beq, lb, ub, _TIGHT)
+    if res.status != "optimal":
+        res = _run(model, beq, lb, ub, _DEFAULT)
+    if res.status not in ("optimal", "infeasible", "unbounded"):
+        res = _run(model, beq, lb, ub, _NO_PRESOLVE)
+    return res
 
 
 def lp_solve(p: LinearProgram, verify: bool = True) -> LPResult:
@@ -42,54 +148,25 @@ def lp_solve(p: LinearProgram, verify: bool = True) -> LPResult:
     beq = np.asarray(p.b_eq, dtype=float)
     lb = np.asarray(p.lb, dtype=float)
     ub = np.asarray(p.ub, dtype=float)
-    bounds = list(zip(lb, ub))
-    res = linprog(
-        c,
-        A_eq=aeq,
-        b_eq=beq,
-        bounds=bounds,
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-9,
-            "dual_feasibility_tolerance": 1e-9,
-        },
-    )
-    if res.status != 0:
-        # tight tolerances can misreport problems whose feasible box is
-        # microscopic; accept a verdict only at default tolerances
-        res = linprog(c, A_eq=aeq, b_eq=beq, bounds=bounds, method="highs")
-    if res.status not in (0, 2, 3):
-        # the simplex presolve occasionally exits without setting a model
-        # status at all; solving the unreduced problem recovers those
-        res = linprog(
-            c,
-            A_eq=aeq,
-            b_eq=beq,
-            bounds=bounds,
-            method="highs",
-            options={"presolve": False},
-        )
-    status = _STATUS.get(res.status, f"failed-{res.status}")
-    if status != "optimal":
-        if status in ("infeasible", "unbounded"):
-            return LPResult(x=None, status=status)
+    res = _highs_solve(c, aeq, beq, lb, ub)
+    if res.status != "optimal":
+        if res.status in ("infeasible", "unbounded"):
+            return LPResult(x=None, status=res.status)
         raise LPError(f"linear program solve failed: {res.message}")
-    x = np.asarray(res.x)
     if verify:
-        _verify_lp(c, aeq, beq, lb, ub, x, res)
-    return LPResult(x=x, status="optimal")
+        _verify_lp(c, aeq, beq, lb, ub, res)
+    return LPResult(x=res.x, status="optimal")
 
 
-def _verify_lp(c, aeq, beq, lb, ub, x, res, tol: float = 1e-7) -> None:
+def _verify_lp(c, aeq, beq, lb, ub, res: _Solution, tol: float = 1e-7) -> None:
+    x = res.x
     scale = 1.0 + max(np.max(np.abs(beq), initial=0.0), np.max(np.abs(x), initial=0.0))
     resid = np.max(np.abs(aeq @ x - beq)) if aeq.size else 0.0
     if resid > tol * scale:
         raise LPError(f"equality residual {resid:.3e}")
     if np.any(x < lb - tol * scale) or np.any(x > ub + tol * scale):
         raise LPError("bound violation in reported optimum")
-    y = np.asarray(res.eqlin.marginals)
-    zl = np.asarray(res.lower.marginals)
-    zu = np.asarray(res.upper.marginals)
+    y, zl, zu = res.y, res.zl, res.zu
     # complementary slackness: a nonzero bound multiplier needs a tight bound
     gap_l = np.abs(zl) * np.where(np.isfinite(lb), np.abs(x - lb), 0.0)
     gap_u = np.abs(zu) * np.where(np.isfinite(ub), np.abs(ub - x), 0.0)

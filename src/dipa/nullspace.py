@@ -9,7 +9,7 @@ cycle, two when that support is bipartite, more after surgery leaves arcs
 one way only). reorder_ds drops dependent rows from the end of the column
 block and permutes variables so the leading square block is unit lower
 triangular over the integers; the null space basis then has entries in
-{-1, 0, +1} by integer forward substitution.
+{-1, 0, +1} by one exact triangular solve.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 
 from dipa.graph import ArcVarMap
 
@@ -37,7 +38,7 @@ def build_A(m: ArcVarMap, mode: str = "ds") -> np.ndarray:
 @dataclass(frozen=True)
 class ReorderedDS:
     b: np.ndarray        # rank x rank, unit lower triangular, 0/1
-    s: np.ndarray        # rank x (a - rank)
+    s: np.ndarray        # rank x (a - rank), 0/1
     perm: tuple          # variable permutation, basis columns first
     row_order: tuple     # retained constraint rows, in pinned order
     retained: tuple      # retained rows of the original stacked matrix
@@ -87,40 +88,42 @@ def reorder_ds(mat: np.ndarray) -> ReorderedDS:
     n_nodes = mat.shape[0] // 2
     retained = _retained_rows(mat, n_nodes)
     am = mat[retained]
-    rank = am.shape[0]
-    unpinned = set(range(rank))
-    remaining = set(range(am.shape[1]))
-    col_sel: list = []
-    slot = [0] * rank
+    rank, width = am.shape
+    # column-to-rows incidence, one entry per nonzero, columns ascending
+    inc_col, inc_row = np.nonzero(am.T)
+    active = np.ones(rank, dtype=bool)
+    remaining = np.ones(width, dtype=bool)
+    col_sel = []
+    slot = np.zeros(rank, dtype=np.intp)
     pos = rank
-    nz_rows = {c: set(np.flatnonzero(am[:, c])) for c in remaining}
-    while unpinned:
-        batch = []
-        used: set = set()
-        for c in sorted(remaining):
-            act = nz_rows[c] & unpinned
-            if len(act) == 1:
-                (i,) = act
-                if i not in used:
-                    batch.append((c, i))
-                    used.add(i)
-        if not batch:
+    while pos:
+        live = active[inc_row]
+        n_act = np.bincount(inc_col, weights=live, minlength=width)
+        # summed active rows: the active row itself where there is one
+        act_row = np.bincount(inc_col, weights=inc_row * live, minlength=width)
+        cand = np.flatnonzero(remaining & (n_act == 1))
+        rows = act_row[cand].astype(np.intp)
+        # the first candidate column of each row, in ascending column order
+        _, first = np.unique(rows, return_index=True)
+        first.sort()
+        if not first.size:
             raise ValueError("reordering stalled; constraint support degenerate")
-        for c, i in batch:
-            col_sel.append(c)
-            remaining.discard(c)
-            slot[pos - 1] = i
-            unpinned.discard(i)
-            pos -= 1
-    perm = tuple(reversed(col_sel)) + tuple(sorted(remaining))
-    row_order = tuple(slot)
-    bm = am[list(row_order)][:, list(perm[:rank])]
-    sm = am[list(row_order)][:, list(perm[rank:])]
+        cols, rows = cand[first], rows[first]
+        col_sel.append(cols)
+        remaining[cols] = False
+        active[rows] = False
+        slot[pos - len(rows) : pos] = rows[::-1]
+        pos -= len(rows)
+    pinned = np.concatenate(col_sel)[::-1]
+    perm = tuple(pinned.tolist()) + tuple(np.flatnonzero(remaining).tolist())
+    row_order = tuple(slot.tolist())
+    bm = am[slot][:, pinned]
+    sm = am[slot][:, np.flatnonzero(remaining)]
     if not np.array_equal(np.diag(bm), np.ones(rank)) or np.any(np.triu(bm, 1) != 0):
         raise AssertionError("reordered block is not unit lower triangular")
     return ReorderedDS(
-        b=bm.astype(np.int64),
-        s=sm.astype(np.int64),
+        b=bm,
+        s=sm,
         perm=perm,
         row_order=row_order,
         retained=tuple(retained),
@@ -215,27 +218,19 @@ def build_Z(m: ArcVarMap, mode: str = "ds") -> NullSpaceRep:
     if mode != "ds":
         raise ValueError(f"unknown mode {mode!r}")
     rds = reorder_ds(build_A(m, mode="ds"))
-    yk = _forward_substitute(rds.b, rds.s)
-    vals = set(np.unique(yk)) if yk.size else set()
-    if not vals <= {-1, 0, 1}:
-        raise AssertionError(f"null space block has entries {sorted(vals)}")
+    # B is unit lower triangular 0/1 and every partial sum of the forward
+    # substitution is a small integer, so the float solve is exact. C order
+    # keeps the summation order of y @ v that the integer solve gave.
+    y = np.ascontiguousarray(
+        solve_triangular(rds.b, rds.s, lower=True, unit_diagonal=True, check_finite=False)
+    )
+    if not np.isin(y, (-1.0, 0.0, 1.0)).all():
+        raise AssertionError(f"null space block has entries {np.unique(y).tolist()}")
     return NullSpaceRep(
         mode="ds",
         n_vars=a,
         dim=a - rds.rank,
         basis=np.asarray(rds.perm[: rds.rank], dtype=np.intp),
         free=np.asarray(rds.perm[rds.rank :], dtype=np.intp),
-        y=yk.astype(float),
+        y=y,
     )
-
-
-def _forward_substitute(b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    rank, width = s.shape[0], s.shape[1]
-    y = np.zeros((rank, width), dtype=np.int64)
-    for p in range(rank):
-        y[p] = s[p]
-        nz = np.flatnonzero(b[p, :p])
-        if nz.size:
-            y[p] -= b[p, nz] @ y[nz]
-    return y
-

@@ -258,13 +258,14 @@ def restore_DS(
     rho = 1e3 * (1.0 + float(np.abs(s).sum()))
     if x_min is None:
         x_min = max(float(np.min(xbar)), x_min_floor)
+    # only the decrease bound ub_v changes along the x_min ladder
+    c = np.concatenate([np.ones(a), np.ones(a), [rho]])
+    aeq = np.hstack([A, -A, s.reshape(-1, 1)])
+    lb = np.zeros(2 * a + 1)
+    ub_u = np.maximum(1.0 - xbar, 0.0)
     last = None
     for _ in range(11):
         ub_v = np.maximum(xbar - x_min, 0.0)
-        ub_u = np.maximum(1.0 - xbar, 0.0)
-        c = np.concatenate([np.ones(a), np.ones(a), [rho]])
-        aeq = np.hstack([A, -A, s.reshape(-1, 1)])
-        lb = np.zeros(2 * a + 1)
         ub = np.concatenate([ub_u, ub_v, [1.0]])
         res = lp_solve(LinearProgram(c=c, a_eq=aeq, b_eq=s, lb=lb, ub=ub))
         if res.status != "optimal":
@@ -563,12 +564,17 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         # a phase that spends its budget keeps its last step and ends like a
         # converged one
         if info.kind in ("converged", "stall") or phase_steps >= params.max_phase_iter:
+            f, phi, merit = info.f, info.phi, info.merit
             if info.kind == "stall" and not info.modified:
                 x = newton_polish(x, spec, work)
+                # the row reports the polished point, so it values it too
+                f = detfun.value_only(x, work.m, mode)
+                phi, _, _ = barrier_eval(x, spec)
+                merit = f + spec.mu * phi
             mu2 = mu_trigger(x, spec, work, params.mu_shrink)
             trace.append(
                 TraceRow(
-                    it=iterations, mu=mu, f=info.f, phi=info.phi, merit=info.merit,
+                    it=iterations, mu=mu, f=f, phi=phi, merit=merit,
                     step=0.0, kind="trigger", delta_hat=0.0,
                     x_min=float(np.min(x)), deflations=deflations,
                 )

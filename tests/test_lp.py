@@ -1,10 +1,65 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from dipa.graph import StarvationError, build_arc_map, delete_arc, gen_random_graph, make_graph
-from dipa.lp import LinearProgram, LPError, lp_solve, qp_least_distance, verify_qp
+import dipa.lp
+from dipa.graph import (
+    StarvationError,
+    build_arc_map,
+    deflate,
+    delete_arc,
+    gen_random_graph,
+    make_graph,
+)
+from dipa.lp import (
+    LinearProgram,
+    LPError,
+    _highs_solve,
+    _verify_lp,
+    lp_solve,
+    qp_least_distance,
+    verify_qp,
+)
 from dipa.nullspace import build_A
-from dipa.outer import initial_interior, restore_DS, restore_DS_qp, restore_S
+from dipa.outer import (
+    forced_zero_arcs,
+    initial_interior,
+    restore_DS,
+    restore_DS_qp,
+    restore_S,
+)
+
+
+def lp_solve_reference(c, aeq, beq, lb, ub):
+    """The three linprog(method="highs") rungs lp_solve ran before it drove
+    the HiGHS binding itself, kept as the reference. Returns the last rung's
+    OptimizeResult."""
+    bounds = list(zip(lb, ub))
+    res = linprog(
+        c,
+        A_eq=aeq,
+        b_eq=beq,
+        bounds=bounds,
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-9,
+            "dual_feasibility_tolerance": 1e-9,
+        },
+    )
+    if res.status != 0:
+        res = linprog(c, A_eq=aeq, b_eq=beq, bounds=bounds, method="highs")
+    if res.status not in (0, 2, 3):
+        res = linprog(
+            c,
+            A_eq=aeq,
+            b_eq=beq,
+            bounds=bounds,
+            method="highs",
+            options={"presolve": False},
+        )
+    return res
 
 
 def qp_least_distance_reference(
@@ -171,6 +226,145 @@ class TestLPSolve:
         )
         res = lp_solve(p, verify=True)
         assert res.status == "optimal"
+
+
+def recorded_lps(monkeypatch, fn, *args, **kwargs):
+    """fn's result and the (c, a_eq, b_eq, lb, ub) of every LP it solved."""
+    lps = []
+
+    def record(*lp):
+        lps.append(lp)
+        return _highs_solve(*lp)
+
+    monkeypatch.setattr(dipa.lp, "_highs_solve", record)
+    try:
+        out = fn(*args, **kwargs)
+    finally:
+        monkeypatch.undo()
+    return out, lps
+
+
+def assert_matches_linprog(lp):
+    """The direct HiGHS solve reaches linprog's verdict, x and multipliers,
+    bit for bit. Returns the verdict."""
+    res = _highs_solve(*lp)
+    ref = lp_solve_reference(*lp)
+    assert res.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status, "failed")
+    if res.status == "optimal":
+        assert np.array_equal(res.x, ref.x)
+        assert np.array_equal(res.y, ref.eqlin.marginals)
+        assert np.array_equal(res.zl, ref.lower.marginals)
+        assert np.array_equal(res.zu, ref.upper.marginals)
+    return res.status
+
+
+def lp_arrays(p):
+    return tuple(np.asarray(v, dtype=float) for v in (p.c, p.a_eq, p.b_eq, p.lb, p.ub))
+
+
+class TestMatchesLinprog:
+    """lp_solve's HiGHS calls against the linprog rungs they replaced, on the
+    LPs the solver itself builds on planted maps."""
+
+    @staticmethod
+    def planted(seed):
+        n = 8 + (22 * seed) // 7
+        return build_arc_map(gen_random_graph(n, 3, 6, seed=seed, plant=True))
+
+    def test_solver_lps(self, monkeypatch):
+        lps = []
+        restore_rungs = []
+        for seed in range(8):
+            m = self.planted(seed)
+            x, got = recorded_lps(monkeypatch, initial_interior, m, "ds")
+            lps += got
+            lps += recorded_lps(monkeypatch, forced_zero_arcs, m)[1]
+            # a deflation and a deletion leave sums that the x_min ladder of
+            # restore_DS has to reconcile
+            arc = m.arcs[seed % m.n_arcs]
+            m2, rec = deflate(m, arc)
+            redirect = {new: old for old, new in rec.redirected}
+            x2 = np.array([x[m.index[redirect.get(a, a)]] for a in m2.arcs])
+            x2[seed % len(x2)] = 0.97
+            for xbar, mm in ((x2, m2), (x[1:], delete_arc(m, m.arcs[0]))):
+                got = recorded_lps(monkeypatch, restore_DS, xbar, build_A(mm, mode="ds"))[1]
+                restore_rungs.append(len(got))
+                lps += got
+            box = TestQPMatchesVertexStart.planted_box(seed)
+            lps += recorded_lps(monkeypatch, qp_least_distance, *box)[1]
+        statuses = [assert_matches_linprog(lp) for lp in lps]
+        # several rungs of the x_min ladder, and both QP start verdicts
+        assert max(restore_rungs) >= 2
+        assert {"optimal", "infeasible"} <= set(statuses)
+
+    def test_infeasible_box(self):
+        p = LinearProgram(
+            c=np.zeros(2),
+            a_eq=np.array([[1.0, 1.0]]),
+            b_eq=np.array([5.0]),
+            lb=np.zeros(2),
+            ub=np.ones(2),
+        )
+        assert assert_matches_linprog(lp_arrays(p)) == "infeasible"
+        assert lp_solve(p) == dipa.lp.LPResult(x=None, status="infeasible")
+
+    def test_unbounded(self):
+        # min -x2 with x1 - x2 = 0 and no upper bounds
+        p = LinearProgram(
+            c=np.array([0.0, -1.0]),
+            a_eq=np.array([[1.0, -1.0]]),
+            b_eq=np.zeros(1),
+            lb=np.zeros(2),
+            ub=np.full(2, np.inf),
+        )
+        assert assert_matches_linprog(lp_arrays(p)) == "unbounded"
+        assert lp_solve(p).status == "unbounded"
+
+    def test_free_variable(self):
+        # x3 is free and priced, so the optimum puts it at the bound of what
+        # the equality leaves it: x3 = 1 - 2 = -1
+        p = LinearProgram(
+            c=np.array([0.0, 0.0, 1.0]),
+            a_eq=np.array([[1.0, 1.0, 1.0]]),
+            b_eq=np.ones(1),
+            lb=np.array([0.0, 0.0, -np.inf]),
+            ub=np.ones(3),
+        )
+        assert assert_matches_linprog(lp_arrays(p)) == "optimal"
+        assert np.array_equal(lp_solve(p).x, [1.0, 1.0, -1.0])
+
+
+class TestVerifyLP:
+    """_verify_lp still rejects a wrong certificate."""
+
+    @staticmethod
+    def solved():
+        # min x1 + 2 x2 st x1 + x2 = 1, box [0, 1], plus x3 in [0, 1] that
+        # no equality touches
+        lp = (
+            np.array([1.0, 2.0, 0.0]),
+            np.array([[1.0, 1.0, 0.0]]),
+            np.ones(1),
+            np.zeros(3),
+            np.ones(3),
+        )
+        res = _highs_solve(*lp)
+        assert res.status == "optimal"
+        _verify_lp(*lp, res)
+        return lp, res
+
+    def test_corrupted_row_dual(self):
+        lp, res = self.solved()
+        bad = dataclasses.replace(res, y=res.y + 0.5)
+        with pytest.raises(LPError, match="duality gap"):
+            _verify_lp(*lp, bad)
+
+    def test_x_outside_bound(self):
+        lp, res = self.solved()
+        x = res.x.copy()
+        x[2] = 1.5
+        with pytest.raises(LPError, match="bound violation"):
+            _verify_lp(*lp, dataclasses.replace(res, x=x))
 
 
 class TestQPLeastDistance:

@@ -13,7 +13,7 @@ from dipa.graph import (
     make_graph,
     support_graph,
 )
-from dipa.nullspace import _retained_rows, build_A, build_Z
+from dipa.nullspace import _retained_rows, build_A, build_Z, reorder_ds
 
 
 def cases():
@@ -221,3 +221,87 @@ class TestRetainedRows:
             _retained_rows(A, 2)
         with pytest.raises(ValueError):
             retained_rows_by_rank(A, 2)
+
+
+def reorder_ds_reference(mat):
+    """The set-based reorder_ds the array batches replaced: the same pinning
+    rule, one column at a time. Returns (perm, row_order, b, s)."""
+    n_nodes = mat.shape[0] // 2
+    am = mat[_retained_rows(mat, n_nodes)]
+    rank = am.shape[0]
+    unpinned = set(range(rank))
+    remaining = set(range(am.shape[1]))
+    col_sel = []
+    slot = [0] * rank
+    pos = rank
+    nz_rows = {c: set(np.flatnonzero(am[:, c])) for c in remaining}
+    while unpinned:
+        batch = []
+        used = set()
+        for c in sorted(remaining):
+            act = nz_rows[c] & unpinned
+            if len(act) == 1:
+                (i,) = act
+                if i not in used:
+                    batch.append((c, i))
+                    used.add(i)
+        if not batch:
+            raise ValueError("reordering stalled; constraint support degenerate")
+        for c, i in batch:
+            col_sel.append(c)
+            remaining.discard(c)
+            slot[pos - 1] = i
+            unpinned.discard(i)
+            pos -= 1
+    perm = tuple(reversed(col_sel)) + tuple(sorted(remaining))
+    bm = am[slot][:, list(perm[:rank])]
+    sm = am[slot][:, list(perm[rank:])]
+    return perm, tuple(slot), bm.astype(np.int64), sm.astype(np.int64)
+
+
+def forward_substitute_reference(b, s):
+    """The integer forward substitution the triangular solve replaced."""
+    rank, width = s.shape[0], s.shape[1]
+    y = np.zeros((rank, width), dtype=np.int64)
+    for p in range(rank):
+        y[p] = s[p]
+        nz = np.flatnonzero(b[p, :p])
+        if nz.size:
+            y[p] -= b[p, nz] @ y[nz]
+    return y
+
+
+class TestRebuildMatchesReference:
+    """The ds basis against the frozen set-based reordering and integer
+    substitution, bit for bit, on planted maps and on maps after random
+    surgery."""
+
+    def test_basis_free_and_y(self):
+        maps = []
+        for seed in range(10):
+            g = gen_random_graph(8 + 5 * seed, 3, 6, seed=seed, plant=True)
+            maps.append(build_arc_map(g))
+            maps.extend(surgery_maps(maps[-1], 12, seed))
+        for m in maps:
+            mat = build_A(m, mode="ds")
+            perm, row_order, b, s = reorder_ds_reference(mat)
+            rds = reorder_ds(mat)
+            assert rds.perm == perm and rds.row_order == row_order
+            y_ref = forward_substitute_reference(b, s).astype(float)
+            Z = build_Z(m, mode="ds")
+            assert np.array_equal(Z.basis, perm[: rds.rank])
+            assert np.array_equal(Z.free, perm[rds.rank :])
+            assert np.array_equal(Z.y, y_ref)
+            # no -0.0 either, and C order, which fixes how y @ v sums
+            assert Z.y.tobytes() == y_ref.tobytes()
+            assert Z.y.flags.c_contiguous
+        assert len(maps) > 60
+
+    def test_stall_raises(self):
+        # every variable in every constraint: no column ever has a single
+        # active row
+        mat = np.ones((4, 2))
+        with pytest.raises(ValueError, match="stalled"):
+            reorder_ds_reference(mat)
+        with pytest.raises(ValueError, match="stalled"):
+            reorder_ds(mat)

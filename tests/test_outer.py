@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dipa.outer
+from dipa import detfun
 from dipa.bench import SUPPRESS_DEFLATION, SUPPRESS_DELETION
 from dipa.detfun import check_feasible
 from dipa.graph import (
@@ -16,6 +17,7 @@ from dipa.graph import (
     petersen,
     support_graph,
 )
+from dipa.inner import barrier_eval
 from dipa.lp import LPError
 from dipa.outer import (
     GAVE_UP,
@@ -252,6 +254,28 @@ class TestReportShape:
         assert len(rows) >= 2
         for row in rows:
             assert row.f + row.mu * row.phi == pytest.approx(row.merit, rel=1e-12, abs=0.0)
+
+    def test_trigger_row_after_polish_values_polished_point(self, monkeypatch):
+        # a trigger row after a main-loop Newton polish reports x_min of the
+        # polished point, so f, phi and merit are valued there as well
+        polished = []
+        real = dipa.outer.newton_polish
+
+        def record(x, spec, ctx):
+            out = real(x, spec, ctx)
+            polished.append((out, spec, ctx))
+            return out
+
+        monkeypatch.setattr(dipa.outer, "newton_polish", record)
+        g = gen_random_graph(10, 3, 6, seed=0, plant=True)
+        rep = dipa_solve(g, DipaParams(mode="s", mu_initial=1.0, grad_tol=1e-9))
+        assert polished
+        triggers = iter(r for r in rep.trace if r.kind == "trigger")
+        for x, spec, ctx in polished:
+            row = next(r for r in triggers if r.x_min == float(np.min(x)))
+            assert row.f == detfun.value_only(x, ctx.m, ctx.mode)
+            assert row.phi == barrier_eval(x, spec)[0]
+            assert row.f + row.mu * row.phi == row.merit
 
     def test_report_counts(self):
         g = gen_random_graph(14, 3, 6, seed=47)
