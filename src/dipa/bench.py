@@ -24,7 +24,7 @@ import numpy as np
 from . import detfun
 from .graph import Graph, build_arc_map, enumerate_hc, gen_random_graph
 from .inner import BarrierSpec, minimize_phase
-from .outer import HC_FOUND, NEUTRAL_TOL, DipaParams, dipa_solve, initial_interior
+from .outer import HC_FOUND, NEUTRAL_TOL, DipaParams, TraceRow, dipa_solve, initial_interior
 
 FLOAT_FMT = "%.17g"
 
@@ -378,21 +378,8 @@ def trace_solve(g: Graph, params: DipaParams):
     """Run one traced solve; returns (report, csv_rows) where the final row
     carries the terminating status alongside the last objective value."""
     rep = dipa_solve(g, params)
-    rows = [r.csv() for r in rep.trace]
-    rows.append(
-        ",".join(
-            (
-                str(rep.iterations),
-                FLOAT_FMT % 0.0,
-                FLOAT_FMT % rep.f_final,
-                FLOAT_FMT % 0.0,
-                FLOAT_FMT % 0.0,
-                FLOAT_FMT % 0.0,
-                rep.status,
-                FLOAT_FMT % 0.0,
-                FLOAT_FMT % 0.0,
-                str(rep.deflations),
-            )
-        )
+    last = TraceRow(
+        it=rep.iterations, mu=0.0, f=rep.f_final, phi=0.0, merit=0.0, step=0.0,
+        kind=rep.status, delta_hat=0.0, x_min=0.0, deflations=rep.deflations,
     )
-    return rep, rows
+    return rep, [r.csv() for r in rep.trace + [last]]

@@ -130,10 +130,8 @@ def support_graph(nodes, arcs) -> Graph:
 class DeflationRecord:
     """Everything needed to splice the removed node back into a cycle."""
 
-    fixed_arc: tuple
-    removed_node: int
+    fixed_arc: tuple  # (i, j): node i is removed, j takes its in-arcs
     redirected: tuple  # pairs ((k, i), (k, j))
-    zeroed_arcs: tuple
 
     @property
     def redirect_sources(self) -> frozenset:
@@ -227,17 +225,10 @@ def deflate(m: ArcVarMap, arc) -> tuple:
         raise GraphError(f"arc {arc} not present")
     kept = []
     redirected = []
-    zeroed = []
     for a, b in m.arcs:
-        if (a, b) == (i, j):
-            continue
-        if a == i:
-            zeroed.append((a, b))
-        elif (a, b) == (j, i):
-            zeroed.append((a, b))
-        elif b == j:
-            zeroed.append((a, b))
-        elif b == i:
+        if a == i or b == j or (a, b) == (j, i):
+            continue  # the fixed arc and the companions it zeroes
+        if b == i:
             # a != j here: (j,i) is zeroed above, so no self-loop (j,j) forms
             redirected.append(((a, b), (a, j)))
             kept.append((a, j))
@@ -255,13 +246,7 @@ def deflate(m: ArcVarMap, arc) -> tuple:
         if out_deg[v] == 0 or in_deg[v] == 0:
             raise StarvationError(f"node {v} isolated after deflation of {arc}")
     m2 = arc_map_from_arcs(nodes2, kept)
-    rec = DeflationRecord(
-        fixed_arc=(i, j),
-        removed_node=i,
-        redirected=tuple(redirected),
-        zeroed_arcs=tuple(zeroed),
-    )
-    return m2, rec
+    return m2, DeflationRecord(fixed_arc=(i, j), redirected=tuple(redirected))
 
 
 def delete_arc(m: ArcVarMap, arc) -> ArcVarMap:

@@ -26,21 +26,6 @@ class LPError(RuntimeError):
     """Solver failure or a solution that failed post-verification."""
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    c: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-
-
-@dataclass(frozen=True)
-class LPResult:
-    x: np.ndarray | None
-    status: str
-
-
 def _options(presolve: str = "on", tight: bool = False):
     opts = highs.HighsOptions()
     opts.presolve = presolve
@@ -142,20 +127,19 @@ def _highs_solve(c, aeq, beq, lb, ub) -> _Solution:
     return res
 
 
-def lp_solve(p: LinearProgram, verify: bool = True) -> LPResult:
-    c = np.asarray(p.c, dtype=float)
-    aeq = np.asarray(p.a_eq, dtype=float)
-    beq = np.asarray(p.b_eq, dtype=float)
-    lb = np.asarray(p.lb, dtype=float)
-    ub = np.asarray(p.ub, dtype=float)
+def lp_solve(c, a_eq, b_eq, lb, ub) -> tuple:
+    """argmin c x subject to a_eq x = b_eq, lb <= x <= ub. Returns
+    (x, "optimal") with a verified certificate, or (None, "infeasible") or
+    (None, "unbounded"); raises LPError when the solve or its verification
+    fails."""
+    c, aeq, beq, lb, ub = (np.asarray(v, dtype=float) for v in (c, a_eq, b_eq, lb, ub))
     res = _highs_solve(c, aeq, beq, lb, ub)
     if res.status != "optimal":
         if res.status in ("infeasible", "unbounded"):
-            return LPResult(x=None, status=res.status)
+            return None, res.status
         raise LPError(f"linear program solve failed: {res.message}")
-    if verify:
-        _verify_lp(c, aeq, beq, lb, ub, res)
-    return LPResult(x=res.x, status="optimal")
+    _verify_lp(c, aeq, beq, lb, ub, res)
+    return res.x, "optimal"
 
 
 def _verify_lp(c, aeq, beq, lb, ub, res: _Solution, tol: float = 1e-7) -> None:
@@ -211,18 +195,16 @@ def qp_least_distance(
     # sum(u) + sum(v): the bounded-change LP of restore_DS without its
     # residual variable gamma. xbar may lie outside the box, hence the clip.
     xc = np.clip(xbar, lb, ub)
-    start = lp_solve(
-        LinearProgram(
-            c=np.ones(2 * a),
-            a_eq=np.hstack([aeq, -aeq]),
-            b_eq=beq - aeq @ xc,
-            lb=np.zeros(2 * a),
-            ub=np.concatenate([ub - xc, xc - lb]),
-        )
+    uv, status = lp_solve(
+        np.ones(2 * a),
+        np.hstack([aeq, -aeq]),
+        beq - aeq @ xc,
+        np.zeros(2 * a),
+        np.concatenate([ub - xc, xc - lb]),
     )
-    if start.status != "optimal":
+    if status != "optimal":
         return None, "infeasible"
-    x = np.clip(xc + start.x[:a] - start.x[a:], lb, ub)
+    x = np.clip(xc + uv[:a] - uv[a:], lb, ub)
     # The LP optimum can carry solver-tolerance violations, and the LP
     # solver's default feasibility tolerance can even report "feasible" for a
     # box that admits no exact solution. Alternating least-norm equality
@@ -294,19 +276,17 @@ def qp_least_distance(
             last_release = k
             continue
 
-        # longest feasible step toward the equality-constrained optimum
-        beta = 1.0
-        block = -1
-        block_hi = False
-        for k in np.flatnonzero(free):
-            if step[k] < -atol and x[k] + step[k] < lb[k] - atol:
-                t = (lb[k] - x[k]) / step[k]
-                if t < beta:
-                    beta, block, block_hi = t, k, False
-            elif step[k] > atol and x[k] + step[k] > ub[k] + atol:
-                t = (ub[k] - x[k]) / step[k]
-                if t < beta:
-                    beta, block, block_hi = t, k, True
+        # longest feasible step toward the equality-constrained optimum: the
+        # first free index with the smallest ratio below 1 blocks it
+        hits_lo = free & (step < -atol) & (x + step < lb - atol)
+        hits_hi = free & (step > atol) & (x + step > ub + atol)
+        ratio = np.full(a, np.inf)
+        ratio[hits_lo] = (lb - x)[hits_lo] / step[hits_lo]
+        ratio[hits_hi] = (ub - x)[hits_hi] / step[hits_hi]
+        block = int(np.argmin(ratio))
+        beta, block_hi = float(ratio[block]), bool(hits_hi[block])
+        if beta >= 1.0:
+            beta, block = 1.0, -1
         moved = beta * float(np.max(np.abs(step)))
         x = x + beta * step
         if moved > atol:

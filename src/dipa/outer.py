@@ -20,6 +20,7 @@ from dipa.graph import (
     ArcVarMap,
     CycleCertificate,
     Graph,
+    GraphError,
     StarvationError,
     build_arc_map,
     delete_arc,
@@ -37,7 +38,7 @@ from dipa.inner import (
     newton_polish,
     step_once,
 )
-from dipa.lp import LinearProgram, LPError, lp_solve, qp_least_distance
+from dipa.lp import LPError, lp_solve, qp_least_distance
 from dipa.nullspace import build_A, build_Z
 
 HC_FOUND = "HC-found"
@@ -48,6 +49,9 @@ GAVE_UP = "gave-up"
 MU_MIN = 1e-8
 # gradient tolerance of the barrier-only phase that settles the neutral point
 NEUTRAL_TOL = 1e-10
+# step budget of every barrier phase; a phase that spends it ends like a
+# converged one
+MAX_PHASE_ITER = 500
 
 
 class NoInteriorPoint(RuntimeError):
@@ -67,7 +71,6 @@ class DipaParams:
     drop_one_var: bool = False
     grad_tol: float = 1e-6
     max_outer: int = 20000
-    max_phase_iter: int = 500
     time_limit: float = 60.0
     # recorded with results for provenance; every code path is deterministic,
     # so the value never changes the solve itself
@@ -153,10 +156,10 @@ def initial_interior(m: ArcVarMap, mode: str) -> np.ndarray:
     c[-1] = -1.0
     lb = np.zeros(a + 1)
     ub = np.concatenate([np.full(a, np.inf), [1.0]])
-    res = lp_solve(LinearProgram(c=c, a_eq=aeq, b_eq=np.ones(rows), lb=lb, ub=ub))
-    if res.status != "optimal" or res.x[-1] <= 1e-12:
+    wt, status = lp_solve(c, aeq, np.ones(rows), lb, ub)
+    if status != "optimal" or wt[-1] <= 1e-12:
         raise NoInteriorPoint("no strictly interior doubly stochastic point")
-    x = res.x[:a] + res.x[-1]
+    x = wt[:a] + wt[-1]
     return _polish_equalities(x, A)
 
 
@@ -179,23 +182,18 @@ def propose_mu(lam_hat: float, lam_bar: float, mu: float, shrink: float) -> floa
 
 
 def mu_trigger(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, shrink: float) -> float:
-    """Barrier weight after the phase at spec ends at x: shrink spec.mu, then
-    keep dividing by 10 while the objective's negative curvature stays
-    drowned out (reduced merit Hessian still positive definite)."""
+    """Barrier weight after the phase at spec ends at x: propose_mu on the
+    objective's least reduced curvature lam_hat and the barrier's largest
+    lam_bar. When lam_hat < 0 its cap keeps the reduced merit Hessian
+    indefinite: along lam_hat's eigenvector the curvature is at most
+    lam_hat + mu2 lam_bar <= lam_hat / 2."""
     hd = detfun.hess(x, ctx.m, mode=ctx.mode)
     hz = ctx.z.reduce_hessian(hd)
     lam_hat = float(np.linalg.eigvalsh(hz)[0]) if hz.size else 0.0
     _, _, hphi = barrier_eval(x, spec)
     pz = ctx.z.reduce_diag_quadform(hphi)
     lam_bar = float(np.linalg.eigvalsh(pz)[-1]) if pz.size else 1.0
-    mu2 = propose_mu(lam_hat, lam_bar, spec.mu, shrink)
-    if lam_hat < 0.0:
-        while mu2 >= MU_MIN:
-            w = np.linalg.eigvalsh(hz + mu2 * pz)
-            if w[0] <= 0.0:
-                break
-            mu2 /= 10.0
-    return mu2
+    return propose_mu(lam_hat, lam_bar, spec.mu, shrink)
 
 
 def forced_zero_arcs(m: ArcVarMap) -> tuple:
@@ -218,10 +216,10 @@ def forced_zero_arcs(m: ArcVarMap) -> tuple:
     beq = np.concatenate([np.ones(rows), np.zeros(a)])
     lb = np.zeros(3 * a)
     ub = np.concatenate([np.ones(a), np.full(a, eps), np.full(a, np.inf)])
-    res = lp_solve(LinearProgram(c=c, a_eq=aeq, b_eq=beq, lb=lb, ub=ub))
-    if res.status != "optimal":
+    xus, status = lp_solve(c, aeq, beq, lb, ub)
+    if status != "optimal":
         raise NoInteriorPoint("no doubly stochastic point on this support")
-    u = res.x[a : 2 * a]
+    u = xus[a : 2 * a]
     return tuple(int(k) for k in np.flatnonzero(u <= 0.5 * eps))
 
 
@@ -267,11 +265,11 @@ def restore_DS(
     for _ in range(11):
         ub_v = np.maximum(xbar - x_min, 0.0)
         ub = np.concatenate([ub_u, ub_v, [1.0]])
-        res = lp_solve(LinearProgram(c=c, a_eq=aeq, b_eq=s, lb=lb, ub=ub))
-        if res.status != "optimal":
+        uvg, status = lp_solve(c, aeq, s, lb, ub)
+        if status != "optimal":
             raise StarvationError("restoration program infeasible")
-        gamma = float(res.x[-1])
-        x = xbar + res.x[:a] - res.x[a : 2 * a]
+        gamma = float(uvg[-1])
+        x = xbar + uvg[:a] - uvg[a : 2 * a]
         last = (x, x_min)
         if gamma <= 1e-9:
             return _polish_equalities(x, A), ()
@@ -314,80 +312,54 @@ def round_to_hc(
     x: np.ndarray,
     m: ArcVarMap,
     mode: str,
-    history=(),
-    original: Graph | None = None,
+    records: list,
+    original: Graph,
 ) -> CycleCertificate | None:
     """Greedy permutation rounding. Rows are visited once, largest mass
     first; within a row the largest entry in a still-free column wins, with
     ties to the lower column. A pick that would close a short cycle is
-    deferred while any alternative column remains. Row mode rescales the
-    remaining rows after every fixed column. Returns the expanded, validated
-    cycle, or None."""
+    deferred while any alternative column remains, and ends the rounding
+    when none does. Row mode rescales the remaining rows after every fixed
+    column. Returns the cycle expanded through records and validated
+    against original, or None."""
     nodes = m.nodes
     rr = len(nodes)
     work = np.zeros((rr, rr))
     work[m.row, m.col] = x
-    exists = np.zeros((rr, rr), dtype=bool)
-    exists[m.row, m.col] = True
-    order = sorted(range(rr), key=lambda r: (-np.max(work[r][exists[r]], initial=0.0), r))
-    succ: dict = {}
-    used: set = set()
-
-    def closes_short(r: int, c: int) -> bool:
-        node = c
-        seen = 0
-        while node in succ and seen <= rr:
-            node = succ[node]
-            seen += 1
-        return node == r and len(succ) + 1 < rr
-
-    for r in order:
-        cands = [c for c in range(rr) if exists[r, c] and c not in used]
-        if not cands:
+    free = np.zeros((rr, rr), dtype=bool)
+    free[m.row, m.col] = True
+    succ = np.full(rr, -1)
+    # the picks form disjoint paths: end[c] is the last node of the path
+    # starting at c, start[r] the first node of the path ending at r
+    start = np.arange(rr)
+    end = np.arange(rr)
+    for picks, r in enumerate(np.argsort(-work.max(axis=1), kind="stable")):
+        cands = np.flatnonzero(free[r])
+        if not cands.size:
             return None
-        open_c = [c for c in cands if not closes_short(r, c)]
-        pool = open_c if open_c else cands
-        c = max(pool, key=lambda cc: (work[r, cc], -cc))
-        succ[r] = c
-        used.add(c)
-        if mode == "s":
-            for r2 in range(rr):
-                if r2 in succ:
-                    continue
-                v = work[r2, c]
-                work[r2, c] = 0.0
-                if 0.0 < v < 1.0:
-                    work[r2] /= 1.0 - v
-    # single cycle covering all rows?
-    node = 0
-    for count in range(rr):
-        node = succ[node]
-        if node == 0:
-            if count != rr - 1:
+        closing = end[cands] == r
+        if picks + 1 < rr and closing.any():
+            if closing.all():
                 return None
-            break
+            cands = cands[~closing]
+        c = int(cands[np.argmax(work[r, cands])])
+        succ[r] = c
+        free[:, c] = False
+        head, tail = start[r], end[c]
+        end[head], start[tail] = tail, head
+        if mode == "s":
+            v = work[:, c]
+            shrink = (succ < 0) & (v > 0.0) & (v < 1.0)
+            np.divide(work, (1.0 - v)[:, None], out=work, where=shrink[:, None])
     seq = [nodes[0]]
     node = succ[0]
     while node != 0:
         seq.append(nodes[node])
         node = succ[node]
-    reduced = CycleCertificate(seq=tuple(seq)).canonical()
     try:
-        if history:
-            return expand_cycle(list(history), reduced, original=original)
-        if original is not None:
-            reduced.validate(original)
-        return reduced
-    except Exception:
+        return expand_cycle(records, CycleCertificate(seq=tuple(seq)).canonical(), original)
+    except GraphError:
         return None
-
-
-def _carry_values(x, m_old: ArcVarMap, m_new: ArcVarMap, redirect_map) -> np.ndarray:
-    out = np.zeros(m_new.n_arcs)
-    for k, arc in enumerate(m_new.arcs):
-        src = redirect_map.get(arc, arc)
-        out[k] = x[m_old.index[src]]
-    return out
 
 
 def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
@@ -467,7 +439,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             mode=mode,
             grad_tol=params.grad_tol,
             alpha=params.alpha,
-            max_iter=params.max_phase_iter,
+            max_iter=MAX_PHASE_ITER,
         )
 
     work = make_work(m)
@@ -514,14 +486,13 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             try:
                 if action == "deflate":
                     m2, rec = deflate(m_now, arc)
-                    redirect_map = {new: old for old, new in rec.redirected}
-                    x2 = _carry_values(x, m_now, m2, redirect_map)
+                    back = {new: old for old, new in rec.redirected}
+                    x2 = x[[m_now.index[back.get(a, a)] for a in m2.arcs]]
                     records.append(rec)
                     deflations += 1
                 else:
                     m2 = delete_arc(m_now, arc)
-                    keep = [kk for kk, aa in enumerate(m_now.arcs) if aa != arc]
-                    x2 = x[keep]
+                    x2 = np.delete(x, m_now.index[arc])
                     deletions += 1
                 if not is_connected(support_graph(m2.nodes, m2.arcs)):
                     return x, m_now, "surgery dead end: support disconnected"
@@ -563,7 +534,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         phase_steps += 1
         # a phase that spends its budget keeps its last step and ends like a
         # converged one
-        if info.kind in ("converged", "stall") or phase_steps >= params.max_phase_iter:
+        if info.kind in ("converged", "stall") or phase_steps >= MAX_PHASE_ITER:
             f, phi, merit = info.f, info.phi, info.merit
             if info.kind == "stall" and not info.modified:
                 x = newton_polish(x, spec, work)

@@ -148,9 +148,15 @@ class TestDeflation:
         assert m2.row.tolist() == [0, 1, 2, 2]
         assert m2.col.tolist() == [1, 2, 0, 1]
         assert rec.fixed_arc == (1, 2)
-        assert rec.removed_node == 1
+        assert 1 not in m2.nodes
         assert rec.redirected == (((4, 1), (4, 2)),)
-        assert sorted(rec.zeroed_arcs) == [(1, 4), (2, 1), (3, 2)]
+        # the zeroed companions are gone from the map and no redirect
+        # brings them back
+        zeroed = {(1, 4), (2, 1), (3, 2)}
+        assert not zeroed & set(m2.arcs)
+        assert not zeroed & {new for _, new in rec.redirected}
+        redirect_sources = {old for old, _ in rec.redirected}
+        assert set(m.arcs) - set(m2.arcs) - redirect_sources - {rec.fixed_arc} == zeroed
 
     def test_expand_roundtrip(self):
         g = c4()
@@ -179,8 +185,9 @@ class TestDeflation:
         m = build_arc_map(g)
         m2, rec = deflate(m, (1, 2))
         assert ((3, 1), (3, 2)) in rec.redirected
-        assert (3, 2) in rec.zeroed_arcs
+        # the original (3,2) is zeroed: the one (3,2) left carries (3,1)
         assert sum(1 for a in m2.arcs if a == (3, 2)) == 1
+        assert {new: old for old, new in rec.redirected}[(3, 2)] == (3, 1)
 
     def test_starvation_detected(self):
         # asymmetric arc map where deflating (1,2) zeroes every arc

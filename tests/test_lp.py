@@ -14,7 +14,6 @@ from dipa.graph import (
     make_graph,
 )
 from dipa.lp import (
-    LinearProgram,
     LPError,
     _highs_solve,
     _verify_lp,
@@ -68,11 +67,16 @@ def qp_least_distance_reference(
     b_eq: np.ndarray,
     lb: np.ndarray,
     ub: np.ndarray,
+    nearest_start: bool = False,
+    hi_blocks: list | None = None,
 ) -> tuple:
-    """qp_least_distance started from an arbitrary feasible vertex (a
-    zero-cost phase-one LP) instead of the 1-norm nearest feasible point,
-    kept as the reference: the projection is unique, so both starts must
-    reach the same x and the same verdict."""
+    """qp_least_distance with its active-set loop frozen as a per-index
+    blocking-step scan, kept as the reference. By default it starts from an
+    arbitrary feasible vertex (a zero-cost phase-one LP): the projection is
+    unique, so that start must reach the same x and the same verdict as the
+    1-norm nearest feasible point. With nearest_start it starts where
+    qp_least_distance does, and must match it bit for bit. Every step
+    blocked at an upper bound appends the blocking index to hi_blocks."""
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
     aeq = np.asarray(a_eq, dtype=float).reshape(-1, a)
@@ -80,10 +84,23 @@ def qp_least_distance_reference(
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
 
-    start = lp_solve(LinearProgram(c=np.zeros(a), a_eq=aeq, b_eq=beq, lb=lb, ub=ub))
-    if start.status != "optimal":
-        return None, "infeasible"
-    x = np.clip(start.x, lb, ub)
+    if nearest_start:
+        xc = np.clip(xbar, lb, ub)
+        uv, status = lp_solve(
+            np.ones(2 * a),
+            np.hstack([aeq, -aeq]),
+            beq - aeq @ xc,
+            np.zeros(2 * a),
+            np.concatenate([ub - xc, xc - lb]),
+        )
+        if status != "optimal":
+            return None, "infeasible"
+        x = np.clip(xc + uv[:a] - uv[a:], lb, ub)
+    else:
+        x0, status = lp_solve(np.zeros(a), aeq, beq, lb, ub)
+        if status != "optimal":
+            return None, "infeasible"
+        x = np.clip(x0, lb, ub)
     # The phase-one vertex can carry solver-tolerance violations, and the LP
     # solver's default feasibility tolerance can even report "feasible" for a
     # box that admits no exact solution. Alternating least-norm equality
@@ -179,6 +196,8 @@ def qp_least_distance_reference(
             banned[block] = True
         if block >= 0:
             if block_hi:
+                if hi_blocks is not None:
+                    hi_blocks.append(block)
                 active_hi[block] = True
                 x[block] = ub[block]
             else:
@@ -190,42 +209,26 @@ def qp_least_distance_reference(
 class TestLPSolve:
     def test_known_optimum(self):
         # min x1 + 2 x2 st x1 + x2 = 1, box [0, 1]
-        p = LinearProgram(
-            c=np.array([1.0, 2.0]),
-            a_eq=np.array([[1.0, 1.0]]),
-            b_eq=np.array([1.0]),
-            lb=np.zeros(2),
-            ub=np.ones(2),
+        x, status = lp_solve(
+            np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0]), np.zeros(2), np.ones(2)
         )
-        res = lp_solve(p)
-        assert res.status == "optimal"
-        assert np.allclose(res.x, [1.0, 0.0], atol=1e-9)
+        assert status == "optimal"
+        assert np.allclose(x, [1.0, 0.0], atol=1e-9)
 
     def test_infeasible_detected(self):
-        p = LinearProgram(
-            c=np.zeros(2),
-            a_eq=np.array([[1.0, 1.0]]),
-            b_eq=np.array([5.0]),
-            lb=np.zeros(2),
-            ub=np.ones(2),
+        _, status = lp_solve(
+            np.zeros(2), np.array([[1.0, 1.0]]), np.array([5.0]), np.zeros(2), np.ones(2)
         )
-        res = lp_solve(p, verify=False)
-        assert res.status != "optimal"
+        assert status != "optimal"
 
     def test_duality_gap_verified(self):
         rng = np.random.default_rng(3)
         n = 12
         a_eq = rng.integers(0, 2, size=(4, n)).astype(float)
         x0 = rng.uniform(0.2, 0.8, size=n)
-        p = LinearProgram(
-            c=rng.uniform(-1, 1, size=n),
-            a_eq=a_eq,
-            b_eq=a_eq @ x0,
-            lb=np.zeros(n),
-            ub=np.ones(n),
-        )
-        res = lp_solve(p, verify=True)
-        assert res.status == "optimal"
+        c = rng.uniform(-1, 1, size=n)
+        _, status = lp_solve(c, a_eq, a_eq @ x0, np.zeros(n), np.ones(n))
+        assert status == "optimal"
 
 
 def recorded_lps(monkeypatch, fn, *args, **kwargs):
@@ -256,10 +259,6 @@ def assert_matches_linprog(lp):
         assert np.array_equal(res.zl, ref.lower.marginals)
         assert np.array_equal(res.zu, ref.upper.marginals)
     return res.status
-
-
-def lp_arrays(p):
-    return tuple(np.asarray(v, dtype=float) for v in (p.c, p.a_eq, p.b_eq, p.lb, p.ub))
 
 
 class TestMatchesLinprog:
@@ -298,40 +297,30 @@ class TestMatchesLinprog:
         assert {"optimal", "infeasible"} <= set(statuses)
 
     def test_infeasible_box(self):
-        p = LinearProgram(
-            c=np.zeros(2),
-            a_eq=np.array([[1.0, 1.0]]),
-            b_eq=np.array([5.0]),
-            lb=np.zeros(2),
-            ub=np.ones(2),
-        )
-        assert assert_matches_linprog(lp_arrays(p)) == "infeasible"
-        assert lp_solve(p) == dipa.lp.LPResult(x=None, status="infeasible")
+        lp = (np.zeros(2), np.array([[1.0, 1.0]]), np.array([5.0]), np.zeros(2), np.ones(2))
+        assert assert_matches_linprog(lp) == "infeasible"
+        assert lp_solve(*lp) == (None, "infeasible")
 
     def test_unbounded(self):
         # min -x2 with x1 - x2 = 0 and no upper bounds
-        p = LinearProgram(
-            c=np.array([0.0, -1.0]),
-            a_eq=np.array([[1.0, -1.0]]),
-            b_eq=np.zeros(1),
-            lb=np.zeros(2),
-            ub=np.full(2, np.inf),
-        )
-        assert assert_matches_linprog(lp_arrays(p)) == "unbounded"
-        assert lp_solve(p).status == "unbounded"
+        lp = (np.array([0.0, -1.0]), np.array([[1.0, -1.0]]), np.zeros(1), np.zeros(2), np.full(2, np.inf))
+        assert assert_matches_linprog(lp) == "unbounded"
+        assert lp_solve(*lp) == (None, "unbounded")
 
     def test_free_variable(self):
         # x3 is free and priced, so the optimum puts it at the bound of what
         # the equality leaves it: x3 = 1 - 2 = -1
-        p = LinearProgram(
-            c=np.array([0.0, 0.0, 1.0]),
-            a_eq=np.array([[1.0, 1.0, 1.0]]),
-            b_eq=np.ones(1),
-            lb=np.array([0.0, 0.0, -np.inf]),
-            ub=np.ones(3),
+        lp = (
+            np.array([0.0, 0.0, 1.0]),
+            np.array([[1.0, 1.0, 1.0]]),
+            np.ones(1),
+            np.array([0.0, 0.0, -np.inf]),
+            np.ones(3),
         )
-        assert assert_matches_linprog(lp_arrays(p)) == "optimal"
-        assert np.array_equal(lp_solve(p).x, [1.0, 1.0, -1.0])
+        assert assert_matches_linprog(lp) == "optimal"
+        x, status = lp_solve(*lp)
+        assert status == "optimal"
+        assert np.array_equal(x, [1.0, 1.0, -1.0])
 
 
 class TestVerifyLP:
@@ -457,6 +446,40 @@ class TestQPMatchesVertexStart:
                 assert x is None and x_ref is None
         # both verdicts are exercised
         assert "optimal" in statuses and "infeasible" in statuses
+
+
+class TestQPUpperBlock:
+    """Steps blocked at an upper bound, which the restoration boxes (upper
+    bound 1) never reach: random boxes with upper bounds below 1 and a noisy
+    xbar around an interior point, against the frozen loop from the same
+    start."""
+
+    @staticmethod
+    def box(seed):
+        rng = np.random.default_rng(seed)
+        a = int(rng.integers(4, 13))
+        rows = int(rng.integers(1, 4))
+        mat = (rng.random((rows, a)) < 0.6).astype(float)
+        mat[:, rng.integers(0, a, rows)] = 1.0
+        ub = rng.uniform(0.1, 1.0, a)
+        x0 = rng.uniform(0.3, 0.95, a) * ub
+        xbar = x0 + rng.normal(0.0, 0.5, a)
+        return xbar, mat, mat @ x0, np.zeros(a), ub
+
+    def test_same_status_and_point(self):
+        blocked = 0
+        for seed in range(60):
+            box = self.box(seed)
+            hi_blocks = []
+            x_ref, status_ref = qp_least_distance_reference(
+                *box, nearest_start=True, hi_blocks=hi_blocks
+            )
+            x, status = qp_least_distance(*box)
+            assert status == status_ref, seed
+            assert (x is None and x_ref is None) or np.array_equal(x, x_ref), seed
+            blocked += bool(hi_blocks)
+        # the upper-bound block fires on a share of the boxes
+        assert blocked >= 10
 
 
 class TestRestoreS:

@@ -5,20 +5,23 @@ import pytest
 
 import dipa.outer
 from dipa import detfun
-from dipa.bench import SUPPRESS_DEFLATION, SUPPRESS_DELETION
+from dipa.bench import SUPPRESS_DEFLATION, SUPPRESS_DELETION, neutral_point
 from dipa.detfun import check_feasible
 from dipa.graph import (
+    CycleCertificate,
     StarvationError,
     build_arc_map,
     deflate,
     enumerate_hc,
+    expand_cycle,
     gen_random_graph,
     make_graph,
     petersen,
     support_graph,
 )
-from dipa.inner import barrier_eval
+from dipa.inner import BarrierSpec, PhaseContext, barrier_eval
 from dipa.lp import LPError
+from dipa.nullspace import build_Z
 from dipa.outer import (
     GAVE_UP,
     HC_FOUND,
@@ -27,6 +30,7 @@ from dipa.outer import (
     dipa_solve,
     forced_zero_arcs,
     initial_interior,
+    mu_trigger,
     propose_mu,
     round_to_hc,
 )
@@ -34,6 +38,68 @@ from dipa.outer import (
 
 def k3():
     return make_graph(3, [(1, 2), (1, 3), (2, 3)])
+
+
+def round_to_hc_reference(x, m, mode, history=(), original=None):
+    """round_to_hc as a per-row, per-column scan with a successor walk for
+    the short-cycle guard, kept as the reference for its picks."""
+    nodes = m.nodes
+    rr = len(nodes)
+    work = np.zeros((rr, rr))
+    work[m.row, m.col] = x
+    exists = np.zeros((rr, rr), dtype=bool)
+    exists[m.row, m.col] = True
+    order = sorted(range(rr), key=lambda r: (-np.max(work[r][exists[r]], initial=0.0), r))
+    succ: dict = {}
+    used: set = set()
+
+    def closes_short(r: int, c: int) -> bool:
+        node = c
+        seen = 0
+        while node in succ and seen <= rr:
+            node = succ[node]
+            seen += 1
+        return node == r and len(succ) + 1 < rr
+
+    for r in order:
+        cands = [c for c in range(rr) if exists[r, c] and c not in used]
+        if not cands:
+            return None
+        open_c = [c for c in cands if not closes_short(r, c)]
+        pool = open_c if open_c else cands
+        c = max(pool, key=lambda cc: (work[r, cc], -cc))
+        succ[r] = c
+        used.add(c)
+        if mode == "s":
+            for r2 in range(rr):
+                if r2 in succ:
+                    continue
+                v = work[r2, c]
+                work[r2, c] = 0.0
+                if 0.0 < v < 1.0:
+                    work[r2] /= 1.0 - v
+    # single cycle covering all rows?
+    node = 0
+    for count in range(rr):
+        node = succ[node]
+        if node == 0:
+            if count != rr - 1:
+                return None
+            break
+    seq = [nodes[0]]
+    node = succ[0]
+    while node != 0:
+        seq.append(nodes[node])
+        node = succ[node]
+    reduced = CycleCertificate(seq=tuple(seq)).canonical()
+    try:
+        if history:
+            return expand_cycle(list(history), reduced, original=original)
+        if original is not None:
+            reduced.validate(original)
+        return reduced
+    except Exception:
+        return None
 
 
 class TestInitialInterior:
@@ -65,6 +131,53 @@ class TestProposeMu:
     def test_shrink_smaller_than_cap(self):
         assert propose_mu(-8.0, 1.0, 0.01, 0.1) == pytest.approx(0.001)
 
+    def test_cap_keeps_merit_curvature_negative(self):
+        # along the eigenvector of lam_hat the merit curvature is at most
+        # lam_hat + mu2 lam_bar <= lam_hat / 2, so the smallest eigenvalue is
+        # too; the allowance covers rounding in the eigenvalue solver only
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            d = int(rng.integers(1, 12))
+            b = rng.normal(size=(d, d))
+            hz = (b + b.T) * rng.uniform(0.01, 10.0)
+            lam_hat = float(np.linalg.eigvalsh(hz)[0])
+            if lam_hat >= 0.0:
+                hz -= (lam_hat + rng.uniform(1e-3, 1.0)) * np.eye(d)
+                lam_hat = float(np.linalg.eigvalsh(hz)[0])
+            c = rng.normal(size=(d, d))
+            pz = c @ c.T * 10.0 ** rng.uniform(-2.0, 4.0) + 1e-6 * np.eye(d)
+            lam_bar = float(np.linalg.eigvalsh(pz)[-1])
+            for mu in (1.0, 0.01, 1e-5):
+                for shrink in (0.1, 0.5, 0.9):
+                    mu2 = propose_mu(lam_hat, lam_bar, mu, shrink)
+                    lam = float(np.linalg.eigvalsh(hz + mu2 * pz)[0])
+                    assert lam <= 0.5 * lam_hat + 1e-12 * abs(lam_hat)
+
+
+class TestMuTrigger:
+    def test_two_eigensolves(self, monkeypatch):
+        # the neutral point of a planted graph has negative reduced
+        # curvature; the trigger needs its least and the barrier's largest
+        # eigenvalue, and nothing more
+        g = gen_random_graph(10, 3, 6, seed=0, plant=True)
+        m = build_arc_map(g)
+        x = neutral_point(g)
+        ctx = PhaseContext(z=build_Z(m, mode="ds"), m=m, mode="ds", grad_tol=1e-6)
+        spec = BarrierSpec(mu=0.01)
+        hz = ctx.z.reduce_hessian(detfun.hess(x, m, mode="ds"))
+        assert np.linalg.eigvalsh(hz)[0] < 0.0
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        mu2 = mu_trigger(x, spec, ctx, 0.1)
+        assert len(calls) == 2
+        assert 0.0 < mu2 <= 0.001
+
 
 class TestForcedZeroArcs:
     def test_total_support_unchanged(self):
@@ -83,7 +196,7 @@ class TestRounding:
     def test_uniform_k3(self):
         g = k3()
         m = build_arc_map(g)
-        c = round_to_hc(np.full(6, 0.5), m, "ds", original=g)
+        c = round_to_hc(np.full(6, 0.5), m, "ds", [], g)
         assert c is not None
         assert c.canonical().seq == (1, 2, 3)
 
@@ -94,7 +207,7 @@ class TestRounding:
         x = np.full(m.n_arcs, 1e-6)
         for a in [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]:
             x[m.index[a]] = 1.0
-        assert round_to_hc(x, m, "ds", original=g) is None
+        assert round_to_hc(x, m, "ds", [], g) is None
 
     def test_short_cycle_pick_deferred(self):
         # heaviest row would close a 2-cycle; the guard must route around it
@@ -104,7 +217,7 @@ class TestRounding:
         x[m.index[(1, 2)]] = 0.9
         x[m.index[(2, 1)]] = 0.85
         x[m.index[(2, 3)]] = 0.5
-        c = round_to_hc(x, m, "ds", original=g)
+        c = round_to_hc(x, m, "ds", [], g)
         assert c is not None
         c.validate(g)
 
@@ -116,7 +229,7 @@ class TestRounding:
         small = enumerate_hc(support_graph(m2.nodes, m2.arcs))[0]
         for a in small.arcs():
             x[m2.index[a]] = 1.0
-        c = round_to_hc(x, m2, "ds", history=[rec], original=g)
+        c = round_to_hc(x, m2, "ds", [rec], g)
         assert c is not None
         c.validate(g)
         assert g.n == len(c.seq)
@@ -127,7 +240,59 @@ class TestRounding:
         g = k3()
         m = build_arc_map(g)
         other = make_graph(3, [(1, 2), (2, 3)])  # path, no cycle possible
-        assert round_to_hc(np.full(6, 0.5), m, "ds", original=other) is None
+        assert round_to_hc(np.full(6, 0.5), m, "ds", [], other) is None
+
+
+class TestRoundingMatchesReference:
+    """round_to_hc against the frozen scan: the same cycle or None."""
+
+    @staticmethod
+    def same(x, m, mode, records, g):
+        got = round_to_hc(x, m, mode, records, g)
+        ref = round_to_hc_reference(x, m, mode, records, g)
+        assert (got is None and ref is None) or got.seq == ref.seq
+        return got is not None
+
+    @pytest.mark.parametrize("mode, n, seed", [("ds", 30, 201), ("s", 18, 1)])
+    def test_solver_points(self, monkeypatch, mode, n, seed):
+        # every point the solver rounds, with the records it had then; both
+        # solves deflate before the last rounding finds the cycle
+        calls = []
+        real = dipa.outer.round_to_hc
+
+        def record(x, m, mode, records, original):
+            calls.append((x.copy(), m, mode, list(records), original))
+            return real(x, m, mode, records, original)
+
+        monkeypatch.setattr(dipa.outer, "round_to_hc", record)
+        dipa_solve(gen_random_graph(n, 3, 6, seed=seed, plant=True), DipaParams(mode=mode))
+        assert calls[-1][3]
+        hits = [self.same(*call) for call in calls]
+        assert hits[-1] and not any(hits[:-1])
+
+    @pytest.mark.parametrize("mode", ["ds", "s"])
+    def test_random_and_tied_points(self, mode):
+        rng = np.random.default_rng(11)
+        hits = 0
+        for seed in range(30):
+            g = gen_random_graph(int(rng.integers(5, 13)), 2, 4, seed=seed, plant=True)
+            m = build_arc_map(g)
+            maps = [(m, [])]
+            try:
+                m2, rec = deflate(m, m.arcs[seed % m.n_arcs])
+                maps.append((m2, [rec]))
+            except StarvationError:
+                pass
+            for mm, records in maps:
+                a = mm.n_arcs
+                for x in (
+                    rng.random(a),
+                    rng.integers(0, 3, a) / 2.0,
+                    np.full(a, 0.5),
+                ):
+                    hits += self.same(x, mm, mode, records, g)
+        # some points round to a cycle
+        assert hits > 0
 
 
 class TestSolveSmall:
@@ -341,12 +506,13 @@ def phase_lengths(trace) -> list:
 
 
 class TestPhaseBudget:
-    """max_phase_iter bounds every barrier phase of the main loop: a phase
+    """MAX_PHASE_ITER bounds every barrier phase of the main loop: a phase
     that spends it ends with a trigger row, like a converged one."""
 
-    def test_budget_ends_phases(self):
+    def test_budget_ends_phases(self, monkeypatch):
+        monkeypatch.setattr(dipa.outer, "MAX_PHASE_ITER", 3)
         g = gen_random_graph(14, 3, 6, seed=46, plant=True)
-        rep = dipa_solve(g, DipaParams(mode="ds", max_phase_iter=3))
+        rep = dipa_solve(g, DipaParams(mode="ds"))
         assert len(rep.trace) == rep.iterations
         lengths = phase_lengths(rep.trace)
         assert max(lengths) <= 3
@@ -370,5 +536,5 @@ class TestPhaseBudget:
         assert rep.message == "barrier weight exhausted"
         assert len(rep.trace) == rep.iterations
         lengths = phase_lengths(rep.trace)
-        assert max(lengths) == params.max_phase_iter
-        assert rep.iterations < 2 * params.max_phase_iter
+        assert max(lengths) == dipa.outer.MAX_PHASE_ITER
+        assert rep.iterations < 2 * dipa.outer.MAX_PHASE_ITER
