@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detfun
+from . import detfun, outer
 from .graph import Graph, build_arc_map, enumerate_hc, gen_random_graph
-from .inner import BarrierSpec, minimize_phase
+from .inner import BarrierSpec, PhaseContext, minimize_phase
+from .nullspace import build_Z
 from .outer import HC_FOUND, NEUTRAL_TOL, DipaParams, TraceRow, dipa_solve, initial_interior
 
 FLOAT_FMT = "%.17g"
@@ -333,10 +334,10 @@ def neutral_point(g: Graph, mode: str = "ds") -> np.ndarray:
     """The barrier-only minimizer used as the common start of every profile."""
     m = build_arc_map(g)
     x = initial_interior(m, mode)
-    from .nullspace import build_Z
-    from .inner import PhaseContext
-
-    ctx = PhaseContext(z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=NEUTRAL_TOL)
+    ctx = PhaseContext(
+        z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=NEUTRAL_TOL,
+        max_iter=outer.MAX_PHASE_ITER,
+    )
     return minimize_phase(x, BarrierSpec(mu=math.inf), ctx)
 
 

@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--restore", choices=("lp", "qp"), default=defaults.restore, help="feasibility restoration method")
     ps.add_argument("--upper-log", action="store_true", help="add the barrier on x <= 1")
     ps.add_argument("--drop-var", action="store_true", help="remove the lowest-index arc variable before solving")
-    ps.add_argument("--seed", type=int, default=defaults.seed, help="recorded in the report; the solve itself is deterministic")
     ps.add_argument("--time-limit", type=float, default=defaults.time_limit, help="wall-clock budget in seconds")
     ps.add_argument("--trace", help="write the per-iteration trace CSV here")
 
@@ -93,7 +92,6 @@ def _cmd_solve(args) -> int:
         upper_log=args.upper_log,
         drop_one_var=args.drop_var,
         time_limit=args.time_limit,
-        seed=args.seed,
     )
     params.validate()
     rep, rows = trace_solve(g, params)

@@ -155,20 +155,27 @@ def _core(x, m: ArcVarMap, mode: str) -> tuple:
     return float(np.linalg.det(M)), np.linalg.inv(M), inside
 
 
-def _hessian(det: float, inv: np.ndarray, m: ArcVarMap, inside: np.ndarray) -> np.ndarray:
-    a = m.n_arcs
-    H = np.zeros((a, a))
-    ri, ci = m.row[inside], m.col[inside]
-    v = inv[ci, ri]
-    T = inv[np.ix_(ci, ri)]
-    idx = np.flatnonzero(inside)
-    H[np.ix_(idx, idx)] = -det * (np.outer(v, v) - T * T.T)
+def _hessian(det: float, inv: np.ndarray, m: ArcVarMap) -> np.ndarray:
+    """H[k, l] = -det (inv[c_k, r_k] inv[c_l, r_l] - inv[c_k, r_l] inv[c_l, r_k]).
+    In ds mode the inverse of the minor is padded with a zero last row and
+    column, so the arcs outside the minor get zero rows and columns. Some of
+    those zeros are -0.0; the reduced-Hessian products sum them into +0.0."""
+    nn = len(m.nodes)
+    if inv.shape[0] < nn:
+        padded = np.zeros((nn, nn))
+        padded[:-1, :-1] = inv
+        inv = padded
+    v = inv[m.col, m.row]
+    T = inv[np.ix_(m.col, m.row)]
+    H = np.outer(v, v)
+    H -= T * T.T
+    H *= -det
     return H
 
 
 def hess(x, m: ArcVarMap, mode: str = "ds") -> np.ndarray:
-    det, inv, inside = _core(x, m, mode)
-    return _hessian(det, inv, m, inside)
+    det, inv, _ = _core(x, m, mode)
+    return _hessian(det, inv, m)
 
 
 def value_grad_hess(x, m: ArcVarMap, mode: str) -> tuple:
@@ -176,7 +183,7 @@ def value_grad_hess(x, m: ArcVarMap, mode: str) -> tuple:
     det, inv, inside = _core(x, m, mode)
     g = np.zeros(m.n_arcs)
     g[inside] = det * inv[m.col[inside], m.row[inside]]
-    return -det, g, _hessian(det, inv, m, inside)
+    return -det, g, _hessian(det, inv, m)
 
 
 def value_only(x, m: ArcVarMap, mode: str) -> float:

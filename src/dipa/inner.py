@@ -267,8 +267,8 @@ class PhaseContext:
     m: ArcVarMap
     mode: str
     grad_tol: float         # relative factor, scaled by 1 + |merit anchor|
+    max_iter: int           # step budget of minimize_phase
     alpha: float = 0.9
-    max_iter: int = 500
 
 
 @dataclass
@@ -326,8 +326,9 @@ def reduced_model(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> tuple:
     if math.isinf(spec.mu):
         return None, phi, z.rmatvec(gphi), z.reduce_diag_quadform(hphi)
     f, gf, hf = detfun.value_grad_hess(x, ctx.m, ctx.mode)
-    h_red = z.reduce_hessian(hf + spec.mu * np.diag(hphi))
-    return f, phi, z.rmatvec(gf + spec.mu * gphi), h_red
+    # hf is fresh: the barrier Hessian goes onto its diagonal in place
+    hf.flat[:: hf.shape[0] + 1] += spec.mu * hphi
+    return f, phi, z.rmatvec(gf + spec.mu * gphi), z.reduce_hessian(hf)
 
 
 def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerState) -> StepInfo:

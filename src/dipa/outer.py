@@ -311,7 +311,6 @@ def restore_DS_qp(
 def round_to_hc(
     x: np.ndarray,
     m: ArcVarMap,
-    mode: str,
     records: list,
     original: Graph,
 ) -> CycleCertificate | None:
@@ -319,8 +318,7 @@ def round_to_hc(
     first; within a row the largest entry in a still-free column wins, with
     ties to the lower column. A pick that would close a short cycle is
     deferred while any alternative column remains, and ends the rounding
-    when none does. Row mode rescales the remaining rows after every fixed
-    column. Returns the cycle expanded through records and validated
+    when none does. Returns the cycle expanded through records and validated
     against original, or None."""
     nodes = m.nodes
     rr = len(nodes)
@@ -347,10 +345,6 @@ def round_to_hc(
         free[:, c] = False
         head, tail = start[r], end[c]
         end[head], start[tail] = tail, head
-        if mode == "s":
-            v = work[:, c]
-            shrink = (succ < 0) & (v > 0.0) & (v < 1.0)
-            np.divide(work, (1.0 - v)[:, None], out=work, where=shrink[:, None])
     seq = [nodes[0]]
     node = succ[0]
     while node != 0:
@@ -569,7 +563,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             )
         )
 
-        cert = round_to_hc(x, work.m, mode, records, original)
+        cert = round_to_hc(x, work.m, records, original)
         if cert is not None:
             return report(HC_FOUND, cycle=cert, x=x, m=work.m)
 
@@ -579,7 +573,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         if m_now is not work.m:
             work = make_work(m_now)
             if work.z.dim <= 0:
-                cert = round_to_hc(x, work.m, mode, records, original)
+                cert = round_to_hc(x, work.m, records, original)
                 if cert is not None:
                     return report(HC_FOUND, cycle=cert, x=x, m=work.m)
                 return report(

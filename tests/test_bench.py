@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import dipa.bench
+import dipa.inner
+import dipa.outer
 from dipa.bench import (
     ERROR,
     GRIDS,
@@ -168,6 +170,25 @@ class TestPaths:
     def test_neutral_point_k3(self):
         x = neutral_point(k3(), mode="ds")
         assert np.allclose(x, 0.5, atol=1e-9)
+
+    def test_neutral_point_spends_the_solver_phase_budget(self, monkeypatch):
+        # the neutral phase of the profiles and the solver share one step
+        # budget, dipa.outer.MAX_PHASE_ITER
+        calls = []
+        real = dipa.inner.step_once
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(dipa.inner, "step_once", counted)
+        g = gen_random_graph(12, 3, 6, seed=1, plant=True)
+        neutral_point(g)
+        assert len(calls) > 3
+        calls.clear()
+        monkeypatch.setattr(dipa.outer, "MAX_PHASE_ITER", 3)
+        neutral_point(g)
+        assert len(calls) == 3
 
     def test_k3_profile(self):
         rows = trace_paths(k3(), samples=5)

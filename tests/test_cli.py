@@ -61,6 +61,13 @@ class TestSolve:
     def test_bad_flag_exit_three(self, capsys):
         assert run("solve", "--graph", "x", "--mode", "zz") == 3
 
+    def test_seed_rejected(self, tmp_path, capsys):
+        # the solve is deterministic and nothing reads a seed
+        gfile = tmp_path / "g.txt"
+        run("gen", "--n", "8", "--seed", "2", "--plant", "--out", str(gfile))
+        assert run("solve", "--graph", str(gfile), "--mode", "ds", "--seed", "1") == 3
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_s_mode_flag(self, tmp_path, capsys):
         gfile = tmp_path / "g.txt"
         run("gen", "--n", "8", "--seed", "2", "--plant", "--out", str(gfile))

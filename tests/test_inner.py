@@ -25,11 +25,13 @@ from dipa.inner import (
     step_once,
 )
 from dipa.nullspace import build_Z
-from dipa.outer import initial_interior
+from dipa.outer import MAX_PHASE_ITER, DipaParams, dipa_solve, initial_interior
 
 
 def phase_context(g, m, mode, grad_tol=1e-9):
-    return PhaseContext(z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=grad_tol)
+    return PhaseContext(
+        z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=grad_tol, max_iter=MAX_PHASE_ITER
+    )
 
 
 class TestBarrier:
@@ -296,6 +298,48 @@ class TestImproveNegcurvReference:
         d_ref, q_ref = improve_negcurv_reference(h_red, d0, metric=z.gram(), sweeps=3)
         assert np.array_equal(d, d_ref)
         assert np.array_equal(q, q_ref)
+
+
+def hessian_reference(x, m, mode):
+    """detfun's Hessian as a scatter of the minor's entries into a zero
+    matrix, frozen as the oracle for the bytes of the reduced Hessians."""
+    det, inv, inside = dipa.detfun._core(x, m, mode)
+    a = m.n_arcs
+    H = np.zeros((a, a))
+    ri, ci = m.row[inside], m.col[inside]
+    v = inv[ci, ri]
+    T = inv[np.ix_(ci, ri)]
+    idx = np.flatnonzero(inside)
+    H[np.ix_(idx, idx)] = -det * (np.outer(v, v) - T * T.T)
+    return H
+
+
+class TestReducedHessianBytes:
+    """The reduced Hessians of every point a planted solve visits equal, byte
+    for byte, those of the frozen scatter with the barrier Hessian added as a
+    dense diagonal matrix."""
+
+    @pytest.mark.parametrize("mode, n, seed", [("ds", 20, 101), ("s", 18, 1)])
+    def test_solver_points(self, monkeypatch, mode, n, seed):
+        points = []
+        real = dipa.inner.reduced_model
+
+        def record(x, spec, ctx):
+            out = real(x, spec, ctx)
+            if not math.isinf(spec.mu):
+                points.append((x.copy(), spec, ctx, out[3]))
+            return out
+
+        monkeypatch.setattr(dipa.inner, "reduced_model", record)
+        dipa_solve(gen_random_graph(n, 3, 6, seed=seed, plant=True), DipaParams(mode=mode))
+        assert len({id(ctx.m) for _, _, ctx, _ in points}) > 1
+        for x, spec, ctx, h_red in points:
+            z, m = ctx.z, ctx.m
+            h_ref = hessian_reference(x, m, mode)
+            hphi = barrier_eval(x, spec)[2]
+            assert h_red.tobytes() == z.reduce_hessian(h_ref + spec.mu * np.diag(hphi)).tobytes()
+            got = z.reduce_hessian(dipa.detfun.hess(x, m, mode))
+            assert got.tobytes() == z.reduce_hessian(h_ref).tobytes()
 
 
 class TestLinesearch:

@@ -25,6 +25,7 @@ from dipa.nullspace import build_Z
 from dipa.outer import (
     GAVE_UP,
     HC_FOUND,
+    MAX_PHASE_ITER,
     NO_HC_DISCONNECTED,
     DipaParams,
     dipa_solve,
@@ -42,7 +43,10 @@ def k3():
 
 def round_to_hc_reference(x, m, mode, history=(), original=None):
     """round_to_hc as a per-row, per-column scan with a successor walk for
-    the short-cycle guard, kept as the reference for its picks."""
+    the short-cycle guard, kept as the reference for its picks. In s mode
+    it still rescales the pending rows after each pick; round_to_hc does
+    not, since scaling a row by one positive factor cannot move its
+    argmax."""
     nodes = m.nodes
     rr = len(nodes)
     work = np.zeros((rr, rr))
@@ -162,7 +166,9 @@ class TestMuTrigger:
         g = gen_random_graph(10, 3, 6, seed=0, plant=True)
         m = build_arc_map(g)
         x = neutral_point(g)
-        ctx = PhaseContext(z=build_Z(m, mode="ds"), m=m, mode="ds", grad_tol=1e-6)
+        ctx = PhaseContext(
+            z=build_Z(m, mode="ds"), m=m, mode="ds", grad_tol=1e-6, max_iter=MAX_PHASE_ITER
+        )
         spec = BarrierSpec(mu=0.01)
         hz = ctx.z.reduce_hessian(detfun.hess(x, m, mode="ds"))
         assert np.linalg.eigvalsh(hz)[0] < 0.0
@@ -196,7 +202,7 @@ class TestRounding:
     def test_uniform_k3(self):
         g = k3()
         m = build_arc_map(g)
-        c = round_to_hc(np.full(6, 0.5), m, "ds", [], g)
+        c = round_to_hc(np.full(6, 0.5), m, [], g)
         assert c is not None
         assert c.canonical().seq == (1, 2, 3)
 
@@ -207,7 +213,7 @@ class TestRounding:
         x = np.full(m.n_arcs, 1e-6)
         for a in [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]:
             x[m.index[a]] = 1.0
-        assert round_to_hc(x, m, "ds", [], g) is None
+        assert round_to_hc(x, m, [], g) is None
 
     def test_short_cycle_pick_deferred(self):
         # heaviest row would close a 2-cycle; the guard must route around it
@@ -217,7 +223,7 @@ class TestRounding:
         x[m.index[(1, 2)]] = 0.9
         x[m.index[(2, 1)]] = 0.85
         x[m.index[(2, 3)]] = 0.5
-        c = round_to_hc(x, m, "ds", [], g)
+        c = round_to_hc(x, m, [], g)
         assert c is not None
         c.validate(g)
 
@@ -229,7 +235,7 @@ class TestRounding:
         small = enumerate_hc(support_graph(m2.nodes, m2.arcs))[0]
         for a in small.arcs():
             x[m2.index[a]] = 1.0
-        c = round_to_hc(x, m2, "ds", [rec], g)
+        c = round_to_hc(x, m2, [rec], g)
         assert c is not None
         c.validate(g)
         assert g.n == len(c.seq)
@@ -240,7 +246,7 @@ class TestRounding:
         g = k3()
         m = build_arc_map(g)
         other = make_graph(3, [(1, 2), (2, 3)])  # path, no cycle possible
-        assert round_to_hc(np.full(6, 0.5), m, "ds", [], other) is None
+        assert round_to_hc(np.full(6, 0.5), m, [], other) is None
 
 
 class TestRoundingMatchesReference:
@@ -248,7 +254,7 @@ class TestRoundingMatchesReference:
 
     @staticmethod
     def same(x, m, mode, records, g):
-        got = round_to_hc(x, m, mode, records, g)
+        got = round_to_hc(x, m, records, g)
         ref = round_to_hc_reference(x, m, mode, records, g)
         assert (got is None and ref is None) or got.seq == ref.seq
         return got is not None
@@ -260,9 +266,9 @@ class TestRoundingMatchesReference:
         calls = []
         real = dipa.outer.round_to_hc
 
-        def record(x, m, mode, records, original):
+        def record(x, m, records, original):
             calls.append((x.copy(), m, mode, list(records), original))
-            return real(x, m, mode, records, original)
+            return real(x, m, records, original)
 
         monkeypatch.setattr(dipa.outer, "round_to_hc", record)
         dipa_solve(gen_random_graph(n, 3, 6, seed=seed, plant=True), DipaParams(mode=mode))
