@@ -53,9 +53,6 @@ class LUResult:
     transposed: bool
     skipped: tuple
 
-    def det(self) -> float:
-        return float(np.prod(np.diag(self.u)))
-
 
 def _has_sign_pattern(A: np.ndarray, tol: float) -> bool:
     d = np.diag(A)

@@ -70,11 +70,15 @@ def modified_cholesky(mred: np.ndarray, delta: float = 0.0) -> CholResult:
     d_j = R[j,j]**2 falls below the growth bound theta_j**2 / beta2 or below
     small, the loop would add E = 0 and produce the same factor, so R is
     returned as it is; otherwise the loop runs."""
-    C = np.asarray(mred, dtype=float) - delta * np.eye(mred.shape[0])
+    # C = mred - delta I: off the diagonal each entry loses delta * 0.0,
+    # which turns -0.0 into +0.0 when delta < 0, so that is subtracted too
+    C = np.subtract(mred, delta * 0.0, order="C", dtype=float)
     n = C.shape[0]
-    gamma = float(np.max(np.abs(np.diag(C)), initial=0.0))
-    offd = C - np.diag(np.diag(C))
-    xi = float(np.max(np.abs(offd), initial=0.0))
+    C.flat[:: n + 1] -= delta
+    a = np.abs(C)
+    gamma = float(np.max(a.diagonal(), initial=0.0))
+    a.flat[:: n + 1] = 0.0
+    xi = float(np.max(a, initial=0.0))
     nu = max(1.0, math.sqrt(max(n * n - 1.0, 0.0)))
     beta2 = max(gamma, xi / nu, 1e-30)
     small = 2.2e-16 * max(gamma + xi, 1.0)
@@ -95,23 +99,43 @@ def modified_cholesky(mred: np.ndarray, delta: float = 0.0) -> CholResult:
 def _gmw_loop(C: np.ndarray, beta2: float, small: float) -> CholResult:
     """Column-by-column Gill-Murray-Wright factorization of C: each pivot is
     raised to at least theta_j**2 / beta2 and small, and E records by how
-    much."""
+    much.
+
+    Left-looking: row k of U holds column k of C after the updates of steps
+    0..k-1, so column j is C's column j minus (u_k * u_k[j]) / d_k for
+    k = 0, 1, ..., j-1 in that order, the products, quotients and
+    differences of the right-looking outer-product update on its entries.
+    U starts as C.T because C need not be bitwise symmetric."""
     n = C.shape[0]
-    L = np.eye(n)
+    U = np.array(C.T, order="C")
     d = np.zeros(n)
-    E = np.zeros(n)
-    work = C.copy()
+    dcol = d[:, None]
+    buf = np.empty(n * n)
     for j in range(n):
-        cjj = work[j, j]
-        col = work[j + 1 :, j]
-        theta = float(np.max(np.abs(col), initial=0.0))
+        row = U[j, j:]
+        if j:
+            # stack[0] is the column, stack[1 + k] what step k takes off it
+            stack = buf[: (j + 1) * (n - j)].reshape(j + 1, n - j)
+            stack[0] = row
+            terms = stack[1:]
+            np.multiply(U[:j, j:], U[:j, j : j + 1], out=terms)
+            np.divide(terms, dcol[:j], out=terms)
+            np.subtract.reduce(stack, axis=0, out=row)
+        cjj = row.item(0)
+        col = row[1:]
+        theta = max(col.max(), -col.min()) if j < n - 1 else 0.0
         dj = max(abs(cjj), theta * theta / beta2, small)
         d[j] = dj
-        E[j] = dj - cjj
-        if j < n - 1:
-            L[j + 1 :, j] = col / dj
-            work[j + 1 :, j + 1 :] -= np.outer(col, col) / dj
-    r = (L * np.sqrt(d)).T
+    # U's diagonal keeps each c_jj as the loop met it
+    E = d - U.diagonal()
+    # R = (L sqrt(d)).T with L's column j = U[j, j+1:] / d_j below a unit
+    # diagonal, in Fortran order like LAPACK's R: solve_triangular takes
+    # another LAPACK path, with other bits, for a C-ordered R
+    lt = np.triu(U, 1)
+    lt /= dcol
+    lt.flat[:: n + 1] = 1.0
+    r = np.empty((n, n), order="F")
+    np.multiply(lt, np.sqrt(d)[:, None], out=r)
     e_max = float(np.max(E, initial=0.0))
     tol = 4.0 * small
     modified = bool(e_max > tol)
@@ -158,12 +182,14 @@ def improve_negcurv(
     s[0] = H @ d
     s[1] = G @ d if metric is not None else d
     hd, gd = s
-    cols = np.stack([H.T, G.T], axis=1)
+    cols = list(np.stack([H.T, G.T], axis=1))
     buf = np.empty((2, n))
     h_diag = np.diagonal(H).tolist()
     g_diag = np.diagonal(G).tolist()
-    num = float(d @ hd)
-    den = float(d @ gd)
+    # d only changes in place, so its bound dot (the ddot of d @ v) stays valid
+    dot, add, multiply, sqrt = d.dot, np.add, np.multiply, math.sqrt
+    num = float(dot(hd))
+    den = float(dot(gd))
     for _ in range(max(sweeps, 0)):
         for i in range(n):
             b = hd.item(i)
@@ -174,36 +200,43 @@ def improve_negcurv(
             A2 = c * q - b * r
             A1 = c * den - num * r
             A0 = b * den - num * q
-            ts: list = []
             if abs(A2) > 1e-300:
                 disc = A1 * A1 - 4.0 * A2 * A0
-                if disc >= 0.0:
-                    sq = math.sqrt(disc)
-                    ts = [(-A1 + sq) / (2 * A2), (-A1 - sq) / (2 * A2)]
+                if not disc >= 0.0:
+                    continue
+                sq = sqrt(disc)
+                t1 = (-A1 + sq) / (2 * A2)
+                t2 = (-A1 - sq) / (2 * A2)
             elif abs(A1) > 1e-300:
-                ts = [-A0 / A1]
+                # a second look at the same step cannot beat the first
+                t1 = t2 = -A0 / A1
+            else:
+                continue
             best_t = 0.0
             best_q = num / den
-            for t in ts:
-                dn = den + 2.0 * q * t + r * t * t
-                if dn <= 1e-14 * den:
-                    continue
-                qq = (num + 2.0 * b * t + c * t * t) / dn
+            dn = den + 2.0 * q * t1 + r * t1 * t1
+            if not dn <= 1e-14 * den:
+                qq = (num + 2.0 * b * t1 + c * t1 * t1) / dn
                 if qq < best_q:
-                    best_q, best_t = qq, t
+                    best_q, best_t = qq, t1
+            dn = den + 2.0 * q * t2 + r * t2 * t2
+            if not dn <= 1e-14 * den:
+                qq = (num + 2.0 * b * t2 + c * t2 * t2) / dn
+                if qq < best_q:
+                    best_q, best_t = qq, t2
             if best_t != 0.0:
                 t = best_t
                 d[i] += t
-                np.multiply(cols[i], t, out=buf)
-                s += buf
-                num = float(d @ hd)
-                den = float(d @ gd)
+                multiply(cols[i], t, out=buf)
+                add(s, buf, out=s)
+                num = float(dot(hd))
+                den = float(dot(gd))
         nrm = float(np.linalg.norm(d))
         if nrm > 0:
             d /= nrm
             s /= nrm
-            num = float(d @ hd)
-            den = float(d @ gd)
+            num = float(dot(hd))
+            den = float(dot(gd))
     return d, num / den
 
 

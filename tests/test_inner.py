@@ -156,6 +156,178 @@ class TestCholeskyFastPath:
         assert np.array_equal(res.r, ref.r)
 
 
+def gmw_preamble_reference(mred, delta):
+    """modified_cholesky's C = mred - delta I, beta2 and small computed
+    with dense identity and off-diagonal temporaries, frozen as the oracle
+    for what modified_cholesky hands the loop."""
+    C = np.asarray(mred, dtype=float) - delta * np.eye(mred.shape[0])
+    n = C.shape[0]
+    gamma = float(np.max(np.abs(np.diag(C)), initial=0.0))
+    offd = C - np.diag(np.diag(C))
+    xi = float(np.max(np.abs(offd), initial=0.0))
+    nu = max(1.0, math.sqrt(max(n * n - 1.0, 0.0)))
+    return C, max(gamma, xi / nu, 1e-30), 2.2e-16 * max(gamma + xi, 1.0)
+
+
+def gmw_loop_reference(C, beta2, small):
+    """The right-looking Gill-Murray-Wright loop, which subtracts each
+    column's outer product from the whole trailing block, frozen as the
+    oracle the left-looking _gmw_loop must match byte for byte."""
+    n = C.shape[0]
+    L = np.eye(n)
+    d = np.zeros(n)
+    E = np.zeros(n)
+    work = C.copy()
+    for j in range(n):
+        cjj = work[j, j]
+        col = work[j + 1 :, j]
+        theta = float(np.max(np.abs(col), initial=0.0))
+        dj = max(abs(cjj), theta * theta / beta2, small)
+        d[j] = dj
+        E[j] = dj - cjj
+        if j < n - 1:
+            L[j + 1 :, j] = col / dj
+            work[j + 1 :, j + 1 :] -= np.outer(col, col) / dj
+    r = (L * np.sqrt(d)).T
+    e_max = float(np.max(E, initial=0.0))
+    tol = 4.0 * small
+    modified = bool(e_max > tol)
+    jmax = int(np.argmax(E)) if modified else -1
+    return dipa.inner.CholResult(r=r, modified=modified, j=jmax, e_max=e_max)
+
+
+def gmw_test_matrices():
+    """For n = 0..80: a random indefinite matrix, a positive definite one
+    with a tiny pivot, and an indefinite one whose upper triangle sits one
+    ulp off its transpose and holds -0.0 entries."""
+    rng = np.random.default_rng(31)
+    for n in range(81):
+        A = rng.standard_normal((n, n))
+        sym = (A + A.T) / 2
+        yield sym
+        R = np.triu(rng.standard_normal((n, n)))
+        R.flat[:: n + 1] = 1.0 + rng.random(n)
+        if n:
+            R[rng.integers(n), :] *= 1e-9
+        yield R.T @ R
+        skew = sym.copy()
+        upper = np.triu_indices(n, 1)
+        skew[upper] = np.nextafter(skew[upper], np.inf)
+        if n > 2:
+            skew[0, 2] = skew[2, 0] = -0.0
+        yield skew
+
+
+def same_factor(res, ref):
+    return (
+        res.r.tobytes() == ref.r.tobytes()
+        and res.r.flags.f_contiguous == ref.r.flags.f_contiguous
+        and (res.modified, res.j) == (ref.modified, ref.j)
+        and np.float64(res.e_max).tobytes() == np.float64(ref.e_max).tobytes()
+    )
+
+
+@pytest.fixture(scope="module")
+def solver_gmw_inputs():
+    """Every modified_cholesky and _gmw_loop input of a planted ds N=30
+    solve."""
+    factor_calls, loop_calls = [], []
+    factor, loop = dipa.inner.modified_cholesky, dipa.inner._gmw_loop
+
+    def spy_factor(mred, delta=0.0):
+        factor_calls.append((np.array(mred), delta))
+        return factor(mred, delta)
+
+    def spy_loop(C, beta2, small):
+        loop_calls.append((np.array(C), beta2, small))
+        return loop(C, beta2, small)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dipa.inner, "modified_cholesky", spy_factor)
+        mp.setattr(dipa.inner, "_gmw_loop", spy_loop)
+        dipa_solve(gen_random_graph(30, 3, 6, seed=201, plant=True), DipaParams(mode="ds"))
+    assert len(loop_calls) > 20
+    return factor_calls, loop_calls
+
+
+def random_loop_inputs():
+    for M in gmw_test_matrices():
+        for delta in (0.0, -1e-8):
+            yield gmw_preamble_reference(M, delta)
+
+
+class TestGmwLoopReference:
+    """The left-looking loop against the frozen right-looking one: the same
+    factor bytes in the same Fortran layout, pivot and modification."""
+
+    def test_random_matrices(self):
+        for C, beta2, small in random_loop_inputs():
+            res = dipa.inner._gmw_loop(C, beta2, small)
+            assert same_factor(res, gmw_loop_reference(C, beta2, small)), C.shape
+
+    def test_solver_inputs(self, solver_gmw_inputs):
+        for C, beta2, small in solver_gmw_inputs[1]:
+            res = dipa.inner._gmw_loop(C, beta2, small)
+            assert same_factor(res, gmw_loop_reference(C, beta2, small)), C.shape
+
+    def test_inputs_are_not_symmetric(self, solver_gmw_inputs):
+        # the loop reads C's columns, which is why U starts from C.T
+        assert any((C != C.T).any() for C, _, _ in solver_gmw_inputs[1])
+
+    def test_directions_from_the_factor(self, solver_gmw_inputs):
+        # solve_triangular takes another LAPACK path for a C-ordered R, so
+        # the directions guard R's layout as well as its values
+        rng = np.random.default_rng(32)
+        cases = list(random_loop_inputs()) + solver_gmw_inputs[1]
+        for C, beta2, small in cases:
+            res = dipa.inner._gmw_loop(C, beta2, small)
+            ref = gmw_loop_reference(C, beta2, small)
+            n = C.shape[0]
+            if n == 0:
+                continue
+            g = rng.standard_normal(n)
+            got = negcurv_direction(res.r, res.j, g)
+            assert got.tobytes() == negcurv_direction(ref.r, ref.j, g).tobytes()
+            got = descent_direction(res.r, g)
+            assert got.tobytes() == descent_direction(ref.r, g).tobytes()
+
+    def test_preamble(self, monkeypatch, solver_gmw_inputs):
+        # with LAPACK refused, modified_cholesky hands the loop the frozen
+        # preamble's C, beta2 and small
+        cases = [(M, delta) for M in gmw_test_matrices() for delta in (0.0, -1e-8)]
+        cases += solver_gmw_inputs[0]
+        seen = []
+
+        def no_lapack(*args, **kwargs):
+            raise LinAlgError("forced")
+
+        monkeypatch.setattr(dipa.inner, "cholesky", no_lapack)
+        monkeypatch.setattr(dipa.inner, "_gmw_loop", lambda *args: seen.append(args))
+        for mred, delta in cases:
+            dipa.inner.modified_cholesky(mred, delta)
+            C, beta2, small = seen.pop()
+            C_ref, beta2_ref, small_ref = gmw_preamble_reference(mred, delta)
+            assert C.tobytes() == C_ref.tobytes()
+            assert (beta2, small) == (beta2_ref, small_ref)
+
+
+def test_subtract_reduce_runs_row_by_row():
+    # _gmw_loop's bits rest on np.subtract.reduce over axis 0 of a C-ordered
+    # (k, w) array subtracting row 1, then row 2, and so on from row 0
+    k, w = 9, 5
+    a = np.full((k, w), 1e-16)
+    a[0] = 1.0
+    a[:, 1] *= 3.0
+    expected = a[0].copy()
+    for row in a[1:]:
+        expected = expected - row
+    assert (a[0] - a[1:].sum(axis=0)).tobytes() != expected.tobytes()
+    assert np.subtract.reduce(a, axis=0).tobytes() == expected.tobytes()
+    target = np.zeros((3, w + 2))
+    np.subtract.reduce(a, axis=0, out=target[1, 2:])
+    assert target[1, 2:].tobytes() == expected.tobytes()
+
+
 class TestNegativeCurvature:
     def test_extreme_eigenvector_on_diag(self):
         M = np.diag([1.0, -2.0])
@@ -283,8 +455,8 @@ class TestImproveNegcurvReference:
             for sweeps in (1, 3):
                 d, q = improve_negcurv(H, d0, metric=metric, sweeps=sweeps)
                 d_ref, q_ref = improve_negcurv_reference(H, d0, metric=metric, sweeps=sweeps)
-                assert np.array_equal(d, d_ref)
-                assert np.array_equal(q, q_ref)
+                assert d.tobytes() == d_ref.tobytes()
+                assert np.float64(q).tobytes() == np.float64(q_ref).tobytes()
 
     def test_bit_identical_in_gram_metric(self):
         # the solver's own case: a reduced Hessian in the metric Z'Z
@@ -296,8 +468,8 @@ class TestImproveNegcurvReference:
         d0 = np.random.default_rng(3).standard_normal(z.dim)
         d, q = improve_negcurv(h_red, d0, metric=z.gram(), sweeps=3)
         d_ref, q_ref = improve_negcurv_reference(h_red, d0, metric=z.gram(), sweeps=3)
-        assert np.array_equal(d, d_ref)
-        assert np.array_equal(q, q_ref)
+        assert d.tobytes() == d_ref.tobytes()
+        assert np.float64(q).tobytes() == np.float64(q_ref).tobytes()
 
 
 def hessian_reference(x, m, mode):
