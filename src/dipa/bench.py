@@ -142,9 +142,6 @@ class BenchConfig:
     def settings(self) -> tuple[BenchSetting, ...]:
         return GRIDS[self.grid]()
 
-    def instance_seed(self, index: int) -> int:
-        return self.seed + index
-
 
 @dataclass
 class BenchResult:
@@ -152,12 +149,6 @@ class BenchResult:
     results: list = field(default_factory=list)
     combos: list = field(default_factory=list)
     certificates: list = field(default_factory=list)
-
-    def solved_count(self, n: int, setting: str) -> int:
-        for row in self.results:
-            if row["n"] == n and row["setting"] == setting:
-                return row["solved"]
-        raise KeyError((n, setting))
 
 
 def _solve_job(task: tuple) -> dict:
@@ -192,12 +183,13 @@ def _solve_job(task: tuple) -> dict:
     return row
 
 
-def _write_csv(path: Path, header: tuple, rows: list) -> None:
+def _write_csv(path: Path, header: tuple, rows) -> None:
+    """The header, then one line per row, floats written with FLOAT_FMT."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
-            w.writerow(row)
+            w.writerow([FLOAT_FMT % v if isinstance(v, float) else v for v in row])
 
 
 def _flush(result: BenchResult, out_dir: str | None) -> None:
@@ -205,39 +197,16 @@ def _flush(result: BenchResult, out_dir: str | None) -> None:
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "solves.csv",
-        ("graph_id", "n", "mode", "setting", "params_hash", "status",
-         "iterations", "deflations", "deletions"),
-        [
-            (r["graph_id"], r["n"], r["mode"], r["setting"], r["params_hash"],
-             r["status"], r["iterations"], r["deflations"], r["deletions"])
-            for r in result.solves
-        ],
+    tables = (
+        ("solves.csv", result.solves, ("graph_id", "n", "mode", "setting", "params_hash",
+                                       "status", "iterations", "deflations", "deletions")),
+        ("timings.csv", result.solves, ("graph_id", "setting", "wall_time")),
+        ("results.csv", result.results, ("n", "setting", "solved", "total")),
+        ("combos.csv", result.combos, ("n", "combo", "solved", "total")),
+        ("certificates.csv", result.certificates, ("graph_id", "setting", "cycle")),
     )
-    _write_csv(
-        out / "timings.csv",
-        ("graph_id", "setting", "wall_time"),
-        [
-            (r["graph_id"], r["setting"], FLOAT_FMT % r["wall_time"])
-            for r in result.solves
-        ],
-    )
-    _write_csv(
-        out / "results.csv",
-        ("n", "setting", "solved", "total"),
-        [(r["n"], r["setting"], r["solved"], r["total"]) for r in result.results],
-    )
-    _write_csv(
-        out / "combos.csv",
-        ("n", "combo", "solved", "total"),
-        [(r["n"], r["combo"], r["solved"], r["total"]) for r in result.combos],
-    )
-    _write_csv(
-        out / "certificates.csv",
-        ("graph_id", "setting", "cycle"),
-        [(r["graph_id"], r["setting"], r["cycle"]) for r in result.certificates],
-    )
+    for name, rows, header in tables:
+        _write_csv(out / name, header, ([r[k] for k in header] for r in rows))
 
 
 def run_bench(cfg: BenchConfig) -> BenchResult:
@@ -256,7 +225,7 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
         for setting in settings:
             for i in range(cfg.count):
                 tasks.append(
-                    (n, cfg.dmin, cfg.dmax, cfg.instance_seed(i), cfg.plant,
+                    (n, cfg.dmin, cfg.dmax, cfg.seed + i, cfg.plant,
                      setting, cfg.time_limit)
                 )
 
@@ -336,7 +305,7 @@ def neutral_point(g: Graph, mode: str = "ds") -> np.ndarray:
     x = initial_interior(m, mode)
     ctx = PhaseContext(
         z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=NEUTRAL_TOL,
-        max_iter=outer.MAX_PHASE_ITER,
+        max_iter=outer.MAX_PHASE_ITER, alpha=DipaParams().alpha,
     )
     return minimize_phase(x, BarrierSpec(mu=math.inf), ctx)
 
@@ -368,11 +337,7 @@ def trace_paths(g: Graph, samples: int = 101, cap: int = 100000) -> list:
 
 
 def write_paths_csv(path, rows) -> None:
-    _write_csv(
-        Path(path),
-        ("hc_id", "t", "f"),
-        [(hc_id, FLOAT_FMT % t, FLOAT_FMT % f) for hc_id, t, f in rows],
-    )
+    _write_csv(Path(path), ("hc_id", "t", "f"), rows)
 
 
 def trace_solve(g: Graph, params: DipaParams):

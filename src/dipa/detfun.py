@@ -124,14 +124,6 @@ def f_minor(x, m: ArcVarMap, validate: bool = True) -> float:
     return -float(np.prod(np.diag(lu.u)[:-1]))
 
 
-def f_full(x, m: ArcVarMap, validate: bool = True) -> float:
-    """-det(I - P + J/n), the rank-one shifted determinant. Equals -n exactly
-    at a Hamiltonian cycle indicator."""
-    if validate:
-        check_feasible(x, m, mode="s")
-    return value_only(x, m, "s")
-
-
 def _matrix(x, m: ArcVarMap, mode: str) -> tuple:
     """The differentiated matrix and which arcs lie inside it: the leading
     principal minor of I - P in ds mode, where the arcs touching the last

@@ -58,6 +58,8 @@ class Graph:
 
 def make_graph(n: int, edges) -> Graph:
     """Build a graph on nodes 1..n, validating simplicity."""
+    if n < 1:
+        raise GraphError(f"node count {n} is below 1")
     es = set()
     for a, b in edges:
         if a == b:
@@ -83,7 +85,6 @@ class ArcVarMap:
     nodes: tuple[int, ...]
     arcs: tuple
     index: dict = field(compare=False)
-    twin: tuple[int, ...] = field(compare=False)
     row: np.ndarray = field(compare=False)
     col: np.ndarray = field(compare=False)
 
@@ -91,24 +92,17 @@ class ArcVarMap:
     def n_arcs(self) -> int:
         return len(self.arcs)
 
-    def out_arcs(self, v: int) -> list[int]:
-        return [k for k, (i, _) in enumerate(self.arcs) if i == v]
-
-    def in_arcs(self, v: int) -> list[int]:
-        return [k for k, (_, j) in enumerate(self.arcs) if j == v]
-
 
 def arc_map_from_arcs(nodes, arcs) -> ArcVarMap:
     nodes = tuple(sorted(nodes))
     arcs = tuple(sorted(arcs))
     index = {a: k for k, a in enumerate(arcs)}
-    twin = tuple(index.get((j, i), -1) for i, j in arcs)
     pos = {v: t for t, v in enumerate(nodes)}
     row = np.array([pos[i] for i, _ in arcs], dtype=np.intp)
     col = np.array([pos[j] for _, j in arcs], dtype=np.intp)
     # every layer reads the same two arrays; the map is frozen, so are they
     row.flags.writeable = col.flags.writeable = False
-    return ArcVarMap(nodes=nodes, arcs=arcs, index=index, twin=twin, row=row, col=col)
+    return ArcVarMap(nodes=nodes, arcs=arcs, index=index, row=row, col=col)
 
 
 def build_arc_map(g: Graph) -> ArcVarMap:
@@ -157,6 +151,8 @@ class CycleCertificate:
         return CycleCertificate(seq=s[t:] + s[:t])
 
     def validate(self, g: Graph) -> None:
+        if len(self.seq) < 3:
+            raise GraphError(f"cycle of {len(self.seq)} nodes; a cycle needs at least 3")
         if len(self.seq) != g.n:
             raise GraphError(f"cycle length {len(self.seq)} != node count {g.n}")
         if len(set(self.seq)) != len(self.seq):
@@ -188,7 +184,7 @@ def enumerate_hc(g: Graph, cap: int | None = None, node_limit: int = 32) -> list
     smallest node; a cycle and its reverse are listed separately."""
     if g.n > node_limit:
         raise GraphError(f"{g.n} nodes exceeds enumeration limit {node_limit}")
-    if g.n < 2:
+    if g.n < 3:
         return []
     adj = g.adjacency()
     start = min(g.nodes)
@@ -383,6 +379,8 @@ def parse_graph(text: str) -> Graph:
         n, mcount = int(head[0]), int(head[1])
     except ValueError as exc:
         raise GraphError(f"bad header {lines[0]!r}") from exc
+    if n < 1:
+        raise GraphError(f"bad header {lines[0]!r}: node count {n} is below 1")
     body = lines[1:]
     if len(body) != mcount:
         raise GraphError(f"header says {mcount} edges, file has {len(body)}")

@@ -58,7 +58,6 @@ class CholResult:
     r: np.ndarray
     modified: bool
     j: int          # 0-based index of the largest diagonal addition
-    e_max: float
 
 
 def modified_cholesky(mred: np.ndarray, delta: float = 0.0) -> CholResult:
@@ -92,7 +91,7 @@ def modified_cholesky(mred: np.ndarray, delta: float = 0.0) -> CholResult:
     # row j of R past the diagonal is the loop's column j scaled by 1/R[j,j]
     theta = rjj * np.max(np.abs(np.triu(R, 1)), axis=1, initial=0.0)
     if np.all(d >= theta * theta / beta2) and np.all(d >= small):
-        return CholResult(r=R, modified=False, j=-1, e_max=0.0)
+        return CholResult(r=R, modified=False, j=-1)
     return _gmw_loop(C, beta2, small)
 
 
@@ -136,11 +135,8 @@ def _gmw_loop(C: np.ndarray, beta2: float, small: float) -> CholResult:
     lt.flat[:: n + 1] = 1.0
     r = np.empty((n, n), order="F")
     np.multiply(lt, np.sqrt(d)[:, None], out=r)
-    e_max = float(np.max(E, initial=0.0))
-    tol = 4.0 * small
-    modified = bool(e_max > tol)
-    jmax = int(np.argmax(E)) if modified else -1
-    return CholResult(r=r, modified=modified, j=jmax, e_max=e_max)
+    modified = bool(np.max(E, initial=0.0) > 4.0 * small)
+    return CholResult(r=r, modified=modified, j=int(np.argmax(E)) if modified else -1)
 
 
 def descent_direction(R: np.ndarray, g_red: np.ndarray) -> np.ndarray:
@@ -158,19 +154,14 @@ def negcurv_direction(R: np.ndarray, j: int, g_red: np.ndarray) -> np.ndarray:
     return d
 
 
-def improve_negcurv(
-    H: np.ndarray,
-    d: np.ndarray,
-    metric: np.ndarray | None = None,
-    sweeps: int = 1,
-) -> tuple:
-    """Reduce the (generalized) Rayleigh quotient d'Hd / d'Gd by cyclic
-    single-coordinate moves. Each move solves a scalar quadratic exactly, so
-    the quotient never increases. Returns (d, final quotient)."""
+def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, sweeps: int = 1) -> tuple:
+    """Reduce the generalized Rayleigh quotient d'Hd / d'Gd, G the metric,
+    by cyclic single-coordinate moves. Each move solves a scalar quadratic
+    exactly, so the quotient never increases. Returns (d, final quotient)."""
     H = np.asarray(H, dtype=float)
     d = np.asarray(d, dtype=float).copy()
     n = len(d)
-    G = np.asarray(metric, dtype=float) if metric is not None else np.eye(n)
+    G = np.asarray(metric, dtype=float)
 
     nrm = float(np.linalg.norm(d))
     if nrm == 0.0:
@@ -180,7 +171,7 @@ def improve_negcurv(
     # updates both with one add of cols[i] = [H[:, i], G[:, i]]
     s = np.empty((2, n))
     s[0] = H @ d
-    s[1] = G @ d if metric is not None else d
+    s[1] = G @ d
     hd, gd = s
     cols = list(np.stack([H.T, G.T], axis=1))
     buf = np.empty((2, n))
@@ -301,7 +292,7 @@ class PhaseContext:
     mode: str
     grad_tol: float         # relative factor, scaled by 1 + |merit anchor|
     max_iter: int           # step budget of minimize_phase
-    alpha: float = 0.9
+    alpha: float            # fraction of the boundary step the linesearch starts at
 
 
 @dataclass
@@ -433,14 +424,14 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
     return finish(kind, ls, delta_hat=delta_hat)
 
 
-def newton_polish(x, spec: BarrierSpec, ctx: PhaseContext, max_steps: int = 8) -> np.ndarray:
+def newton_polish(x, spec: BarrierSpec, ctx: PhaseContext) -> np.ndarray:
     """Endgame for when merit differences drop below float resolution while
-    the reduced gradient is still above tolerance: take damped Newton steps
-    and accept on gradient-norm decrease instead of merit decrease. Returns
-    the last accepted point."""
+    the reduced gradient is still above tolerance: take up to eight damped
+    Newton steps and accept on gradient-norm decrease instead of merit
+    decrease. Returns the last accepted point."""
     _, _, g_red, h_red = reduced_model(x, spec, ctx)
     gnorm = float(np.max(np.abs(g_red), initial=0.0))
-    for _ in range(max_steps):
+    for _ in range(8):
         res = modified_cholesky(h_red, _default_delta(h_red))
         if res.modified:
             break

@@ -40,8 +40,6 @@ class ReorderedDS:
     b: np.ndarray        # rank x rank, unit lower triangular, 0/1
     s: np.ndarray        # rank x (a - rank), 0/1
     perm: tuple          # variable permutation, basis columns first
-    row_order: tuple     # retained constraint rows, in pinned order
-    retained: tuple      # retained rows of the original stacked matrix
     rank: int
 
 
@@ -86,8 +84,7 @@ def reorder_ds(mat: np.ndarray) -> ReorderedDS:
     batches, bottom row first; each batch prefers lower variable indices.
     """
     n_nodes = mat.shape[0] // 2
-    retained = _retained_rows(mat, n_nodes)
-    am = mat[retained]
+    am = mat[_retained_rows(mat, n_nodes)]
     rank, width = am.shape
     # column-to-rows incidence, one entry per nonzero, columns ascending
     inc_col, inc_row = np.nonzero(am.T)
@@ -116,19 +113,11 @@ def reorder_ds(mat: np.ndarray) -> ReorderedDS:
         pos -= len(rows)
     pinned = np.concatenate(col_sel)[::-1]
     perm = tuple(pinned.tolist()) + tuple(np.flatnonzero(remaining).tolist())
-    row_order = tuple(slot.tolist())
     bm = am[slot][:, pinned]
     sm = am[slot][:, np.flatnonzero(remaining)]
     if not np.array_equal(np.diag(bm), np.ones(rank)) or np.any(np.triu(bm, 1) != 0):
         raise AssertionError("reordered block is not unit lower triangular")
-    return ReorderedDS(
-        b=bm,
-        s=sm,
-        perm=perm,
-        row_order=row_order,
-        retained=tuple(retained),
-        rank=rank,
-    )
+    return ReorderedDS(b=bm, s=sm, perm=perm, rank=rank)
 
 
 @dataclass
@@ -183,9 +172,6 @@ class NullSpaceRep:
                     (data, (rows, colidx)), shape=(self.n_vars, self.dim)
                 )
         return self._sp
-
-    def dense(self) -> np.ndarray:
-        return self.sparse().toarray()
 
     def gram(self) -> np.ndarray:
         """Z.T Z, the reduced-space metric."""

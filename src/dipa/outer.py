@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -52,6 +52,11 @@ NEUTRAL_TOL = 1e-10
 # step budget of every barrier phase; a phase that spends it ends like a
 # converged one
 MAX_PHASE_ITER = 500
+# step budget of the main loop; a solve that spends it gives up
+MAX_OUTER = 20000
+# the smallest lower bound x_min that restoration tries before it names the
+# arcs forced to zero
+X_MIN_FLOOR = 1e-10
 
 
 class NoInteriorPoint(RuntimeError):
@@ -70,7 +75,6 @@ class DipaParams:
     upper_log: bool = False
     drop_one_var: bool = False
     grad_tol: float = 1e-6
-    max_outer: int = 20000
     time_limit: float = 60.0
     # recorded with results for provenance; every code path is deterministic,
     # so the value never changes the solve itself
@@ -111,21 +115,9 @@ class TraceRow:
         return "iter,mu,f,phi,merit,step,kind,delta_hat,x_min,deflations"
 
     def csv(self) -> str:
-        mu = "inf" if math.isinf(self.mu) else f"{self.mu:.17g}"
-        return ",".join(
-            [
-                str(self.it),
-                mu,
-                f"{self.f:.17g}",
-                f"{self.phi:.17g}",
-                f"{self.merit:.17g}",
-                f"{self.step:.17g}",
-                self.kind,
-                f"{self.delta_hat:.17g}",
-                f"{self.x_min:.17g}",
-                str(self.deflations),
-            ]
-        )
+        """The fields in declaration order: floats as %.17g, which writes
+        infinity as inf, the rest with str."""
+        return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in astuple(self))
 
 
 @dataclass
@@ -139,8 +131,6 @@ class SolveReport:
     message: str = ""
     wall_time: float = 0.0
     f_final: float = math.nan
-    mode: str = "ds"
-    n: int = 0
 
 
 def initial_interior(m: ArcVarMap, mode: str) -> np.ndarray:
@@ -163,9 +153,9 @@ def initial_interior(m: ArcVarMap, mode: str) -> np.ndarray:
     return _polish_equalities(x, A)
 
 
-def _polish_equalities(x: np.ndarray, A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _polish_equalities(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     resid = np.ones(A.shape[0]) - A @ x
-    if np.max(np.abs(resid)) > tol:
+    if np.max(np.abs(resid)) > 1e-10:
         corr, *_ = np.linalg.lstsq(A, resid, rcond=None)
         x = x + corr
     return x
@@ -235,12 +225,7 @@ def restore_S(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
     return x / sums
 
 
-def restore_DS(
-    xbar: np.ndarray,
-    A: np.ndarray,
-    x_min: float | None = None,
-    x_min_floor: float = 1e-10,
-) -> tuple:
+def restore_DS(xbar: np.ndarray, A: np.ndarray, x_min: float | None = None) -> tuple:
     """Reconcile row and column sums after surgery by a bounded-change LP.
 
     Decision variables are an increase u in [0, 1-xbar], a decrease v in
@@ -255,7 +240,7 @@ def restore_DS(
     s = e - A @ xbar
     rho = 1e3 * (1.0 + float(np.abs(s).sum()))
     if x_min is None:
-        x_min = max(float(np.min(xbar)), x_min_floor)
+        x_min = max(float(np.min(xbar)), X_MIN_FLOOR)
     # only the decrease bound ub_v changes along the x_min ladder
     c = np.concatenate([np.ones(a), np.ones(a), [rho]])
     aeq = np.hstack([A, -A, s.reshape(-1, 1)])
@@ -273,20 +258,15 @@ def restore_DS(
         last = (x, x_min)
         if gamma <= 1e-9:
             return _polish_equalities(x, A), ()
-        if x_min <= x_min_floor:
+        if x_min <= X_MIN_FLOOR:
             break
-        x_min = max(0.5 * x_min, x_min_floor)
+        x_min = max(0.5 * x_min, X_MIN_FLOOR)
     x, x_min = last
     forced = tuple(int(k) for k in np.flatnonzero(x <= x_min + 1e-9))
     return x, forced
 
 
-def restore_DS_qp(
-    xbar: np.ndarray,
-    A: np.ndarray,
-    x_min: float | None = None,
-    x_min_floor: float = 1e-10,
-) -> tuple:
+def restore_DS_qp(xbar: np.ndarray, A: np.ndarray) -> tuple:
     """Least-distance variant: project xbar onto the sum constraints with
     bounds [x_min, 1], halving x_min while that box is infeasible. Falls back
     to the LP diagnosis when no x_min works, so deletions are identified the
@@ -294,18 +274,17 @@ def restore_DS_qp(
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
     e = np.ones(A.shape[0])
-    if x_min is None:
-        x_min = max(float(np.min(xbar)), x_min_floor)
+    x_min = max(float(np.min(xbar)), X_MIN_FLOOR)
     for _ in range(11):
         x, status = qp_least_distance(
             xbar, A, e, np.full(a, x_min), np.ones(a)
         )
         if status == "optimal":
             return _polish_equalities(x, A), ()
-        if x_min <= x_min_floor:
+        if x_min <= X_MIN_FLOOR:
             break
-        x_min = max(0.5 * x_min, x_min_floor)
-    return restore_DS(xbar, A, x_min=x_min_floor, x_min_floor=x_min_floor)
+        x_min = max(0.5 * x_min, X_MIN_FLOOR)
+    return restore_DS(xbar, A, x_min=X_MIN_FLOOR)
 
 
 def round_to_hc(
@@ -385,10 +364,19 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             message=message,
             wall_time=time.monotonic() - t0,
             f_final=f_final,
-            mode=mode,
-            n=g.n,
         )
 
+    # a Hamiltonian cycle has at least 3 nodes and leaves each node to a
+    # neighbour other than the one it came from
+    if g.n < 3:
+        return report(NO_HC_DISCONNECTED, message=f"{g.n} nodes, fewer than 3")
+    degree = dict.fromkeys(g.nodes, 0)
+    for a, b in g.edges:
+        degree[a] += 1
+        degree[b] += 1
+    thin = [v for v in g.nodes if degree[v] < 2]
+    if thin:
+        return report(NO_HC_DISCONNECTED, message=f"node {thin[0]} has fewer than two neighbours")
     if not is_connected(g):
         return report(NO_HC_DISCONNECTED, message="input graph is disconnected")
 
@@ -403,10 +391,9 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     try:
         x = initial_interior(m, mode)
     except NoInteriorPoint as exc:
-        if mode != "ds":
-            return report(GAVE_UP, message=str(exc))
-        # arcs no permutation can use pin part of the polytope to its
-        # boundary; deleting them restores a strict interior
+        # only the ds start can fail (the s start is 1 over each row's
+        # degree). Arcs no permutation can use pin part of the polytope to
+        # its boundary; deleting them restores a strict interior
         try:
             forced = forced_zero_arcs(m)
         except NoInteriorPoint as exc2:
@@ -519,7 +506,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     while True:
         if out_of_time():
             return report(GAVE_UP, message="time limit", x=x, m=work.m)
-        if iterations >= params.max_outer:
+        if iterations >= MAX_OUTER:
             return report(GAVE_UP, message="outer iteration cap", x=x, m=work.m)
         iterations += 1
 

@@ -1,3 +1,5 @@
+import pytest
+
 import dipa.cli
 from dipa.cli import main
 from dipa.graph import petersen, write_graph
@@ -57,6 +59,19 @@ class TestSolve:
         rc = run("solve", "--graph", "/nonexistent/g.txt", "--mode", "ds")
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_one_node_graph_exit_two(self, tmp_path, capsys):
+        gfile = tmp_path / "one.txt"
+        gfile.write_text("1 0\n")
+        assert run("solve", "--graph", str(gfile), "--mode", "ds") == 2
+        assert "status: no-HC-disconnected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("header", ["0 0", "-3 0"])
+    def test_node_count_below_one_exit_three(self, tmp_path, capsys, header):
+        gfile = tmp_path / "empty.txt"
+        gfile.write_text(header + "\n")
+        assert run("solve", "--graph", str(gfile), "--mode", "ds") == 3
+        assert f"error: bad header '{header}'" in capsys.readouterr().err
 
     def test_bad_flag_exit_three(self, capsys):
         assert run("solve", "--graph", "x", "--mode", "zz") == 3

@@ -4,7 +4,6 @@ import pytest
 from dipa.detfun import (
     assemble_P,
     check_feasible,
-    f_full,
     f_minor,
     hess,
     lu_nopivot,
@@ -104,7 +103,7 @@ class TestObjectiveAnchors:
         g, m = k3_map()
         x = hc_vector(m, [(1, 2), (2, 3), (3, 1)])
         assert f_minor(x, m) == pytest.approx(-1.0, abs=1e-12)
-        assert f_full(x, m) == pytest.approx(-3.0, abs=1e-9)
+        assert value_only(x, m, "s") == pytest.approx(-3.0, abs=1e-9)
 
     def test_uniform_point_k3(self):
         g, m = k3_map()
@@ -137,7 +136,7 @@ class TestObjectiveAnchors:
             for c in enumerate_hc(g):
                 x = hc_vector(m, c.arcs())
                 assert f_minor(x, m) == pytest.approx(-1.0, abs=1e-12)
-                assert f_full(x, m) == pytest.approx(-float(g.n), abs=1e-9)
+                assert value_only(x, m, "s") == pytest.approx(-float(g.n), abs=1e-9)
 
 
 class TestFeasibility:
@@ -216,8 +215,12 @@ class TestDerivatives:
         m = build_arc_map(g)
         x = initial_interior(m, mode)
         f, gd, H = value_grad_hess(x, m, mode)
-        reference = f_minor if mode == "ds" else f_full
-        assert f == pytest.approx(reference(x, m, validate=False), abs=1e-14)
+        if mode == "ds":
+            reference = f_minor(x, m, validate=False)
+        else:
+            n = len(m.nodes)
+            reference = -np.linalg.det(np.eye(n) - assemble_P(m, x) + 1.0 / n)
+        assert f == pytest.approx(reference, abs=1e-14)
         assert np.allclose(H, hess(x, m, mode=mode), atol=1e-14)
         points = [x]
         for k in range(x.size):

@@ -49,12 +49,19 @@ class TestMakeGraph:
         with pytest.raises(GraphError):
             make_graph(3, [(1, 4)])
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_node_count_below_one(self, n):
+        with pytest.raises(GraphError, match="below 1"):
+            make_graph(n, [])
+        with pytest.raises(GraphError, match=f"bad header '{n} 0'"):
+            parse_graph(f"{n} 0\n")
+
 
 class TestArcVarMap:
     def test_k3_ordering_and_twins(self):
         m = build_arc_map(k3())
         assert m.arcs == ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
-        assert m.twin == (2, 4, 0, 5, 1, 3)
+        assert [m.index.get((j, i), -1) for i, j in m.arcs] == [2, 4, 0, 5, 1, 3]
         assert m.row.tolist() == [0, 0, 1, 1, 2, 2]
         assert m.col.tolist() == [1, 2, 0, 2, 0, 1]
 
@@ -68,17 +75,6 @@ class TestArcVarMap:
             assert mm.row.tolist() == [mm.nodes.index(i) for i, _ in mm.arcs]
             assert mm.col.tolist() == [mm.nodes.index(j) for _, j in mm.arcs]
 
-    def test_twin_involution(self):
-        m = build_arc_map(gen_random_graph(15, 3, 6, seed=5))
-        for k, t in enumerate(m.twin):
-            assert m.twin[t] == k
-            i, j = m.arcs[k]
-            assert m.arcs[t] == (j, i)
-
-    def test_out_in_arcs(self):
-        m = build_arc_map(k3())
-        assert m.out_arcs(1) == [0, 1]
-        assert m.in_arcs(1) == [2, 4]
 
 
 class TestConnectivity:
@@ -112,6 +108,12 @@ class TestEnumerate:
     def test_petersen_has_none(self):
         assert enumerate_hc(petersen()) == []
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_nodes_have_none(self, n):
+        # the one edge of a 2-node graph is no cycle, in either direction
+        g = make_graph(n, [(1, 2)] if n == 2 else [])
+        assert enumerate_hc(g) == []
+
     def test_cap_raises(self):
         g = make_graph(8, [(i, j) for i in range(1, 9) for j in range(i + 1, 9)])
         with pytest.raises(EnumerationCapError):
@@ -130,6 +132,11 @@ class TestCertificate:
     def test_validate_rejects_short(self):
         with pytest.raises(GraphError):
             CycleCertificate(seq=(1, 2)).validate(k3())
+
+    def test_validate_rejects_two_node_cycle(self):
+        g = make_graph(2, [(1, 2)])
+        with pytest.raises(GraphError, match="at least 3"):
+            CycleCertificate(seq=(1, 2)).validate(g)
 
     def test_canonical_rotation(self):
         c = CycleCertificate(seq=(3, 1, 2))
@@ -269,10 +276,3 @@ class TestIO:
 def test_support_graph_merges_directions():
     g = support_graph((1, 2, 3), [(1, 2), (2, 1), (3, 2)])
     assert sorted(g.edges) == [(1, 2), (2, 3)]
-
-
-def test_arc_map_from_arcs_partial_twins():
-    m = arc_map_from_arcs((1, 2, 3), [(1, 2), (2, 3), (3, 2)])
-    k12 = m.index[(1, 2)]
-    assert m.twin[k12] == -1
-    assert m.twin[m.index[(2, 3)]] == m.index[(3, 2)]
