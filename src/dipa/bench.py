@@ -50,7 +50,7 @@ class BenchSetting:
     upper_log: bool = False
     drop_one_var: bool = False
 
-    def params(self, time_limit: float, seed: int = 0) -> DipaParams:
+    def params(self, time_limit: float, seed: int) -> DipaParams:
         return DipaParams(
             mode=self.mode,
             restore=self.restore,

@@ -93,7 +93,6 @@ def _cmd_solve(args) -> int:
         drop_one_var=args.drop_var,
         time_limit=args.time_limit,
     )
-    params.validate()
     rep, rows = trace_solve(g, params)
     if args.trace:
         with open(args.trace, "w") as fh:

@@ -162,7 +162,7 @@ def _hessian(det: float, inv: np.ndarray, m: ArcVarMap) -> np.ndarray:
     return H
 
 
-def hess(x, m: ArcVarMap, mode: str = "ds") -> np.ndarray:
+def hess(x, m: ArcVarMap, mode: str) -> np.ndarray:
     det, inv, _ = _core(x, m, mode)
     return _hessian(det, inv, m)
 

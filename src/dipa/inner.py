@@ -60,7 +60,7 @@ class CholResult:
     j: int          # 0-based index of the largest diagonal addition
 
 
-def modified_cholesky(mred: np.ndarray, delta: float = 0.0) -> CholResult:
+def modified_cholesky(mred: np.ndarray, delta: float) -> CholResult:
     """Factor mred - delta I + E = R.T R with E >= 0 diagonal, elements grown
     only as far as a Gill-Murray-Wright style bound requires. modified is
     True exactly when E is nonzero; j reports where E is largest.
@@ -154,7 +154,7 @@ def negcurv_direction(R: np.ndarray, j: int, g_red: np.ndarray) -> np.ndarray:
     return d
 
 
-def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, sweeps: int = 1) -> tuple:
+def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, sweeps: int) -> tuple:
     """Reduce the generalized Rayleigh quotient d'Hd / d'Gd, G the metric,
     by cyclic single-coordinate moves. Each move solves a scalar quadratic
     exactly, so the quotient never increases. Returns (d, final quotient)."""

@@ -23,7 +23,7 @@ from scipy.linalg import solve_triangular
 from dipa.graph import ArcVarMap
 
 
-def build_A(m: ArcVarMap, mode: str = "ds") -> np.ndarray:
+def build_A(m: ArcVarMap, mode: str) -> np.ndarray:
     """Dense 0/1 sum constraints: the row block, then (ds only) the column
     block."""
     nn = len(m.nodes)
@@ -190,7 +190,7 @@ class NullSpaceRep:
         return np.asarray((zs.T.multiply(d) @ zs).todense())
 
 
-def build_Z(m: ArcVarMap, mode: str = "ds") -> NullSpaceRep:
+def build_Z(m: ArcVarMap, mode: str) -> NullSpaceRep:
     a = m.n_arcs
     if mode == "s":
         # arcs are numbered row-major, so each row's first arc leads it and

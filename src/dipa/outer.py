@@ -54,8 +54,7 @@ NEUTRAL_TOL = 1e-10
 MAX_PHASE_ITER = 500
 # step budget of the main loop; a solve that spends it gives up
 MAX_OUTER = 20000
-# the smallest lower bound x_min that restoration tries before it names the
-# arcs forced to zero
+# the smallest lower bound x_min of the restoration box
 X_MIN_FLOOR = 1e-10
 
 
@@ -135,7 +134,9 @@ class SolveReport:
 
 def initial_interior(m: ArcVarMap, mode: str) -> np.ndarray:
     """Strictly positive feasible start. Row mode spreads each row uniformly;
-    doubly stochastic mode maximizes the uniform slack t with x = w + t e."""
+    doubly stochastic mode maximizes the uniform slack t with x = w + t e.
+    Once no arc is forced to zero (forced_zero_arcs), the average of one
+    perfect matching per arc gives t >= 1/a."""
     if mode == "s":
         return 1.0 / np.bincount(m.row)[m.row]
     a = m.n_arcs
@@ -187,30 +188,55 @@ def mu_trigger(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, shrink: floa
 
 
 def forced_zero_arcs(m: ArcVarMap) -> tuple:
-    """Arcs that carry zero weight in every doubly stochastic point of the
-    support. The polytope's vertices are permutation matrices, so any arc
-    usable at all reaches value 1 at some vertex; maximizing sum(u) with
-    u <= x, u <= 1/(4a) therefore saturates u at the cap exactly on the
-    usable arcs and leaves it at zero on the forced ones."""
-    A = build_A(m, mode="ds")
-    rows, a = A.shape
-    eps = 1.0 / (4.0 * a)
-    # variables [x, u, s] with u - x + s = 0
-    c = np.concatenate([np.zeros(a), -np.ones(a), np.zeros(a)])
-    aeq = np.block(
-        [
-            [A, np.zeros((rows, a)), np.zeros((rows, a))],
-            [-np.eye(a), np.eye(a), np.eye(a)],
-        ]
-    )
-    beq = np.concatenate([np.ones(rows), np.zeros(a)])
-    lb = np.zeros(3 * a)
-    ub = np.concatenate([np.ones(a), np.full(a, eps), np.full(a, np.inf)])
-    xus, status = lp_solve(c, aeq, beq, lb, ub)
-    if status != "optimal":
-        raise NoInteriorPoint("no doubly stochastic point on this support")
-    u = xus[a : 2 * a]
-    return tuple(int(k) for k in np.flatnonzero(u <= 0.5 * eps))
+    """Indices of the arcs that carry zero weight in every doubly stochastic
+    point of the support, ascending. By Birkhoff-von Neumann those points are
+    the convex combinations of the perfect matchings (row i to column j for
+    each arc (i, j)) inside the support, so an arc is forced exactly when it
+    lies in no perfect matching. With one perfect matching in hand, an
+    unmatched arc (i, j) lies in another exactly when i and the row matched
+    to j share a strong component of the digraph with an edge from i to that
+    row for each unmatched arc (Dulmage-Mendelsohn). Raises NoInteriorPoint
+    when the support has no perfect matching."""
+    n = len(m.nodes)
+    succ: list = [[] for _ in range(n)]
+    for i, j in zip(m.row.tolist(), m.col.tolist()):
+        succ[i].append(j)
+    # augmenting paths, one breadth-first search from each row
+    mate = [-1] * n  # column matched to row i
+    owner = [-1] * n  # row matched to column j
+    for r in range(n):
+        came_from = {}
+        queue = [r]
+        free = -1
+        for i in queue:
+            for j in succ[i]:
+                if j not in came_from:
+                    came_from[j] = i
+                    if owner[j] < 0:
+                        free = j
+                        break
+                    queue.append(owner[j])
+            if free >= 0:
+                break
+        if free < 0:
+            raise NoInteriorPoint("no perfect matching on this support")
+        j = free
+        while j >= 0:
+            i = came_from[j]
+            owner[j], mate[i], j = i, j, mate[i]
+    # the edge of arc (i, j) runs from i to the row matched to j; a matched
+    # arc gives the loop i -> i and always passes
+    to = np.array(owner)[m.col]
+    reach = np.eye(n, dtype=bool)
+    reach[m.row, to] = True
+    # transitive closure by repeated boolean squaring
+    while True:
+        closed = reach @ reach
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    strong = reach & reach.T
+    return tuple(int(k) for k in np.flatnonzero(~strong[m.row, to]))
 
 
 def restore_S(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
@@ -225,66 +251,51 @@ def restore_S(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
     return x / sums
 
 
-def restore_DS(xbar: np.ndarray, A: np.ndarray, x_min: float | None = None) -> tuple:
-    """Reconcile row and column sums after surgery by a bounded-change LP.
+def _restore_floor(xbar: np.ndarray) -> float:
+    """Lower bound x_min of the restoration box: min(xbar), kept at or above
+    X_MIN_FLOOR and at or below 1/a. Once no arc is forced to zero, the
+    average of one perfect matching per arc is a doubly stochastic point
+    with every entry at least 1/a, so the box is never empty."""
+    return min(max(float(np.min(xbar)), X_MIN_FLOOR), 1.0 / len(xbar))
+
+
+def restore_DS(xbar: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Reconcile row and column sums after surgery by one bounded-change LP.
 
     Decision variables are an increase u in [0, 1-xbar], a decrease v in
     [0, xbar - x_min], and a scalar artificial gamma multiplying the sum
     residual s; gamma is priced at rho = 1e3 (1 + |s|_1) so any fully
-    feasible reconciliation beats a residual one. When even the smallest
-    x_min leaves gamma positive, the variables pinned at the floor are
-    returned for deletion."""
+    feasible reconciliation beats a residual one. The support must carry no
+    arc forced to zero (forced_zero_arcs), which makes gamma = 0 feasible;
+    a solve that still ends with gamma positive, or not optimal, raises
+    StarvationError."""
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
-    e = np.ones(A.shape[0])
-    s = e - A @ xbar
+    s = np.ones(A.shape[0]) - A @ xbar
     rho = 1e3 * (1.0 + float(np.abs(s).sum()))
-    if x_min is None:
-        x_min = max(float(np.min(xbar)), X_MIN_FLOOR)
-    # only the decrease bound ub_v changes along the x_min ladder
+    x_min = _restore_floor(xbar)
     c = np.concatenate([np.ones(a), np.ones(a), [rho]])
     aeq = np.hstack([A, -A, s.reshape(-1, 1)])
     lb = np.zeros(2 * a + 1)
-    ub_u = np.maximum(1.0 - xbar, 0.0)
-    last = None
-    for _ in range(11):
-        ub_v = np.maximum(xbar - x_min, 0.0)
-        ub = np.concatenate([ub_u, ub_v, [1.0]])
-        uvg, status = lp_solve(c, aeq, s, lb, ub)
-        if status != "optimal":
-            raise StarvationError("restoration program infeasible")
-        gamma = float(uvg[-1])
-        x = xbar + uvg[:a] - uvg[a : 2 * a]
-        last = (x, x_min)
-        if gamma <= 1e-9:
-            return _polish_equalities(x, A), ()
-        if x_min <= X_MIN_FLOOR:
-            break
-        x_min = max(0.5 * x_min, X_MIN_FLOOR)
-    x, x_min = last
-    forced = tuple(int(k) for k in np.flatnonzero(x <= x_min + 1e-9))
-    return x, forced
+    ub = np.concatenate([np.maximum(1.0 - xbar, 0.0), np.maximum(xbar - x_min, 0.0), [1.0]])
+    uvg, status = lp_solve(c, aeq, s, lb, ub)
+    if status != "optimal" or uvg[-1] > 1e-9:
+        raise StarvationError("restoration program infeasible")
+    return _polish_equalities(xbar + uvg[:a] - uvg[a : 2 * a], A)
 
 
-def restore_DS_qp(xbar: np.ndarray, A: np.ndarray) -> tuple:
-    """Least-distance variant: project xbar onto the sum constraints with
-    bounds [x_min, 1], halving x_min while that box is infeasible. Falls back
-    to the LP diagnosis when no x_min works, so deletions are identified the
-    same way on both paths."""
+def restore_DS_qp(xbar: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Least-distance variant: the Euclidean projection of xbar onto the sum
+    constraints within the box [x_min, 1], with restore_DS's x_min, by one
+    qp_least_distance call. Raises StarvationError when it is not optimal."""
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
-    e = np.ones(A.shape[0])
-    x_min = max(float(np.min(xbar)), X_MIN_FLOOR)
-    for _ in range(11):
-        x, status = qp_least_distance(
-            xbar, A, e, np.full(a, x_min), np.ones(a)
-        )
-        if status == "optimal":
-            return _polish_equalities(x, A), ()
-        if x_min <= X_MIN_FLOOR:
-            break
-        x_min = max(0.5 * x_min, X_MIN_FLOOR)
-    return restore_DS(xbar, A, x_min=X_MIN_FLOOR)
+    x, status = qp_least_distance(
+        xbar, A, np.ones(A.shape[0]), np.full(a, _restore_floor(xbar)), np.ones(a)
+    )
+    if status != "optimal":
+        raise StarvationError("restoration program infeasible")
+    return _polish_equalities(x, A)
 
 
 def round_to_hc(
@@ -382,36 +393,24 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
 
     m = build_arc_map(g)
     if params.drop_one_var:
-        try:
-            m = delete_arc(m, m.arcs[0])
-            deletions += 1
-        except StarvationError as exc:
-            return report(NO_HC_DISCONNECTED, message=str(exc))
-
-    try:
-        x = initial_interior(m, mode)
-    except NoInteriorPoint as exc:
-        # only the ds start can fail (the s start is 1 over each row's
-        # degree). Arcs no permutation can use pin part of the polytope to
-        # its boundary; deleting them restores a strict interior
+        # every node keeps at least one out-arc and one in-arc: it has two
+        # neighbours, and each edge gives both arcs
+        m = delete_arc(m, m.arcs[0])
+        deletions += 1
+    if mode == "ds":
+        # arcs in no perfect matching are zero at every doubly stochastic
+        # point, so at every Hamiltonian cycle; deleting them leaves a
+        # support with a strict interior
         try:
             forced = forced_zero_arcs(m)
-        except NoInteriorPoint as exc2:
-            return report(NO_HC_DISCONNECTED, message=str(exc2))
-        if not forced:
-            return report(GAVE_UP, message=str(exc))
-        try:
-            for arc in [m.arcs[k] for k in forced]:
-                m = delete_arc(m, arc)
-                deletions += 1
-        except StarvationError as exc2:
-            return report(NO_HC_DISCONNECTED, message=str(exc2))
+        except NoInteriorPoint as exc:
+            return report(NO_HC_DISCONNECTED, message=str(exc))
+        for k in reversed(forced):
+            m = delete_arc(m, m.arcs[k])
+        deletions += len(forced)
         if not is_connected(support_graph(m.nodes, m.arcs)):
             return report(NO_HC_DISCONNECTED, message="support disconnected after reduction")
-        try:
-            x = initial_interior(m, mode)
-        except NoInteriorPoint as exc2:
-            return report(GAVE_UP, message=str(exc2))
+    x = initial_interior(m, mode)
 
     def make_work(m_now: ArcVarMap) -> PhaseContext:
         return PhaseContext(
@@ -438,67 +437,51 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     def surgery(x: np.ndarray):
         """Threshold sweep: deflate any variable at or above the deflation
         threshold (lowest index first), else delete any at or below the
-        deletion threshold, restoring feasibility after every change and
-        rescanning until clean. Returns (x, m, dead_end): x lives on the map
-        m, which is work.m when nothing changed; dead_end is None, or a
-        message when a change starved or disconnected the support or its
-        restoration failed, and then x and m are from before that change.
-        A dead end proves nothing about the input graph."""
+        deletion threshold, rescanning until clean. In ds mode every change
+        is followed by deleting the arcs it left in no perfect matching.
+        Then the support's connectivity is checked and feasibility restored.
+        Returns (x, m, dead_end): x lives on the map m, which is work.m when
+        nothing changed; dead_end is None, or a message when a change
+        starved or disconnected the support, left it without a perfect
+        matching, or its restoration failed, and then x and m are from
+        before that change. A dead end proves nothing about the input
+        graph."""
         nonlocal deflations, deletions
         m_now = work.m
-        forced_arcs: list = []
         while True:
-            action = None
-            arc = None
-            while forced_arcs:
-                cand = forced_arcs.pop(0)
-                if cand in m_now.index:
-                    arc, action = cand, "delete"
-                    break
-            if action is None:
-                high = np.flatnonzero(x >= params.deflation_threshold)
-                low = np.flatnonzero(x <= params.deletion_threshold)
-                if high.size:
-                    arc, action = m_now.arcs[int(high[0])], "deflate"
-                elif low.size:
-                    arc, action = m_now.arcs[int(low[0])], "delete"
-                else:
-                    break
+            high = np.flatnonzero(x >= params.deflation_threshold)
+            low = np.flatnonzero(x <= params.deletion_threshold)
+            if not (high.size or low.size):
+                return x, m_now, None
             try:
-                if action == "deflate":
-                    m2, rec = deflate(m_now, arc)
+                if high.size:
+                    m2, rec = deflate(m_now, m_now.arcs[int(high[0])])
                     back = {new: old for old, new in rec.redirected}
                     x2 = x[[m_now.index[back.get(a, a)] for a in m2.arcs]]
                     records.append(rec)
                     deflations += 1
                 else:
-                    m2 = delete_arc(m_now, arc)
-                    x2 = np.delete(x, m_now.index[arc])
+                    m2 = delete_arc(m_now, m_now.arcs[int(low[0])])
+                    x2 = np.delete(x, int(low[0]))
                     deletions += 1
+                if mode == "ds":
+                    forced = forced_zero_arcs(m2)
+                    for k in reversed(forced):
+                        m2 = delete_arc(m2, m2.arcs[k])
+                    x2 = np.delete(x2, forced)
+                    deletions += len(forced)
                 if not is_connected(support_graph(m2.nodes, m2.arcs)):
                     return x, m_now, "surgery dead end: support disconnected"
                 if mode == "s":
                     x2 = restore_S(x2, m2)
-                    new_forced: tuple = ()
+                elif params.restore == "lp":
+                    x2 = restore_DS(x2, build_A(m2, mode="ds"))
                 else:
-                    a2 = build_A(m2, mode="ds")
-                    if params.restore == "lp":
-                        x2, nf = restore_DS(x2, a2)
-                    else:
-                        x2, nf = restore_DS_qp(x2, a2)
-                    new_forced = tuple(m2.arcs[int(k)] for k in nf)
-            except (StarvationError, LPError) as exc:
+                    x2 = restore_DS_qp(x2, build_A(m2, mode="ds"))
+            except (StarvationError, NoInteriorPoint, LPError) as exc:
                 return x, m_now, f"surgery dead end: {exc}"
-            for k in np.flatnonzero(x2 <= 0.0):
-                bad = m2.arcs[int(k)]
-                if bad not in new_forced:
-                    new_forced = new_forced + (bad,)
             m_now = m2
             x = x2
-            for aa in new_forced:
-                if aa not in forced_arcs:
-                    forced_arcs.append(aa)
-        return x, m_now, None
 
     spec = BarrierSpec(mu=mu, upper_log=params.upper_log)
     # step_once calls since the last trigger; surgery does not reset it

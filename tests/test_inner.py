@@ -62,13 +62,13 @@ class TestBarrier:
 class TestModifiedCholesky:
     def test_pd_unmodified(self):
         M = np.array([[4.0, 1.0], [1.0, 3.0]])
-        res = modified_cholesky(M)
+        res = modified_cholesky(M, 0.0)
         assert not res.modified
         assert np.allclose(res.r.T @ res.r, M, atol=1e-12)
 
     def test_indefinite_diag(self):
         M = np.diag([1.0, -2.0])
-        res = modified_cholesky(M)
+        res = modified_cholesky(M, 0.0)
         assert res.modified
         assert res.j == 1
         assert np.allclose(res.r, np.diag([1.0, math.sqrt(2.0)]), atol=1e-12)
@@ -79,7 +79,7 @@ class TestModifiedCholesky:
         rng = np.random.default_rng(5)
         A = rng.standard_normal((8, 8))
         M = (A + A.T) / 2
-        res = modified_cholesky(M)
+        res = modified_cholesky(M, 0.0)
         assert res.modified
         E = res.r.T @ res.r - M
         # the modification is diagonal and nonnegative
@@ -88,7 +88,7 @@ class TestModifiedCholesky:
 
     def test_descent_direction_solves(self):
         M = np.array([[4.0, 1.0], [1.0, 3.0]])
-        res = modified_cholesky(M)
+        res = modified_cholesky(M, 0.0)
         g = np.array([1.0, -2.0])
         d = descent_direction(res.r, g)
         assert np.allclose(M @ d, -g, atol=1e-12)
@@ -138,7 +138,7 @@ class TestCholeskyFastPath:
         M = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1e-17]])
         ref = self.loop_only(monkeypatch, M, 0.0)
         calls = self.count_loop_calls(monkeypatch)
-        res = modified_cholesky(M)
+        res = modified_cholesky(M, 0.0)
         assert len(calls) == 1
         # the loop raised the tiny pivot, by less than counts as a modification
         assert not res.modified and res.r[2, 2] ** 2 > M[2, 2]
@@ -332,7 +332,7 @@ def test_subtract_reduce_runs_row_by_row():
 class TestNegativeCurvature:
     def test_extreme_eigenvector_on_diag(self):
         M = np.diag([1.0, -2.0])
-        res = modified_cholesky(M)
+        res = modified_cholesky(M, 0.0)
         d = negcurv_direction(res.r, res.j, np.zeros(2))
         q = d @ M @ d / (d @ d)
         assert q == pytest.approx(-2.0, abs=1e-12)
@@ -341,7 +341,7 @@ class TestNegativeCurvature:
         rng = np.random.default_rng(6)
         A = rng.standard_normal((6, 6))
         M = (A + A.T) / 2 - 3.0 * np.eye(6)
-        res = modified_cholesky(M)
+        res = modified_cholesky(M, 0.0)
         g = rng.standard_normal(6)
         d = negcurv_direction(res.r, res.j, g)
         assert d @ M @ d < 0.0
@@ -351,7 +351,7 @@ class TestNegativeCurvature:
         rng = np.random.default_rng(7)
         A = rng.standard_normal((10, 10))
         M = (A + A.T) / 2 - 2.0 * np.eye(10)
-        res = modified_cholesky(M)
+        res = modified_cholesky(M, 0.0)
         d0 = negcurv_direction(res.r, res.j, np.zeros(10))
         q0 = d0 @ M @ d0 / (d0 @ d0)
         d1, q1 = improve_negcurv(M, d0.copy(), metric=np.eye(10), sweeps=1)

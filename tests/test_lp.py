@@ -247,6 +247,15 @@ def recorded_lps(monkeypatch, fn, *args, **kwargs):
     return out, lps
 
 
+def without_forced(m, x=None):
+    """m and x (when given) with the arcs in no perfect matching deleted, as
+    dipa_solve deletes them before every start and restoration."""
+    forced = forced_zero_arcs(m)
+    for k in reversed(forced):
+        m = delete_arc(m, m.arcs[k])
+    return m, None if x is None else np.delete(x, forced)
+
+
 def assert_matches_linprog(lp):
     """The direct HiGHS solve reaches linprog's verdict, x and multipliers,
     bit for bit. Returns the verdict."""
@@ -272,28 +281,28 @@ class TestMatchesLinprog:
 
     def test_solver_lps(self, monkeypatch):
         lps = []
-        restore_rungs = []
+        restore_lps = []
         for seed in range(8):
-            m = self.planted(seed)
+            m, _ = without_forced(self.planted(seed))
             x, got = recorded_lps(monkeypatch, initial_interior, m, "ds")
             lps += got
-            lps += recorded_lps(monkeypatch, forced_zero_arcs, m)[1]
-            # a deflation and a deletion leave sums that the x_min ladder of
-            # restore_DS has to reconcile
+            # a deflation and a deletion leave sums that restore_DS has to
+            # reconcile, on the support surgery hands it: forced arcs deleted
             arc = m.arcs[seed % m.n_arcs]
             m2, rec = deflate(m, arc)
             redirect = {new: old for old, new in rec.redirected}
             x2 = np.array([x[m.index[redirect.get(a, a)]] for a in m2.arcs])
             x2[seed % len(x2)] = 0.97
             for xbar, mm in ((x2, m2), (x[1:], delete_arc(m, m.arcs[0]))):
+                mm, xbar = without_forced(mm, xbar)
                 got = recorded_lps(monkeypatch, restore_DS, xbar, build_A(mm, mode="ds"))[1]
-                restore_rungs.append(len(got))
+                restore_lps.append(len(got))
                 lps += got
             box = TestQPMatchesVertexStart.planted_box(seed)
             lps += recorded_lps(monkeypatch, qp_least_distance, *box)[1]
         statuses = [assert_matches_linprog(lp) for lp in lps]
-        # several rungs of the x_min ladder, and both QP start verdicts
-        assert max(restore_rungs) >= 2
+        # one LP per restore_DS, and both QP start verdicts
+        assert restore_lps == [1] * 16
         assert {"optimal", "infeasible"} <= set(statuses)
 
     def test_infeasible_box(self):
@@ -519,6 +528,7 @@ class TestRestoreDS:
     def setup_unbalanced(self, seed):
         g = gen_random_graph(12, 3, 6, seed=seed)
         m = build_arc_map(g)
+        assert forced_zero_arcs(m) == ()
         mat = build_A(m, mode="ds")
         rng = np.random.default_rng(seed)
         xbar = np.clip(
@@ -530,36 +540,48 @@ class TestRestoreDS:
     def test_feasible_result(self, which):
         mat, xbar = self.setup_unbalanced(13)
         fn = restore_DS if which == "lp" else restore_DS_qp
-        x, forced = fn(xbar, mat)
-        assert forced == ()
+        x = fn(xbar, mat)
         r = mat @ x
         assert np.max(np.abs(r - 1.0)) <= 1e-8
         assert np.min(x) >= -1e-12
         if which == "qp":
-            # the first box restore_DS_qp tries, [min(xbar), 1], is feasible
-            # here, so x is the projection onto it
+            # x is the projection onto the box [x_min, 1]
             a = len(xbar)
-            lb = np.full(a, max(float(np.min(xbar)), 1e-10))
+            lb = np.full(a, min(max(float(np.min(xbar)), 1e-10), 1.0 / a))
             assert verify_qp(x, xbar, mat, np.ones(mat.shape[0]), lb, np.ones(a)) <= 1e-7
 
     def test_lp_stays_close(self):
         mat, xbar = self.setup_unbalanced(14)
-        x, _ = restore_DS(xbar, mat)
+        x = restore_DS(xbar, mat)
         # the one-norm objective keeps the correction moderate
         assert np.abs(x - xbar).sum() <= 2.0
 
-    def test_forced_zero_diagnosis(self):
-        # a 2x2 exchange where one variable must hit zero exactly: the
-        # diagnosis returns it instead of pretending the floor is feasible
-        mat = np.array(
-            [
-                [1.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        xbar = np.array([1.0, 0.3, 0.7])
-        x, forced = restore_DS(xbar, mat, x_min=1e-3)
-        if forced:
-            assert all(x[k] <= 1e-3 for k in forced)
+    @pytest.mark.parametrize("which", ["lp", "qp"])
+    def test_floor_capped_at_one_over_a(self, monkeypatch, which):
+        # on the complete digraph on 4 nodes every row has 3 arcs, so with
+        # min(xbar) >= 0.4 the box [min(xbar), 1] holds no point with row
+        # sums 1; the floor 1/a = 1/12 admits the uniform point 1/3
+        m = build_arc_map(make_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]))
+        mat = build_A(m, mode="ds")
+        xbar = np.random.default_rng(5).uniform(0.4, 0.5, m.n_arcs)
+        fn = restore_DS if which == "lp" else restore_DS_qp
+        x, lps = recorded_lps(monkeypatch, fn, xbar, mat)
+        assert np.max(np.abs(mat @ x - 1.0)) <= 1e-8
+        assert np.min(x) >= 1.0 / 12 - 1e-12
+        if which == "lp":
+            assert len(lps) == 1
         else:
-            assert np.max(np.abs(mat @ x - 1.0)) <= 1e-8
+            lb = np.full(m.n_arcs, 1.0 / 12)
+            assert verify_qp(x, xbar, mat, np.ones(mat.shape[0]), lb, np.ones(m.n_arcs)) <= 1e-7
+
+    @pytest.mark.parametrize("which", ["lp", "qp"])
+    def test_forced_arc_left_in_raises(self, which):
+        # this support has arcs in no perfect matching, which no point of a
+        # box with a positive floor can carry: restoration reports a dead end
+        # instead of a point off the constraints
+        m = build_arc_map(gen_random_graph(10, 3, 6, seed=24))
+        assert forced_zero_arcs(m)
+        xbar = 1.0 / np.bincount(m.row)[m.row]
+        fn = restore_DS if which == "lp" else restore_DS_qp
+        with pytest.raises(StarvationError, match="restoration program infeasible"):
+            fn(xbar, build_A(m, mode="ds"))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dipa.graph import (
     CycleCertificate,
     Graph,
     StarvationError,
+    arc_map_from_arcs,
     build_arc_map,
     deflate,
     enumerate_hc,
@@ -21,14 +23,15 @@ from dipa.graph import (
     support_graph,
 )
 from dipa.inner import BarrierSpec, PhaseContext, barrier_eval
-from dipa.lp import LPError
-from dipa.nullspace import build_Z
+from dipa.lp import LPError, lp_solve
+from dipa.nullspace import build_A, build_Z
 from dipa.outer import (
     GAVE_UP,
     HC_FOUND,
     MAX_PHASE_ITER,
     NO_HC_DISCONNECTED,
     DipaParams,
+    NoInteriorPoint,
     dipa_solve,
     forced_zero_arcs,
     initial_interior,
@@ -187,7 +190,68 @@ class TestMuTrigger:
         assert 0.0 < mu2 <= 0.001
 
 
+def forced_zero_arcs_reference(m):
+    """forced_zero_arcs as the LP it was before the matching check, kept as
+    the reference: maximize sum(u) with u <= x, u <= 1/(4a) over the doubly
+    stochastic points x of the support; u stays at zero exactly on the arcs
+    no such point uses."""
+    A = build_A(m, mode="ds")
+    rows, a = A.shape
+    eps = 1.0 / (4.0 * a)
+    # variables [x, u, s] with u - x + s = 0
+    c = np.concatenate([np.zeros(a), -np.ones(a), np.zeros(a)])
+    aeq = np.block(
+        [
+            [A, np.zeros((rows, a)), np.zeros((rows, a))],
+            [-np.eye(a), np.eye(a), np.eye(a)],
+        ]
+    )
+    beq = np.concatenate([np.ones(rows), np.zeros(a)])
+    lb = np.zeros(3 * a)
+    ub = np.concatenate([np.ones(a), np.full(a, eps), np.full(a, np.inf)])
+    xus, status = lp_solve(c, aeq, beq, lb, ub)
+    if status != "optimal":
+        raise NoInteriorPoint("no doubly stochastic point on this support")
+    u = xus[a : 2 * a]
+    return tuple(int(k) for k in np.flatnonzero(u <= 0.5 * eps))
+
+
+def pruned_support(m, seed):
+    """m without about a third of its arcs, drawn at random, skipping any
+    deletion that would leave a node without an out-arc or an in-arc."""
+    rng = random.Random(seed)
+    arcs = list(m.arcs)
+    for i, j in rng.sample(arcs, len(arcs) // 3):
+        if sum(a == i for a, _ in arcs) > 1 and sum(b == j for _, b in arcs) > 1:
+            arcs.remove((i, j))
+    return arc_map_from_arcs(m.nodes, arcs)
+
+
 class TestForcedZeroArcs:
+    @staticmethod
+    def verdict(fn, m):
+        try:
+            return fn(m)
+        except NoInteriorPoint:
+            return None
+
+    def test_matches_lp_reference(self):
+        # unplanted, planted and arc-pruned supports on 6 to 16 nodes
+        outcomes = {"empty": 0, "non-empty": 0, "no matching": 0}
+        for seed in range(400):
+            n = 6 + seed % 11
+            if seed % 3 == 0:
+                m = build_arc_map(gen_random_graph(n, 2, 3 + seed % 2, seed=seed, plant=False))
+            elif seed % 3 == 1:
+                m = build_arc_map(gen_random_graph(n, 2, 3 + seed % 3, seed=seed, plant=True))
+            else:
+                g = gen_random_graph(n, 2, 4, seed=seed, plant=seed % 2 == 0)
+                m = pruned_support(build_arc_map(g), seed)
+            got = self.verdict(forced_zero_arcs, m)
+            assert got == self.verdict(forced_zero_arcs_reference, m), seed
+            outcomes["no matching" if got is None else "non-empty" if got else "empty"] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
     def test_total_support_unchanged(self):
         g = gen_random_graph(12, 3, 6, seed=32)
         m = build_arc_map(g)
