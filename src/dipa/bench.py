@@ -129,7 +129,6 @@ class BenchConfig:
     out_dir: str | None = None
     time_limit: float = 60.0
     workers: int = 1
-    plant: bool = True
 
     def validate(self) -> None:
         if not self.sizes:
@@ -138,6 +137,8 @@ class BenchConfig:
             raise ValueError("count must be at least 1")
         if self.grid not in GRIDS:
             raise ValueError(f"unknown grid {self.grid!r}; choose from {sorted(GRIDS)}")
+        if not self.time_limit > 0.0:
+            raise ValueError(f"time_limit must be positive, got {self.time_limit!r}")
 
     def settings(self) -> tuple[BenchSetting, ...]:
         return GRIDS[self.grid]()
@@ -152,8 +153,8 @@ class BenchResult:
 
 
 def _solve_job(task: tuple) -> dict:
-    n, dmin, dmax, inst_seed, plant, setting, time_limit = task
-    g = gen_random_graph(n, dmin, dmax, seed=inst_seed, plant=plant)
+    n, dmin, dmax, inst_seed, setting, time_limit = task
+    g = gen_random_graph(n, dmin, dmax, seed=inst_seed, plant=True)
     params = setting.params(time_limit=time_limit, seed=inst_seed)
     row = {
         "graph_id": f"n{n}-s{inst_seed}",
@@ -225,8 +226,7 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
         for setting in settings:
             for i in range(cfg.count):
                 tasks.append(
-                    (n, cfg.dmin, cfg.dmax, cfg.seed + i, cfg.plant,
-                     setting, cfg.time_limit)
+                    (n, cfg.dmin, cfg.dmax, cfg.seed + i, setting, cfg.time_limit)
                 )
 
     result = BenchResult()
@@ -300,28 +300,38 @@ def _tabulate(result: BenchResult, records: list, cfg: BenchConfig, settings) ->
 
 
 def neutral_point(g: Graph, mode: str = "ds") -> np.ndarray:
-    """The barrier-only minimizer used as the common start of every profile."""
+    """The barrier-only minimizer used as the common start of every profile,
+    on the arcs of build_arc_map(g). In ds mode the arcs in no perfect
+    matching are deleted first, as dipa_solve deletes them, and read 0;
+    raises NoInteriorPoint when g has no perfect matching."""
     m = build_arc_map(g)
-    x = initial_interior(m, mode)
+    x = np.zeros(m.n_arcs)
+    keep = slice(None)
+    if mode == "ds":
+        m, keep, _ = outer.drop_forced(m)
     ctx = PhaseContext(
         z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=NEUTRAL_TOL,
         max_iter=outer.MAX_PHASE_ITER, alpha=DipaParams().alpha,
     )
-    return minimize_phase(x, BarrierSpec(mu=math.inf), ctx)
+    x[keep] = minimize_phase(initial_interior(m, mode), BarrierSpec(mu=math.inf), ctx)
+    return x
 
 
 def trace_paths(g: Graph, samples: int = 101, cap: int = 100000) -> list:
     """Objective profile along the straight segment from the neutral point to
     every Hamiltonian cycle of g.
 
-    Returns (hc_id, t, f) tuples on a uniform t grid over [0, 1 - eps]; the
-    last grid point stops just short of the vertex so the segment stays
-    strictly interior.
+    Returns (hc_id, t, f) tuples on a uniform t grid over [0, 1 - eps], and
+    none when g has no Hamiltonian cycle; the last grid point stops just
+    short of the vertex so the segment stays strictly interior on every arc
+    that lies in a perfect matching. The other arcs read 0 all along it.
     """
     if samples < 2:
         raise ValueError("need at least two sample points")
-    m = build_arc_map(g)
     hcs = enumerate_hc(g, cap=cap)
+    if not hcs:
+        return []
+    m = build_arc_map(g)
     x0 = neutral_point(g, mode="ds")
     eps = 1e-6
     rows = []

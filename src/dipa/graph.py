@@ -125,11 +125,7 @@ class DeflationRecord:
     """Everything needed to splice the removed node back into a cycle."""
 
     fixed_arc: tuple  # (i, j): node i is removed, j takes its in-arcs
-    redirected: tuple  # pairs ((k, i), (k, j))
-
-    @property
-    def redirect_sources(self) -> frozenset:
-        return frozenset(old[0] for old, _ in self.redirected)
+    sources: frozenset  # every h whose arc (h, i) became (h, j)
 
 
 @dataclass(frozen=True)
@@ -137,9 +133,6 @@ class CycleCertificate:
     """Closed node sequence v1..vN, vN+1 = v1."""
 
     seq: tuple
-
-    def __len__(self) -> int:
-        return len(self.seq)
 
     def arcs(self) -> list:
         s = self.seq
@@ -164,19 +157,31 @@ class CycleCertificate:
                 raise GraphError(f"cycle uses non-edge ({a},{b})")
 
 
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's connected component, for the graph
+    on vertices 0..n-1 with edges (u[e], v[e]). Each round every edge hooks
+    the larger of its two end labels onto the smaller, and pointer jumping
+    then flattens the label forest (Shiloach & Vishkin 1982). A label only
+    ever falls to a smaller vertex of its own component, so once every edge
+    joins equal labels, each component carries its least vertex."""
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return label
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    adj = g.adjacency()
-    seen = {g.nodes[0]}
-    stack = [g.nodes[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return support_connected(build_arc_map(g))
+
+
+def support_connected(m: ArcVarMap) -> bool:
+    """Whether the undirected support of m's arcs is connected."""
+    return not component_labels(len(m.nodes), m.row, m.col).any()
 
 
 def enumerate_hc(g: Graph, cap: int | None = None, node_limit: int = 32) -> list:
@@ -212,50 +217,47 @@ def enumerate_hc(g: Graph, cap: int | None = None, node_limit: int = 32) -> list
     return found
 
 
-def deflate(m: ArcVarMap, arc) -> tuple:
-    """Fix arc (i,j) to 1: remove node i, redirect arcs (k,i) to (k,j), and
-    zero the companions (i,k) k!=j, (k,j) k!=i, (j,i). Returns the reduced
-    map and the record that splices i back into a cycle."""
-    i, j = arc
-    if arc not in m.index:
-        raise GraphError(f"arc {arc} not present")
-    kept = []
-    redirected = []
-    for a, b in m.arcs:
-        if a == i or b == j or (a, b) == (j, i):
-            continue  # the fixed arc and the companions it zeroes
-        if b == i:
-            # a != j here: (j,i) is zeroed above, so no self-loop (j,j) forms
-            redirected.append(((a, b), (a, j)))
-            kept.append((a, j))
-        else:
-            kept.append((a, b))
-    nodes2 = tuple(v for v in m.nodes if v != i)
-    if len(nodes2) < 2:
+def deflate(m: ArcVarMap, k: int) -> tuple:
+    """Fix the arc (i,j) at position k to 1: remove node i, redirect arcs
+    (h,i) to (h,j), and zero the companions (i,h) h!=j, (h,j) h!=i, (j,i).
+    Returns the reduced map, keep (the position in m of each of its arcs;
+    for a redirected (h,j), that of (h,i)) and the record that splices i
+    back into a cycle."""
+    nodes, row, col = m.nodes, m.row, m.col
+    if len(nodes) < 3:
         raise StarvationError("deflation would leave fewer than 2 nodes")
-    out_deg = {v: 0 for v in nodes2}
-    in_deg = {v: 0 for v in nodes2}
-    for a, b in kept:
-        out_deg[a] += 1
-        in_deg[b] += 1
-    for v in nodes2:
-        if out_deg[v] == 0 or in_deg[v] == 0:
-            raise StarvationError(f"node {v} isolated after deflation of {arc}")
-    m2 = arc_map_from_arcs(nodes2, kept)
-    return m2, DeflationRecord(fixed_arc=(i, j), redirected=tuple(redirected))
+    i, j = m.arcs[k]
+    ri, cj = row[k], col[k]
+    # the fixed arc and the companions it zeroes leave; (j,i) leaves too, so
+    # no redirect forms a self-loop (j,j)
+    keep = np.flatnonzero((row != ri) & (col != cj) & ((row != cj) | (col != ri)))
+    col2 = np.where(col[keep] == ri, cj, col[keep])
+    order = np.lexsort((col2, row[keep]))
+    keep, row2, col2 = keep[order], row[keep][order], col2[order]
+    n = len(nodes)
+    bare = (np.bincount(row2, minlength=n) == 0) | (np.bincount(col2, minlength=n) == 0)
+    bare[ri] = False
+    if bare.any():
+        v = nodes[int(np.argmax(bare))]
+        raise StarvationError(f"node {v} isolated after deflation of {(i, j)}")
+    arcs = [(nodes[a], nodes[b]) for a, b in zip(row2.tolist(), col2.tolist())]
+    sources = frozenset(nodes[a] for a in row2[col[keep] == ri].tolist())
+    m2 = arc_map_from_arcs(nodes[:ri] + nodes[ri + 1 :], arcs)
+    return m2, keep, DeflationRecord(fixed_arc=(i, j), sources=sources)
 
 
-def delete_arc(m: ArcVarMap, arc) -> ArcVarMap:
-    """Fix one directed arc variable to 0. The reverse arc is untouched."""
-    i, j = arc
-    if arc not in m.index:
-        raise GraphError(f"arc {arc} not present")
-    kept = [a for a in m.arcs if a != arc]
-    if not any(a == i for a, _ in kept):
-        raise StarvationError(f"node {i} starved: no out-arc after deleting {arc}")
-    if not any(b == j for _, b in kept):
-        raise StarvationError(f"node {j} starved: no in-arc after deleting {arc}")
-    return arc_map_from_arcs(m.nodes, kept)
+def delete_arc(m: ArcVarMap, ks) -> tuple:
+    """Fix the directed arc variables at positions ks (a sequence) to 0;
+    their reverse arcs are untouched. Returns the reduced map and keep, the
+    position in m of each arc it retains."""
+    keep = np.delete(np.arange(m.n_arcs), ks)
+    for end, side, pos in ((0, "out", m.row), (1, "in", m.col)):
+        left = np.bincount(pos[keep], minlength=len(m.nodes))
+        for k in ks:
+            if not left[pos[k]]:
+                arc = m.arcs[k]
+                raise StarvationError(f"node {arc[end]} starved: no {side}-arc after deleting {arc}")
+    return arc_map_from_arcs(m.nodes, [m.arcs[k] for k in keep.tolist()]), keep
 
 
 def expand_cycle(records, c: CycleCertificate, original: Graph | None = None) -> CycleCertificate:
@@ -268,7 +270,7 @@ def expand_cycle(records, c: CycleCertificate, original: Graph | None = None) ->
             raise GraphError(f"merge target {j} missing from cycle during expansion")
         t = seq.index(j)
         pred = seq[t - 1]
-        if len(seq) > 1 and pred not in rec.redirect_sources:
+        if len(seq) > 1 and pred not in rec.sources:
             raise GraphError(
                 f"cycle enters {j} from {pred}, which was not redirected when "
                 f"node {i} was deflated (corrupt record or cycle)"

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from dipa.graph import ArcVarMap
+from dipa.graph import ArcVarMap, component_labels
 
 
 def build_A(m: ArcVarMap, mode: str) -> np.ndarray:
@@ -54,26 +54,15 @@ def _retained_rows(mat: np.ndarray, n_row_block: int) -> list:
     highest column row of each component gives exactly the rows that greedy
     rank tests from the last row down would keep."""
     rows = mat.shape[0]
-    root = list(range(rows))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
     # nonzeros column by column: consecutive entries of one column are joined
     k, r = np.nonzero(mat.T)
-    same = (k[1:] == k[:-1]).tolist()
-    r = r.tolist()
-    for t, joined in enumerate(same):
-        if joined:
-            root[find(r[t])] = find(r[t + 1])
-    last = {find(v): v for v in range(n_row_block, rows)}
-    if any(find(v) not in last for v in range(n_row_block)):
+    same = k[1:] == k[:-1]
+    label = component_labels(rows, r[:-1][same], r[1:][same])
+    last = np.full(rows, -1)
+    np.maximum.at(last, label[n_row_block:], np.arange(n_row_block, rows))
+    if (last[label[:n_row_block]] < 0).any():
         raise ValueError("could not reach full row rank by dropping column rows")
-    drop = set(last.values())
-    return [v for v in range(rows) if v not in drop]
+    return np.setdiff1d(np.arange(rows), last[last >= 0]).tolist()
 
 
 def reorder_ds(mat: np.ndarray) -> ReorderedDS:

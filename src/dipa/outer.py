@@ -26,8 +26,7 @@ from dipa.graph import (
     delete_arc,
     deflate,
     expand_cycle,
-    is_connected,
-    support_graph,
+    support_connected,
 )
 from dipa.inner import (
     BarrierSpec,
@@ -94,6 +93,8 @@ class DipaParams:
             raise ValueError("deletion threshold must sit in [0, 0.01)")
         if self.restore not in ("lp", "qp"):
             raise ValueError(f"restore must be 'lp' or 'qp', got {self.restore!r}")
+        if not self.time_limit > 0.0:
+            raise ValueError(f"time_limit must be positive, got {self.time_limit!r}")
 
 
 @dataclass
@@ -128,7 +129,6 @@ class SolveReport:
     deletions: int
     trace: list
     message: str = ""
-    wall_time: float = 0.0
     f_final: float = math.nan
 
 
@@ -237,6 +237,17 @@ def forced_zero_arcs(m: ArcVarMap) -> tuple:
         reach = closed
     strong = reach & reach.T
     return tuple(int(k) for k in np.flatnonzero(~strong[m.row, to]))
+
+
+def drop_forced(m: ArcVarMap) -> tuple:
+    """m without the arcs forced_zero_arcs finds, deleted in one map
+    rebuild: (reduced map, keep, number deleted), keep as delete_arc gives
+    it. Raises NoInteriorPoint when the support has no perfect matching."""
+    forced = forced_zero_arcs(m)
+    if not forced:
+        return m, np.arange(m.n_arcs), 0
+    m2, keep = delete_arc(m, forced)
+    return m2, keep, len(forced)
 
 
 def restore_S(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
@@ -353,62 +364,49 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     mode = params.mode
     original = g
     trace: list = []
+    # one deflation record per deflation, including one a dead end undid
     records: list = []
-    deflations = 0
     deletions = 0
     iterations = 0
 
     def report(status, cycle=None, message="", x=None, m=None):
-        f_final = math.nan
-        if x is not None and m is not None:
-            try:
-                f_final = detfun.value_only(x, m, mode)
-            except Exception:
-                pass
         return SolveReport(
             status=status,
             cycle=cycle,
             iterations=iterations,
-            deflations=deflations,
+            deflations=len(records),
             deletions=deletions,
             trace=trace,
             message=message,
-            wall_time=time.monotonic() - t0,
-            f_final=f_final,
+            f_final=math.nan if x is None else detfun.value_only(x, m, mode),
         )
 
     # a Hamiltonian cycle has at least 3 nodes and leaves each node to a
     # neighbour other than the one it came from
     if g.n < 3:
         return report(NO_HC_DISCONNECTED, message=f"{g.n} nodes, fewer than 3")
-    degree = dict.fromkeys(g.nodes, 0)
-    for a, b in g.edges:
-        degree[a] += 1
-        degree[b] += 1
-    thin = [v for v in g.nodes if degree[v] < 2]
-    if thin:
-        return report(NO_HC_DISCONNECTED, message=f"node {thin[0]} has fewer than two neighbours")
-    if not is_connected(g):
-        return report(NO_HC_DISCONNECTED, message="input graph is disconnected")
-
     m = build_arc_map(g)
+    thin = np.flatnonzero(np.bincount(m.row, minlength=g.n) < 2)
+    if thin.size:
+        v = m.nodes[thin[0]]
+        return report(NO_HC_DISCONNECTED, message=f"node {v} has fewer than two neighbours")
+    if not support_connected(m):
+        return report(NO_HC_DISCONNECTED, message="input graph is disconnected")
     if params.drop_one_var:
         # every node keeps at least one out-arc and one in-arc: it has two
         # neighbours, and each edge gives both arcs
-        m = delete_arc(m, m.arcs[0])
+        m, _ = delete_arc(m, [0])
         deletions += 1
     if mode == "ds":
         # arcs in no perfect matching are zero at every doubly stochastic
         # point, so at every Hamiltonian cycle; deleting them leaves a
         # support with a strict interior
         try:
-            forced = forced_zero_arcs(m)
+            m, _, forced = drop_forced(m)
         except NoInteriorPoint as exc:
             return report(NO_HC_DISCONNECTED, message=str(exc))
-        for k in reversed(forced):
-            m = delete_arc(m, m.arcs[k])
-        deletions += len(forced)
-        if not is_connected(support_graph(m.nodes, m.arcs)):
+        deletions += forced
+        if not support_connected(m):
             return report(NO_HC_DISCONNECTED, message="support disconnected after reduction")
     x = initial_interior(m, mode)
 
@@ -438,7 +436,8 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         """Threshold sweep: deflate any variable at or above the deflation
         threshold (lowest index first), else delete any at or below the
         deletion threshold, rescanning until clean. In ds mode every change
-        is followed by deleting the arcs it left in no perfect matching.
+        is followed by deleting the arcs it left in no perfect matching,
+        and x moves to the reduced map once, through the composed keep.
         Then the support's connectivity is checked and feasibility restored.
         Returns (x, m, dead_end): x lives on the map m, which is work.m when
         nothing changed; dead_end is None, or a message when a change
@@ -446,7 +445,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         matching, or its restoration failed, and then x and m are from
         before that change. A dead end proves nothing about the input
         graph."""
-        nonlocal deflations, deletions
+        nonlocal deletions
         m_now = work.m
         while True:
             high = np.flatnonzero(x >= params.deflation_threshold)
@@ -455,23 +454,18 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                 return x, m_now, None
             try:
                 if high.size:
-                    m2, rec = deflate(m_now, m_now.arcs[int(high[0])])
-                    back = {new: old for old, new in rec.redirected}
-                    x2 = x[[m_now.index[back.get(a, a)] for a in m2.arcs]]
+                    m2, keep, rec = deflate(m_now, int(high[0]))
                     records.append(rec)
-                    deflations += 1
                 else:
-                    m2 = delete_arc(m_now, m_now.arcs[int(low[0])])
-                    x2 = np.delete(x, int(low[0]))
+                    m2, keep = delete_arc(m_now, low[:1])
                     deletions += 1
                 if mode == "ds":
-                    forced = forced_zero_arcs(m2)
-                    for k in reversed(forced):
-                        m2 = delete_arc(m2, m2.arcs[k])
-                    x2 = np.delete(x2, forced)
-                    deletions += len(forced)
-                if not is_connected(support_graph(m2.nodes, m2.arcs)):
+                    m2, keep2, forced = drop_forced(m2)
+                    keep = keep[keep2]
+                    deletions += forced
+                if not support_connected(m2):
                     return x, m_now, "surgery dead end: support disconnected"
+                x2 = x[keep]
                 if mode == "s":
                     x2 = restore_S(x2, m2)
                 elif params.restore == "lp":
@@ -511,7 +505,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                 TraceRow(
                     it=iterations, mu=mu, f=f, phi=phi, merit=merit,
                     step=0.0, kind="trigger", delta_hat=0.0,
-                    x_min=float(np.min(x)), deflations=deflations,
+                    x_min=float(np.min(x)), deflations=len(records),
                 )
             )
             if mu2 < MU_MIN:
@@ -529,7 +523,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             TraceRow(
                 it=iterations, mu=mu, f=info.f, phi=info.phi, merit=info.merit,
                 step=info.step, kind=info.kind, delta_hat=info.delta_hat,
-                x_min=float(np.min(x)), deflations=deflations,
+                x_min=float(np.min(x)), deflations=len(records),
             )
         )
 

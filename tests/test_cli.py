@@ -2,7 +2,7 @@ import pytest
 
 import dipa.cli
 from dipa.cli import main
-from dipa.graph import petersen, write_graph
+from dipa.graph import gen_random_graph, make_graph, petersen, write_graph
 from dipa.outer import GAVE_UP, DipaParams, SolveReport
 
 
@@ -89,6 +89,16 @@ class TestSolve:
         rc = run("solve", "--graph", str(gfile), "--mode", "s")
         assert rc in (0, 2)
 
+    @pytest.mark.parametrize("limit", ["nan", "0", "-1"])
+    def test_time_limit_not_positive_exit_three(self, tmp_path, capsys, limit):
+        # a NaN limit would never compare as exceeded and leave the solve
+        # without a wall clock
+        gfile = tmp_path / "g.txt"
+        run("gen", "--n", "8", "--seed", "2", "--plant", "--out", str(gfile))
+        rc = run("solve", "--graph", str(gfile), "--mode", "ds", "--time-limit", limit)
+        assert rc == 3
+        assert "time_limit" in capsys.readouterr().err
+
 
 class TestBench:
     def test_tables_written(self, tmp_path, capsys):
@@ -110,6 +120,16 @@ class TestBench:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("limit", ["nan", "0"])
+    def test_time_limit_not_positive_exit_three(self, tmp_path, capsys, limit):
+        out = tmp_path / "tables"
+        rc = run(
+            "bench", "--sizes", "8", "--count", "1", "--grid", "paper-def",
+            "--seed", "1", "--out", str(out), "--time-limit", limit,
+        )
+        assert rc == 3
+        assert not out.exists()
+
 
 class TestPathsCmd:
     def test_profile_written(self, tmp_path, capsys):
@@ -119,6 +139,31 @@ class TestPathsCmd:
         rc = run("paths", "--graph", str(gfile), "--out", str(out), "--samples", "3")
         assert rc == 0
         assert out.read_text().splitlines()[0] == "hc_id,t,f"
+
+    def test_forced_arcs(self, tmp_path, capsys):
+        # six arcs of this planted graph lie in no perfect matching: the
+        # neutral point is taken without them and reads 0 there
+        gfile = tmp_path / "g.txt"
+        write_graph(gen_random_graph(10, 3, 6, seed=24, plant=True), gfile)
+        out = tmp_path / "profile.csv"
+        rc = run("paths", "--graph", str(gfile), "--out", str(out), "--samples", "3")
+        assert rc == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "hc_id,t,f" and len(rows) > 1
+        # the profile starts at the neutral point, where f is the same
+        # toward every cycle
+        assert len({r.split(",")[2] for r in rows[1:] if r.split(",")[1] == "0"}) == 1
+
+    def test_no_perfect_matching(self, tmp_path, capsys):
+        # K_{2,3}: no perfect matching, so no Hamiltonian cycle and no
+        # neutral point; the profile is empty
+        gfile = tmp_path / "k23.txt"
+        write_graph(make_graph(5, [(a, b) for a in (1, 2) for b in (3, 4, 5)]), gfile)
+        out = tmp_path / "profile.csv"
+        rc = run("paths", "--graph", str(gfile), "--out", str(out))
+        assert rc == 0
+        assert out.read_text().splitlines() == ["hc_id,t,f"]
+        assert "0 rows" in capsys.readouterr().out
 
     def test_cap_exceeded(self, tmp_path, capsys):
         gfile = tmp_path / "g.txt"

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from dipa.graph import (
@@ -7,6 +10,7 @@ from dipa.graph import (
     StarvationError,
     arc_map_from_arcs,
     build_arc_map,
+    component_labels,
     deflate,
     delete_arc,
     enumerate_hc,
@@ -17,6 +21,7 @@ from dipa.graph import (
     parse_graph,
     petersen,
     read_graph,
+    support_connected,
     support_graph,
     write_graph,
 )
@@ -69,12 +74,31 @@ class TestArcVarMap:
         # row/col hold each arc's endpoints as indices into m.nodes, on the
         # full map and on the maps deletion and deflation produce
         m = build_arc_map(gen_random_graph(15, 3, 6, seed=5))
-        maps = [m, delete_arc(m, m.arcs[3])]
-        maps.append(deflate(maps[-1], maps[-1].arcs[0])[0])
+        maps = [m, delete_arc(m, [3])[0]]
+        maps.append(deflate(maps[-1], 0)[0])
         for mm in maps:
             assert mm.row.tolist() == [mm.nodes.index(i) for i, _ in mm.arcs]
             assert mm.col.tolist() == [mm.nodes.index(j) for _, j in mm.arcs]
 
+
+
+def components_reference(n, u, v):
+    """The least vertex of each vertex's component, by depth-first search."""
+    adj = [[] for _ in range(n)]
+    for a, b in zip(u, v):
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [-1] * n
+    for root in range(n):
+        if label[root] < 0:
+            label[root] = root
+            stack = [root]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if label[w] < 0:
+                        label[w] = root
+                        stack.append(w)
+    return label
 
 
 class TestConnectivity:
@@ -84,6 +108,34 @@ class TestConnectivity:
     def test_disconnected(self):
         g = make_graph(4, [(1, 2), (3, 4)])
         assert not is_connected(g)
+
+    def test_labels_match_dfs(self):
+        rng = random.Random(0)
+        cases = [(0, [], []), (1, [], []), (6, [], [])]
+        # a path numbered against the hooking order, which takes the most
+        # rounds to settle
+        cases.append((40, list(range(39, 0, -1)), list(range(38, -1, -1))))
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            # edges touch a random subset only, so most graphs keep isolated
+            # vertices; repeats and both directions of one pair occur
+            touched = rng.sample(range(n), rng.randint(1, n))
+            e = rng.randint(0, 2 * n)
+            cases.append((n, rng.choices(touched, k=e), rng.choices(touched, k=e)))
+        sizes = set()
+        for n, u, v in cases:
+            got = component_labels(n, np.array(u, dtype=np.intp), np.array(v, dtype=np.intp))
+            ref = components_reference(n, u, v)
+            assert got.tolist() == ref
+            sizes.add(min(len(set(ref)), 3))
+        # graphs with one, two and many components
+        assert sizes == {0, 1, 2, 3}
+
+    def test_support_connected(self):
+        m = build_arc_map(make_graph(4, [(1, 2), (3, 4)]))
+        assert not support_connected(m)
+        m = arc_map_from_arcs((1, 2, 3), [(1, 2), (3, 2)])
+        assert support_connected(m)
 
 
 class TestEnumerate:
@@ -147,7 +199,7 @@ class TestDeflation:
     def test_c4_record(self):
         g = c4()
         m = build_arc_map(g)
-        m2, rec = deflate(m, (1, 2))
+        m2, keep, rec = deflate(m, m.index[(1, 2)])
         g2 = support_graph(m2.nodes, m2.arcs)
         assert g2.nodes == (2, 3, 4)
         assert sorted(g2.edges) == [(2, 3), (2, 4), (3, 4)]
@@ -156,19 +208,20 @@ class TestDeflation:
         assert m2.col.tolist() == [1, 2, 0, 1]
         assert rec.fixed_arc == (1, 2)
         assert 1 not in m2.nodes
-        assert rec.redirected == (((4, 1), (4, 2)),)
+        assert rec.sources == {4}
+        # (4,2) carries (4,1); every other arc keeps its own
+        assert [m.arcs[k] for k in keep] == [(2, 3), (3, 4), (4, 1), (4, 3)]
         # the zeroed companions are gone from the map and no redirect
         # brings them back
         zeroed = {(1, 4), (2, 1), (3, 2)}
         assert not zeroed & set(m2.arcs)
-        assert not zeroed & {new for _, new in rec.redirected}
-        redirect_sources = {old for old, _ in rec.redirected}
-        assert set(m.arcs) - set(m2.arcs) - redirect_sources - {rec.fixed_arc} == zeroed
+        assert not zeroed & {m.arcs[k] for k in keep}
+        assert set(m.arcs) - {m.arcs[k] for k in keep} - {rec.fixed_arc} == zeroed
 
     def test_expand_roundtrip(self):
         g = c4()
         m = build_arc_map(g)
-        m2, rec = deflate(m, (1, 2))
+        m2, _, rec = deflate(m, m.index[(1, 2)])
         full = expand_cycle([rec], CycleCertificate(seq=(2, 3, 4)), original=g)
         assert full.canonical().seq == (1, 2, 3, 4)
 
@@ -176,9 +229,9 @@ class TestDeflation:
         g = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
         m = build_arc_map(g)
         records = []
-        m1, r1 = deflate(m, (1, 2))
+        m1, _, r1 = deflate(m, m.index[(1, 2)])
         records.append(r1)
-        m2, r2 = deflate(m1, (2, 3))
+        m2, _, r2 = deflate(m1, m1.index[(2, 3)])
         records.append(r2)
         small = enumerate_hc(support_graph(m2.nodes, m2.arcs))[0]
         full = expand_cycle(records, small, original=g)
@@ -190,32 +243,82 @@ class TestDeflation:
         # original arc, which must itself have been zeroed, never duplicated
         g = make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
         m = build_arc_map(g)
-        m2, rec = deflate(m, (1, 2))
-        assert ((3, 1), (3, 2)) in rec.redirected
+        m2, keep, rec = deflate(m, m.index[(1, 2)])
+        assert 3 in rec.sources
         # the original (3,2) is zeroed: the one (3,2) left carries (3,1)
         assert sum(1 for a in m2.arcs if a == (3, 2)) == 1
-        assert {new: old for old, new in rec.redirected}[(3, 2)] == (3, 1)
+        assert m.arcs[keep[m2.index[(3, 2)]]] == (3, 1)
 
     def test_starvation_detected(self):
         # asymmetric arc map where deflating (1,2) zeroes every arc
         m = arc_map_from_arcs((1, 2, 3), [(1, 2), (2, 1), (1, 3), (3, 2)])
         with pytest.raises(StarvationError):
-            deflate(m, (1, 2))
+            deflate(m, m.index[(1, 2)])
+
+
+def remap_reference(m, x, deflated=None, deleted=()):
+    """The reduced arcs and x on them, the way deflate's arc loop and
+    surgery's label remap made them before deflate and delete_arc returned
+    keep: deflating (i,j) drops (i,*), (*,j) and (j,i), turns each (h,i)
+    into (h,j), and a label dict sends (h,j) back to (h,i) for x; deleting
+    arcs drops their positions with np.delete."""
+    if deflated is None:
+        arcs = [a for k, a in enumerate(m.arcs) if k not in deleted]
+        return tuple(arcs), np.delete(x, deleted)
+    i, j = m.arcs[deflated]
+    live = [(h, b) for h, b in m.arcs if h != i and b != j and (h, b) != (j, i)]
+    arcs = sorted((h, j if b == i else b) for h, b in live)
+    back = {(h, j): (h, i) for h, b in m.arcs if b == i and h != j}
+    return tuple(arcs), x[[m.index[back.get(a, a)] for a in arcs]]
+
+
+class TestKeepMatchesRemap:
+    """deflate and delete_arc against the frozen arc loop and label remap,
+    on chains of random deflations, deletions and deletion batches."""
+
+    def test_random_chains(self):
+        rng = random.Random(3)
+        steps = {"deflate": 0, "delete": 0, "batch": 0}
+        for seed in range(40):
+            m = build_arc_map(gen_random_graph(8 + seed % 15, 3, 6, seed=seed, plant=True))
+            for _ in range(8):
+                x = np.array([rng.random() for _ in range(m.n_arcs)])
+                kind = rng.choice(tuple(steps))
+                try:
+                    if kind == "deflate":
+                        k = rng.randrange(m.n_arcs)
+                        m2, keep, rec = deflate(m, k)
+                        arcs, ref = remap_reference(m, x, deflated=k)
+                        i, j = m.arcs[k]
+                        assert rec.sources == {h for h, b in m.arcs if b == i} - {j}
+                    else:
+                        ks = sorted(rng.sample(range(m.n_arcs), 1 if kind == "delete" else 3))
+                        m2, keep = delete_arc(m, ks)
+                        arcs, ref = remap_reference(m, x, deleted=ks)
+                except StarvationError:
+                    continue
+                assert m2.arcs == arcs
+                # the entries of x are distinct, so this pins keep itself
+                assert np.array_equal(x[keep], ref)
+                steps[kind] += 1
+                m = m2
+        assert min(steps.values()) >= 20, steps
 
 
 class TestDeletion:
     def test_single_direction_removed(self):
         g = c4()
         m = build_arc_map(g)
-        m2 = delete_arc(m, (1, 2))
+        m2, keep = delete_arc(m, [m.index[(1, 2)]])
+        assert [m.arcs[k] for k in keep] == list(m2.arcs)
         assert (1, 2) not in m2.arcs
         assert (2, 1) in m2.arcs
         assert (1, 2) in support_graph(m2.nodes, m2.arcs).edges
 
     def test_out_arc_starvation(self):
         m = arc_map_from_arcs((1, 2, 3), [(1, 2), (2, 3), (3, 1), (2, 1)])
-        with pytest.raises(StarvationError):
-            delete_arc(m, (1, 2))
+        with pytest.raises(StarvationError, match="node 1 starved: no out-arc"):
+            delete_arc(m, [m.index[(1, 2)]])
 
 
 class TestGenerator:

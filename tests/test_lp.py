@@ -23,6 +23,7 @@ from dipa.lp import (
 )
 from dipa.nullspace import build_A
 from dipa.outer import (
+    drop_forced,
     forced_zero_arcs,
     initial_interior,
     restore_DS,
@@ -250,10 +251,8 @@ def recorded_lps(monkeypatch, fn, *args, **kwargs):
 def without_forced(m, x=None):
     """m and x (when given) with the arcs in no perfect matching deleted, as
     dipa_solve deletes them before every start and restoration."""
-    forced = forced_zero_arcs(m)
-    for k in reversed(forced):
-        m = delete_arc(m, m.arcs[k])
-    return m, None if x is None else np.delete(x, forced)
+    m, keep, _ = drop_forced(m)
+    return m, None if x is None else x[keep]
 
 
 def assert_matches_linprog(lp):
@@ -288,12 +287,10 @@ class TestMatchesLinprog:
             lps += got
             # a deflation and a deletion leave sums that restore_DS has to
             # reconcile, on the support surgery hands it: forced arcs deleted
-            arc = m.arcs[seed % m.n_arcs]
-            m2, rec = deflate(m, arc)
-            redirect = {new: old for old, new in rec.redirected}
-            x2 = np.array([x[m.index[redirect.get(a, a)]] for a in m2.arcs])
+            m2, keep, _ = deflate(m, seed % m.n_arcs)
+            x2 = x[keep]
             x2[seed % len(x2)] = 0.97
-            for xbar, mm in ((x2, m2), (x[1:], delete_arc(m, m.arcs[0]))):
+            for xbar, mm in ((x2, m2), (x[1:], delete_arc(m, [0])[0])):
                 mm, xbar = without_forced(mm, xbar)
                 got = recorded_lps(monkeypatch, restore_DS, xbar, build_A(mm, mode="ds"))[1]
                 restore_lps.append(len(got))
@@ -497,8 +494,8 @@ class TestRestoreS:
         m = build_arc_map(g)
         x = initial_interior(m, "s")
         # simulate a deletion: drop one arc and renormalize the survivor rows
-        m2 = delete_arc(m, m.arcs[0])
-        xbar = np.array([x[m.index[a]] for a in m2.arcs])
+        m2, keep = delete_arc(m, [0])
+        xbar = x[keep]
         x2 = restore_S(xbar, m2)
         sums: dict = {}
         for k, (i, _) in enumerate(m2.arcs):
