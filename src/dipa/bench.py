@@ -131,10 +131,12 @@ class BenchConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if not self.sizes:
-            raise ValueError("sizes must be nonempty")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
+        if not self.sizes or len(set(self.sizes)) != len(self.sizes):
+            raise ValueError(f"sizes must be nonempty and distinct, got {self.sizes}")
+        if not 2 <= self.dmin <= self.dmax < min(self.sizes):
+            raise ValueError(f"need 2 <= dmin <= dmax < n, got dmin={self.dmin} dmax={self.dmax} sizes={self.sizes}")
+        if self.count < 1 or self.workers < 1:
+            raise ValueError(f"count and workers must be at least 1, got {self.count} and {self.workers}")
         if self.grid not in GRIDS:
             raise ValueError(f"unknown grid {self.grid!r}; choose from {sorted(GRIDS)}")
         if not self.time_limit > 0.0:
@@ -333,12 +335,12 @@ def trace_paths(g: Graph, samples: int = 101, cap: int = 100000) -> list:
         return []
     m = build_arc_map(g)
     x0 = neutral_point(g, mode="ds")
+    index = {a: k for k, a in enumerate(m.arcs)}
     eps = 1e-6
     rows = []
     for hc_id, cert in enumerate(hcs):
-        xs = np.zeros(len(m.arcs))
-        for arc in cert.arcs():
-            xs[m.index[arc]] = 1.0
+        xs = np.zeros(m.n_arcs)
+        xs[[index[a] for a in cert.arcs()]] = 1.0
         for j in range(samples):
             t = (1.0 - eps) * j / (samples - 1)
             xt = (1.0 - t) * x0 + t * xs

@@ -3,14 +3,15 @@ graph surgery (deflation / deletion) used by the solver.
 
 Node labels are 1-based integers and survive surgery unchanged; a reduced
 graph simply has fewer labels. The undirected edge set tracks connectivity
-support (an edge remains while either direction survives); the authoritative
-directed arc list lives in ArcVarMap.
+support (an edge remains while either direction survives); the directed arcs
+live in ArcVarMap as matrix positions, their labels derived on demand.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,11 +42,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def neighbors(self, v: int) -> list[int]:
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        out.sort()
-        return out
-
     def adjacency(self) -> dict:
         adj: dict = {v: [] for v in self.nodes}
         for a, b in self.edges:
@@ -73,36 +69,41 @@ def make_graph(n: int, edges) -> Graph:
     return Graph(nodes=tuple(range(1, n + 1)), edges=frozenset(es))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcVarMap:
     """Row-major numbering of directed arcs: all arcs out of the smallest
     node first (ordered by target), then the next node, and so on.
 
     row[k] and col[k] are the matrix positions of arc k = (i, j): the
-    indices of i and j in nodes. Every matrix built from the arc variables
-    (P(x), the sum constraints, the rounding grid) is laid out from them."""
+    indices of i and j in the sorted nodes. Every matrix built from the arc
+    variables (P(x), the sum constraints, the rounding grid) is laid out
+    from them; arcs gives the label pairs, built on first use."""
 
     nodes: tuple[int, ...]
-    arcs: tuple
-    index: dict = field(compare=False)
-    row: np.ndarray = field(compare=False)
-    col: np.ndarray = field(compare=False)
+    row: np.ndarray
+    col: np.ndarray
+
+    def __post_init__(self):
+        # every layer reads the same two arrays; the map is frozen, so are they
+        self.row.flags.writeable = self.col.flags.writeable = False
 
     @property
     def n_arcs(self) -> int:
-        return len(self.arcs)
+        return len(self.row)
+
+    @cached_property
+    def arcs(self) -> tuple:
+        nodes = self.nodes
+        return tuple((nodes[i], nodes[j]) for i, j in zip(self.row.tolist(), self.col.tolist()))
 
 
 def arc_map_from_arcs(nodes, arcs) -> ArcVarMap:
     nodes = tuple(sorted(nodes))
-    arcs = tuple(sorted(arcs))
-    index = {a: k for k, a in enumerate(arcs)}
+    arcs = sorted(arcs)
     pos = {v: t for t, v in enumerate(nodes)}
     row = np.array([pos[i] for i, _ in arcs], dtype=np.intp)
     col = np.array([pos[j] for _, j in arcs], dtype=np.intp)
-    # every layer reads the same two arrays; the map is frozen, so are they
-    row.flags.writeable = col.flags.writeable = False
-    return ArcVarMap(nodes=nodes, arcs=arcs, index=index, row=row, col=col)
+    return ArcVarMap(nodes=nodes, row=row, col=col)
 
 
 def build_arc_map(g: Graph) -> ArcVarMap:
@@ -226,8 +227,8 @@ def deflate(m: ArcVarMap, k: int) -> tuple:
     nodes, row, col = m.nodes, m.row, m.col
     if len(nodes) < 3:
         raise StarvationError("deflation would leave fewer than 2 nodes")
-    i, j = m.arcs[k]
     ri, cj = row[k], col[k]
+    i, j = nodes[ri], nodes[cj]
     # the fixed arc and the companions it zeroes leave; (j,i) leaves too, so
     # no redirect forms a self-loop (j,j)
     keep = np.flatnonzero((row != ri) & (col != cj) & ((row != cj) | (col != ri)))
@@ -240,9 +241,9 @@ def deflate(m: ArcVarMap, k: int) -> tuple:
     if bare.any():
         v = nodes[int(np.argmax(bare))]
         raise StarvationError(f"node {v} isolated after deflation of {(i, j)}")
-    arcs = [(nodes[a], nodes[b]) for a, b in zip(row2.tolist(), col2.tolist())]
     sources = frozenset(nodes[a] for a in row2[col[keep] == ri].tolist())
-    m2 = arc_map_from_arcs(nodes[:ri] + nodes[ri + 1 :], arcs)
+    # node i leaves: the positions above its own move down by one
+    m2 = ArcVarMap(nodes[:ri] + nodes[ri + 1 :], row2 - (row2 > ri), col2 - (col2 > ri))
     return m2, keep, DeflationRecord(fixed_arc=(i, j), sources=sources)
 
 
@@ -250,14 +251,15 @@ def delete_arc(m: ArcVarMap, ks) -> tuple:
     """Fix the directed arc variables at positions ks (a sequence) to 0;
     their reverse arcs are untouched. Returns the reduced map and keep, the
     position in m of each arc it retains."""
+    nodes, row, col = m.nodes, m.row, m.col
     keep = np.delete(np.arange(m.n_arcs), ks)
-    for end, side, pos in ((0, "out", m.row), (1, "in", m.col)):
-        left = np.bincount(pos[keep], minlength=len(m.nodes))
+    for side, pos in (("out", row), ("in", col)):
+        left = np.bincount(pos[keep], minlength=len(nodes))
         for k in ks:
             if not left[pos[k]]:
-                arc = m.arcs[k]
-                raise StarvationError(f"node {arc[end]} starved: no {side}-arc after deleting {arc}")
-    return arc_map_from_arcs(m.nodes, [m.arcs[k] for k in keep.tolist()]), keep
+                arc = (nodes[row[k]], nodes[col[k]])
+                raise StarvationError(f"node {nodes[pos[k]]} starved: no {side}-arc after deleting {arc}")
+    return ArcVarMap(nodes, row[keep], col[keep]), keep
 
 
 def expand_cycle(records, c: CycleCertificate, original: Graph | None = None) -> CycleCertificate:

@@ -43,37 +43,33 @@ class ReorderedDS:
     rank: int
 
 
-def _retained_rows(mat: np.ndarray, n_row_block: int) -> list:
+def _retained_rows(m: ArcVarMap) -> list:
     """Rows of the stacked ds matrix (build_A in ds mode) that are linearly
     independent and span its row space.
 
-    Join row i and column row n_row_block + j whenever an arc (i, j) exists.
-    In each connected component of that graph the rows of one block sum to
-    the rows of the other, and that is the component's only dependency. So
-    the rank is the row count minus the component count, and dropping the
-    highest column row of each component gives exactly the rows that greedy
-    rank tests from the last row down would keep."""
-    rows = mat.shape[0]
-    # nonzeros column by column: consecutive entries of one column are joined
-    k, r = np.nonzero(mat.T)
-    same = k[1:] == k[:-1]
-    label = component_labels(rows, r[:-1][same], r[1:][same])
-    last = np.full(rows, -1)
-    np.maximum.at(last, label[n_row_block:], np.arange(n_row_block, rows))
-    if (last[label[:n_row_block]] < 0).any():
+    Arc k = (i, j) joins row m.row[k] and column row n + m.col[k]. In each
+    connected component of that graph the rows of one block sum to the rows
+    of the other, and that is the component's only dependency. So the rank
+    is the row count minus the component count, and dropping the highest
+    column row of each component gives exactly the rows that greedy rank
+    tests from the last row down would keep."""
+    n = len(m.nodes)
+    label = component_labels(2 * n, m.row, n + m.col)
+    last = np.full(2 * n, -1)
+    np.maximum.at(last, label[n:], np.arange(n, 2 * n))
+    if (last[label[:n]] < 0).any():
         raise ValueError("could not reach full row rank by dropping column rows")
-    return np.setdiff1d(np.arange(rows), last[last >= 0]).tolist()
+    return np.setdiff1d(np.arange(2 * n), last[last >= 0]).tolist()
 
 
-def reorder_ds(mat: np.ndarray) -> ReorderedDS:
+def reorder_ds(m: ArcVarMap) -> ReorderedDS:
     """Permute rows and columns of the doubly stochastic constraint matrix
-    (build_A in ds mode) into [B S] with B unit lower triangular.
+    (build_A in ds mode) of m into [B S] with B unit lower triangular.
 
     Columns with a single one among the still-active rows are pinned in
     batches, bottom row first; each batch prefers lower variable indices.
     """
-    n_nodes = mat.shape[0] // 2
-    am = mat[_retained_rows(mat, n_nodes)]
+    am = build_A(m, mode="ds")[_retained_rows(m)]
     rank, width = am.shape
     # column-to-rows incidence, one entry per nonzero, columns ascending
     inc_col, inc_row = np.nonzero(am.T)
@@ -192,7 +188,7 @@ def build_Z(m: ArcVarMap, mode: str) -> NullSpaceRep:
         return NullSpaceRep(mode="s", n_vars=a, dim=len(cols), cols=cols, leads=lead[rest])
     if mode != "ds":
         raise ValueError(f"unknown mode {mode!r}")
-    rds = reorder_ds(build_A(m, mode="ds"))
+    rds = reorder_ds(m)
     # B is unit lower triangular 0/1 and every partial sum of the forward
     # substitution is a small integer, so the float solve is exact. C order
     # keeps the summation order of y @ v that the integer solve gave.

@@ -257,7 +257,7 @@ def restore_S(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
     x = np.asarray(xbar, dtype=float)
     sums = np.bincount(m.row, weights=x)[m.row]
     if np.any(sums <= 0.0):
-        i, _ = m.arcs[int(np.argmax(sums <= 0.0))]
+        i = m.nodes[m.row[np.argmax(sums <= 0.0)]]
         raise StarvationError(f"row {i} has zero mass after surgery")
     return x / sums
 

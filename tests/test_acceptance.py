@@ -230,7 +230,7 @@ def test_a03_objective_anchors():
             for cert in cycles:
                 x = np.zeros(m.n_arcs)
                 for arc in cert.arcs():
-                    x[m.index[arc]] = 1.0
+                    x[m.arcs.index(arc)] = 1.0
                 assert abs(f_minor(x, m) + 1.0) <= 1e-12
                 assert abs(value_only(x, m, "s") + n) <= 1e-9
                 hc_points += 1
@@ -241,8 +241,8 @@ def test_a03_objective_anchors():
                 x = np.zeros(m.n_arcs)
                 for k in range(0, n, 2):
                     a, b = seq[k], seq[k + 1]
-                    x[m.index[(a, b)]] = 1.0
-                    x[m.index[(b, a)]] = 1.0
+                    x[m.arcs.index((a, b))] = 1.0
+                    x[m.arcs.index((b, a))] = 1.0
                 assert abs(f_minor(x, m)) <= 1e-10
                 multi_points += 1
     # disjoint pair of triangles: two 3-cycles
@@ -250,7 +250,7 @@ def test_a03_objective_anchors():
     m = build_arc_map(g)
     x = np.zeros(m.n_arcs)
     for arc in [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]:
-        x[m.index[arc]] = 1.0
+        x[m.arcs.index(arc)] = 1.0
     assert abs(f_minor(x, m)) <= 1e-10
     multi_points += 1
     _report(
@@ -324,7 +324,7 @@ def test_a05_cubic_neutral_anchor():
             x = neutral_point(g, mode=mode)
             assert np.max(np.abs(x - 1.0 / 3.0)) <= 1e-8
             for k, (i, j) in enumerate(m.arcs):
-                assert abs(x[k] - x[m.index[(j, i)]]) <= 1e-8
+                assert abs(x[k] - x[m.arcs.index((j, i))]) <= 1e-8
             count += 1
     _report("cubic neutral anchor", f"{count} graph/mode pairs at x=1/3")
 

@@ -1,5 +1,6 @@
 import pytest
 
+import dipa.bench
 import dipa.cli
 from dipa.cli import main
 from dipa.graph import gen_random_graph, make_graph, petersen, write_graph
@@ -129,6 +130,29 @@ class TestBench:
         )
         assert rc == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--sizes", "8,5"),  # dmax 6 leaves no degree room at n=5
+            ("--sizes", "8,8"),
+            ("--sizes", "8", "--dmin", "1"),
+            ("--sizes", "8", "--workers", "0"),
+        ],
+    )
+    def test_bad_config_exits_before_any_solve(self, tmp_path, monkeypatch, capsys, flags):
+        def solve_job(task):
+            raise AssertionError(f"solved {task[:4]} before rejecting the config")
+
+        monkeypatch.setattr(dipa.bench, "_solve_job", solve_job)
+        out = tmp_path / "tables"
+        rc = run(
+            "bench", *flags, "--count", "1", "--grid", "paper-def",
+            "--seed", "1", "--out", str(out),
+        )
+        assert rc == 3
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
 
 
 class TestPathsCmd:

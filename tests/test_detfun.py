@@ -22,7 +22,7 @@ def k3_map():
 def hc_vector(m, cycle_arcs):
     x = np.zeros(m.n_arcs)
     for a in cycle_arcs:
-        x[m.index[a]] = 1.0
+        x[m.arcs.index(a)] = 1.0
     return x
 
 
@@ -162,9 +162,9 @@ class TestFeasibility:
         g, m = k3_map()
         x = np.zeros(6)
         # rows stochastic but columns not
-        x[m.index[(1, 2)]] = 1.0
-        x[m.index[(2, 1)]] = 1.0
-        x[m.index[(3, 1)]] = 1.0
+        x[m.arcs.index((1, 2))] = 1.0
+        x[m.arcs.index((2, 1))] = 1.0
+        x[m.arcs.index((3, 1))] = 1.0
         check_feasible(x, m, "s")
         with pytest.raises(ValueError):
             check_feasible(x, m, "ds")
@@ -237,6 +237,6 @@ def test_assemble_P_layout():
     x = np.arange(1.0, 7.0)
     P = assemble_P(m, x)
     assert P.shape == (3, 3)
-    assert P[0, 1] == x[m.index[(1, 2)]]
-    assert P[2, 0] == x[m.index[(3, 1)]]
+    assert P[0, 1] == x[m.arcs.index((1, 2))]
+    assert P[2, 0] == x[m.arcs.index((3, 1))]
     assert np.all(np.diag(P) == 0.0)

@@ -25,6 +25,7 @@ from dipa.graph import (
     support_graph,
     write_graph,
 )
+from dipa.outer import drop_forced
 
 
 def k3():
@@ -40,7 +41,6 @@ class TestMakeGraph:
         g = k3()
         assert g.n == 3
         assert g.degree(1) == 2
-        assert g.neighbors(2) == [1, 3]
 
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
@@ -66,20 +66,25 @@ class TestArcVarMap:
     def test_k3_ordering_and_twins(self):
         m = build_arc_map(k3())
         assert m.arcs == ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
-        assert [m.index.get((j, i), -1) for i, j in m.arcs] == [2, 4, 0, 5, 1, 3]
+        assert [m.arcs.index((j, i)) for i, j in m.arcs] == [2, 4, 0, 5, 1, 3]
         assert m.row.tolist() == [0, 0, 1, 1, 2, 2]
         assert m.col.tolist() == [1, 2, 0, 2, 0, 1]
 
     def test_positions_follow_surgery(self):
-        # row/col hold each arc's endpoints as indices into m.nodes, on the
-        # full map and on the maps deletion and deflation produce
+        # on the full map and on the maps deletion and deflation produce,
+        # the positions index the sorted nodes, carry no self-loop and run
+        # strictly row-major, so re-encoding the labels gives them back
         m = build_arc_map(gen_random_graph(15, 3, 6, seed=5))
         maps = [m, delete_arc(m, [3])[0]]
         maps.append(deflate(maps[-1], 0)[0])
         for mm in maps:
-            assert mm.row.tolist() == [mm.nodes.index(i) for i, _ in mm.arcs]
-            assert mm.col.tolist() == [mm.nodes.index(j) for _, j in mm.arcs]
-
+            n = len(mm.nodes)
+            assert list(mm.nodes) == sorted(mm.nodes)
+            assert mm.row.min() >= 0 and max(mm.row.max(), mm.col.max()) < n
+            assert not (mm.row == mm.col).any()
+            assert (np.diff(mm.row * n + mm.col) > 0).all()
+            ref = arc_map_from_arcs(mm.nodes, mm.arcs)
+            assert np.array_equal(mm.row, ref.row) and np.array_equal(mm.col, ref.col)
 
 
 def components_reference(n, u, v):
@@ -199,7 +204,7 @@ class TestDeflation:
     def test_c4_record(self):
         g = c4()
         m = build_arc_map(g)
-        m2, keep, rec = deflate(m, m.index[(1, 2)])
+        m2, keep, rec = deflate(m, m.arcs.index((1, 2)))
         g2 = support_graph(m2.nodes, m2.arcs)
         assert g2.nodes == (2, 3, 4)
         assert sorted(g2.edges) == [(2, 3), (2, 4), (3, 4)]
@@ -221,7 +226,7 @@ class TestDeflation:
     def test_expand_roundtrip(self):
         g = c4()
         m = build_arc_map(g)
-        m2, _, rec = deflate(m, m.index[(1, 2)])
+        m2, _, rec = deflate(m, m.arcs.index((1, 2)))
         full = expand_cycle([rec], CycleCertificate(seq=(2, 3, 4)), original=g)
         assert full.canonical().seq == (1, 2, 3, 4)
 
@@ -229,9 +234,9 @@ class TestDeflation:
         g = make_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
         m = build_arc_map(g)
         records = []
-        m1, _, r1 = deflate(m, m.index[(1, 2)])
+        m1, _, r1 = deflate(m, m.arcs.index((1, 2)))
         records.append(r1)
-        m2, _, r2 = deflate(m1, m1.index[(2, 3)])
+        m2, _, r2 = deflate(m1, m1.arcs.index((2, 3)))
         records.append(r2)
         small = enumerate_hc(support_graph(m2.nodes, m2.arcs))[0]
         full = expand_cycle(records, small, original=g)
@@ -243,17 +248,17 @@ class TestDeflation:
         # original arc, which must itself have been zeroed, never duplicated
         g = make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
         m = build_arc_map(g)
-        m2, keep, rec = deflate(m, m.index[(1, 2)])
+        m2, keep, rec = deflate(m, m.arcs.index((1, 2)))
         assert 3 in rec.sources
         # the original (3,2) is zeroed: the one (3,2) left carries (3,1)
         assert sum(1 for a in m2.arcs if a == (3, 2)) == 1
-        assert m.arcs[keep[m2.index[(3, 2)]]] == (3, 1)
+        assert m.arcs[keep[m2.arcs.index((3, 2))]] == (3, 1)
 
     def test_starvation_detected(self):
         # asymmetric arc map where deflating (1,2) zeroes every arc
         m = arc_map_from_arcs((1, 2, 3), [(1, 2), (2, 1), (1, 3), (3, 2)])
         with pytest.raises(StarvationError):
-            deflate(m, m.index[(1, 2)])
+            deflate(m, m.arcs.index((1, 2)))
 
 
 def remap_reference(m, x, deflated=None, deleted=()):
@@ -261,15 +266,17 @@ def remap_reference(m, x, deflated=None, deleted=()):
     surgery's label remap made them before deflate and delete_arc returned
     keep: deflating (i,j) drops (i,*), (*,j) and (j,i), turns each (h,i)
     into (h,j), and a label dict sends (h,j) back to (h,i) for x; deleting
-    arcs drops their positions with np.delete."""
+    arcs drops their positions with np.delete. Returns the reduced nodes,
+    arcs and x."""
     if deflated is None:
         arcs = [a for k, a in enumerate(m.arcs) if k not in deleted]
-        return tuple(arcs), np.delete(x, deleted)
+        return m.nodes, tuple(arcs), np.delete(x, deleted)
     i, j = m.arcs[deflated]
     live = [(h, b) for h, b in m.arcs if h != i and b != j and (h, b) != (j, i)]
     arcs = sorted((h, j if b == i else b) for h, b in live)
     back = {(h, j): (h, i) for h, b in m.arcs if b == i and h != j}
-    return tuple(arcs), x[[m.index[back.get(a, a)] for a in arcs]]
+    nodes = tuple(v for v in m.nodes if v != i)
+    return nodes, tuple(arcs), x[[m.arcs.index(back.get(a, a)) for a in arcs]]
 
 
 class TestKeepMatchesRemap:
@@ -288,15 +295,22 @@ class TestKeepMatchesRemap:
                     if kind == "deflate":
                         k = rng.randrange(m.n_arcs)
                         m2, keep, rec = deflate(m, k)
-                        arcs, ref = remap_reference(m, x, deflated=k)
+                        nodes, arcs, ref = remap_reference(m, x, deflated=k)
                         i, j = m.arcs[k]
                         assert rec.sources == {h for h, b in m.arcs if b == i} - {j}
                     else:
                         ks = sorted(rng.sample(range(m.n_arcs), 1 if kind == "delete" else 3))
                         m2, keep = delete_arc(m, ks)
-                        arcs, ref = remap_reference(m, x, deleted=ks)
+                        nodes, arcs, ref = remap_reference(m, x, deleted=ks)
                 except StarvationError:
                     continue
+                # the map built from positions is the one built from labels
+                ref_map = arc_map_from_arcs(nodes, arcs)
+                assert m2.nodes == ref_map.nodes
+                assert m2.row.tolist() == ref_map.row.tolist()
+                assert m2.col.tolist() == ref_map.col.tolist()
+                assert m2.row.dtype == m2.col.dtype == np.intp
+                assert not (m2.row.flags.writeable or m2.col.flags.writeable)
                 assert m2.arcs == arcs
                 # the entries of x are distinct, so this pins keep itself
                 assert np.array_equal(x[keep], ref)
@@ -304,12 +318,22 @@ class TestKeepMatchesRemap:
                 m = m2
         assert min(steps.values()) >= 20, steps
 
+    def test_forced_batch_read_only(self):
+        # six arcs of this planted graph lie in no perfect matching
+        m = build_arc_map(gen_random_graph(10, 3, 6, seed=24, plant=True))
+        m2, keep, dropped = drop_forced(m)
+        assert dropped == 6
+        assert m2.arcs == tuple(m.arcs[k] for k in keep)
+        for pos in (m2.row, m2.col):
+            with pytest.raises(ValueError, match="read-only"):
+                pos[0] = 0
+
 
 class TestDeletion:
     def test_single_direction_removed(self):
         g = c4()
         m = build_arc_map(g)
-        m2, keep = delete_arc(m, [m.index[(1, 2)]])
+        m2, keep = delete_arc(m, [m.arcs.index((1, 2))])
         assert [m.arcs[k] for k in keep] == list(m2.arcs)
         assert (1, 2) not in m2.arcs
         assert (2, 1) in m2.arcs
@@ -318,7 +342,7 @@ class TestDeletion:
     def test_out_arc_starvation(self):
         m = arc_map_from_arcs((1, 2, 3), [(1, 2), (2, 3), (3, 1), (2, 1)])
         with pytest.raises(StarvationError, match="node 1 starved: no out-arc"):
-            delete_arc(m, [m.index[(1, 2)]])
+            delete_arc(m, [m.arcs.index((1, 2))])
 
 
 class TestGenerator:

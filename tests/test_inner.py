@@ -574,7 +574,7 @@ class TestPhases:
         ctx = phase_context(g, m, "ds", grad_tol=1e-10)
         x = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf), ctx)
         for k, (i, j) in enumerate(m.arcs):
-            assert x[k] == pytest.approx(x[m.index[(j, i)]], abs=1e-8)
+            assert x[k] == pytest.approx(x[m.arcs.index((j, i))], abs=1e-8)
 
     def test_step_once_converged_at_neutral(self):
         g = gen_random_graph(10, 3, 6, seed=22)

@@ -3,8 +3,10 @@ import random
 import numpy as np
 import pytest
 
+from dipa import nullspace
 from dipa.graph import (
     StarvationError,
+    arc_map_from_arcs,
     build_arc_map,
     deflate,
     delete_arc,
@@ -202,7 +204,7 @@ class TestRetainedRows:
         ranks = set()
         for m in maps:
             A = build_A(m, mode="ds")
-            rows = _retained_rows(A, len(m.nodes))
+            rows = _retained_rows(m)
             assert rows == retained_rows_by_rank(A, len(m.nodes))
             ranks.add(A.shape[0] - len(rows))
         # the family covers one, two and more dependencies
@@ -211,25 +213,24 @@ class TestRetainedRows:
     def test_bipartite_drops_two_rows(self):
         m = build_arc_map(random_bipartite(4, 3, 0))
         A = build_A(m, mode="ds")
-        rows = _retained_rows(A, len(m.nodes))
+        rows = _retained_rows(m)
         assert len(rows) == A.shape[0] - 2 == np.linalg.matrix_rank(A)
 
     def test_empty_out_row_raises(self):
         # a node with no out-arc is a zero row in the row block, which no
-        # column row can stand in for
-        A = np.zeros((4, 1))
-        A[0, 0] = A[3, 0] = 1.0
+        # column row can stand in for: node 2 of the single arc (1, 2)
+        m = arc_map_from_arcs((1, 2), [(1, 2)])
         with pytest.raises(ValueError):
-            _retained_rows(A, 2)
+            _retained_rows(m)
         with pytest.raises(ValueError):
-            retained_rows_by_rank(A, 2)
+            retained_rows_by_rank(build_A(m, mode="ds"), 2)
 
 
 def reorder_ds_reference(mat):
     """The set-based reorder_ds the array batches replaced: the same pinning
-    rule, one column at a time. Returns (perm, row_order, b, s)."""
-    n_nodes = mat.shape[0] // 2
-    am = mat[_retained_rows(mat, n_nodes)]
+    rule, one column at a time, on the rows the rank tests retain. Returns
+    (perm, row_order, b, s)."""
+    am = mat[retained_rows_by_rank(mat, mat.shape[0] // 2)]
     rank = am.shape[0]
     unpinned = set(range(rank))
     remaining = set(range(am.shape[1]))
@@ -287,7 +288,7 @@ class TestRebuildMatchesReference:
         for m in maps:
             mat = build_A(m, mode="ds")
             perm, row_order, b, s = reorder_ds_reference(mat)
-            rds = reorder_ds(mat)
+            rds = reorder_ds(m)
             assert rds.perm == perm
             # the rows of B and S are the retained rows in row_order
             assert np.array_equal(rds.b, b) and np.array_equal(rds.s, s)
@@ -301,11 +302,15 @@ class TestRebuildMatchesReference:
             assert Z.y.flags.c_contiguous
         assert len(maps) > 60
 
-    def test_stall_raises(self):
-        # every variable in every constraint: no column ever has a single
-        # active row
-        mat = np.ones((4, 2))
+    def test_stall_raises(self, monkeypatch):
+        # the incidence of a 4-node graph with a triangle has full row rank,
+        # and each column has two ones: none ever has a single active row
+        mat = np.zeros((4, 5))
+        for k, pair in enumerate([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]):
+            mat[pair, k] = 1.0
         with pytest.raises(ValueError, match="stalled"):
             reorder_ds_reference(mat)
+        # the same holds for a map once its dependent rows are kept
+        monkeypatch.setattr(nullspace, "_retained_rows", lambda m: list(range(2 * len(m.nodes))))
         with pytest.raises(ValueError, match="stalled"):
-            reorder_ds(mat)
+            reorder_ds(build_arc_map(make_graph(3, [(1, 2), (1, 3), (2, 3)])))
