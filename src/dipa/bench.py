@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 import sys
 import time
 import traceback
@@ -23,9 +22,7 @@ import numpy as np
 
 from . import detfun, outer
 from .graph import Graph, build_arc_map, enumerate_hc, gen_random_graph
-from .inner import BarrierSpec, PhaseContext, minimize_phase
-from .nullspace import build_Z
-from .outer import HC_FOUND, NEUTRAL_TOL, DipaParams, TraceRow, dipa_solve, initial_interior
+from .outer import HC_FOUND, DipaParams, TraceRow, dipa_solve
 
 FLOAT_FMT = "%.17g"
 
@@ -302,20 +299,17 @@ def _tabulate(result: BenchResult, records: list, cfg: BenchConfig, settings) ->
 
 
 def neutral_point(g: Graph, mode: str = "ds") -> np.ndarray:
-    """The barrier-only minimizer used as the common start of every profile,
-    on the arcs of build_arc_map(g). In ds mode the arcs in no perfect
-    matching are deleted first, as dipa_solve deletes them, and read 0;
-    raises NoInteriorPoint when g has no perfect matching."""
+    """The neutral start of every solve (outer.neutral_start with the
+    default parameters), used as the common start of every profile, on the
+    arcs of build_arc_map(g). In ds mode the arcs in no perfect matching are
+    deleted first, as dipa_solve deletes them, and read 0; raises
+    NoInteriorPoint when g has no perfect matching."""
     m = build_arc_map(g)
     x = np.zeros(m.n_arcs)
     keep = slice(None)
     if mode == "ds":
         m, keep, _ = outer.drop_forced(m)
-    ctx = PhaseContext(
-        z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=NEUTRAL_TOL,
-        max_iter=outer.MAX_PHASE_ITER, alpha=DipaParams().alpha,
-    )
-    x[keep] = minimize_phase(initial_interior(m, mode), BarrierSpec(mu=math.inf), ctx)
+    x[keep], _ = outer.neutral_start(m, DipaParams(mode=mode))
     return x
 
 

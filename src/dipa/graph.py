@@ -39,9 +39,6 @@ class Graph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def adjacency(self) -> dict:
         adj: dict = {v: [] for v in self.nodes}
         for a, b in self.edges:
@@ -113,12 +110,6 @@ def build_arc_map(g: Graph) -> ArcVarMap:
         arcs.append((a, b))
         arcs.append((b, a))
     return arc_map_from_arcs(g.nodes, arcs)
-
-
-def support_graph(nodes, arcs) -> Graph:
-    """Undirected support of a directed arc set."""
-    edges = frozenset((min(i, j), max(i, j)) for i, j in arcs)
-    return Graph(nodes=tuple(sorted(nodes)), edges=edges)
 
 
 @dataclass(frozen=True)
@@ -262,9 +253,9 @@ def delete_arc(m: ArcVarMap, ks) -> tuple:
     return ArcVarMap(nodes, row[keep], col[keep]), keep
 
 
-def expand_cycle(records, c: CycleCertificate, original: Graph | None = None) -> CycleCertificate:
+def expand_cycle(records, c: CycleCertificate, original: Graph) -> CycleCertificate:
     """Replay deflation records in reverse, splicing each removed node back in
-    front of its merge target."""
+    front of its merge target, and validate the result against original."""
     seq = list(c.seq)
     for rec in reversed(records):
         i, j = rec.fixed_arc
@@ -279,8 +270,7 @@ def expand_cycle(records, c: CycleCertificate, original: Graph | None = None) ->
             )
         seq.insert(t, i)
     out = CycleCertificate(seq=tuple(seq)).canonical()
-    if original is not None:
-        out.validate(original)
+    out.validate(original)
     return out
 
 

@@ -32,7 +32,7 @@ class BarrierSpec:
     barrier-only phase in which the objective term is dropped entirely."""
 
     mu: float
-    upper_log: bool = False
+    upper_log: bool
 
 
 def barrier_eval(x: np.ndarray, spec: BarrierSpec) -> tuple:
@@ -284,22 +284,14 @@ def linesearch(x, direction, alpha, spec: BarrierSpec, objective, m0: float) -> 
 @dataclass
 class PhaseContext:
     """Problem data for one barrier phase: the objective is f on the arc
-    map m in mode (see dipa.detfun); z spans the null space of m's sum
+    map m in z.mode (see dipa.detfun); z spans the null space of m's sum
     constraints."""
 
     z: NullSpaceRep
     m: ArcVarMap
-    mode: str
     grad_tol: float         # relative factor, scaled by 1 + |merit anchor|
     max_iter: int           # step budget of minimize_phase
     alpha: float            # fraction of the boundary step the linesearch starts at
-
-
-@dataclass
-class InnerState:
-    """Carries the curvature shift estimate between iterations."""
-
-    delta: float | None = None
 
 
 @dataclass
@@ -321,12 +313,13 @@ def _default_delta(h_red: np.ndarray) -> float:
     return -1e-8 * (1.0 + float(np.max(np.abs(h_red), initial=0.0)))
 
 
-def _factor_with_policy(h_red: np.ndarray, state: InnerState) -> tuple:
-    """Apply the shift policy: reuse the adopted estimate, and when the
-    factorization comes back unmodified at a non-default shift, probe by
-    halving up to three times before falling back to the default."""
+def _factor_with_policy(h_red: np.ndarray, delta_hat: float) -> tuple:
+    """Apply the shift policy: start from the carried estimate delta_hat when
+    it is negative, else from the default shift, and when the factorization
+    comes back unmodified at a non-default shift, probe by halving up to
+    three times before falling back to the default."""
     default = _default_delta(h_red)
-    delta = state.delta if state.delta is not None else default
+    delta = delta_hat if delta_hat < 0.0 else default
     res = modified_cholesky(h_red, delta)
     probes = 0
     while not res.modified and abs(delta) > 1.5 * abs(default) and probes < 3:
@@ -349,13 +342,15 @@ def reduced_model(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> tuple:
     phi, gphi, hphi = barrier_eval(x, spec)
     if math.isinf(spec.mu):
         return None, phi, z.rmatvec(gphi), z.reduce_diag_quadform(hphi)
-    f, gf, hf = detfun.value_grad_hess(x, ctx.m, ctx.mode)
+    f, gf, hf = detfun.value_grad_hess(x, ctx.m, z.mode)
     # hf is fresh: the barrier Hessian goes onto its diagonal in place
     hf.flat[:: hf.shape[0] + 1] += spec.mu * hphi
     return f, phi, z.rmatvec(gf + spec.mu * gphi), z.reduce_hessian(hf)
 
 
-def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerState) -> StepInfo:
+def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, delta_hat: float) -> StepInfo:
+    """One step from x. delta_hat is the previous step's curvature estimate
+    (StepInfo.delta_hat), 0.0 at the start of a phase or on a new map."""
     f, phi, g_red, h_red = reduced_model(x, spec, ctx)
     if f is None:
         merit = phi
@@ -364,10 +359,11 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
         merit = f + spec.mu * phi
         anchor = abs(f)
     gnorm = float(np.max(np.abs(g_red), initial=0.0))
-    res, delta_used = _factor_with_policy(h_red, state)
+    res, delta_used = _factor_with_policy(h_red, delta_hat)
     tol = ctx.grad_tol * (1.0 + anchor)
+    kind, delta_hat = "descent", 0.0
 
-    def finish(kind, ls=None, delta_hat=0.0) -> StepInfo:
+    def finish(kind, ls=None) -> StepInfo:
         # without a linesearch result the step ends where it started
         if ls is None:
             pt, f_pt, phi_pt, merit_pt, t = x, f, phi, merit, 0.0
@@ -379,7 +375,6 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
         )
 
     if gnorm <= tol and not res.modified:
-        state.delta = None
         return finish("converged")
 
     if res.modified:
@@ -397,31 +392,21 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, state: InnerS
         if q < 0.0:
             if float(d_z @ g_red) > 0.0:
                 d_z = -d_z
-            kind = "negcurv"
-            state.delta = q
-            delta_hat = q
-        else:
-            # modification without usable curvature: take the regularized
-            # Newton step, which the factorization makes safely positive
-            d_z = descent_direction(res.r, g_red)
-            kind = "descent"
-            state.delta = None
-            delta_hat = 0.0
-    else:
+            kind, delta_hat = "negcurv", q
+    if kind == "descent":
+        # also after a modification without usable curvature: the
+        # regularized Newton step, which the factorization makes positive
         d_z = descent_direction(res.r, g_red)
-        kind = "descent"
-        state.delta = None
-        delta_hat = 0.0
 
     direction = ctx.z.apply(d_z)
     if float(np.max(np.abs(direction), initial=0.0)) == 0.0:
-        return finish("stall", delta_hat=delta_hat)
-    objective = lambda pt: detfun.value_only(pt, ctx.m, ctx.mode)
+        return finish("stall")
+    objective = lambda pt: detfun.value_only(pt, ctx.m, ctx.z.mode)
     try:
         ls = linesearch(x, direction, ctx.alpha, spec, objective, merit)
     except LinesearchStall:
-        return finish("stall", delta_hat=delta_hat)
-    return finish(kind, ls, delta_hat=delta_hat)
+        return finish("stall")
+    return finish(kind, ls)
 
 
 def newton_polish(x, spec: BarrierSpec, ctx: PhaseContext) -> np.ndarray:
@@ -454,14 +439,14 @@ def minimize_phase(x0: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> np.n
     ctx.max_iter steps are spent. Returns where the phase ends; a stall on
     an unmodified factorization ends at the Newton-polished point."""
     x = np.asarray(x0, dtype=float).copy()
-    state = InnerState()
+    delta_hat = 0.0
     for _ in range(ctx.max_iter):
-        info = step_once(x, spec, ctx, state)
+        info = step_once(x, spec, ctx, delta_hat)
         if info.kind == "converged":
             break
         if info.kind == "stall":
             if not info.modified:
                 x = newton_polish(x, spec, ctx)
             break
-        x = info.x
+        x, delta_hat = info.x, info.delta_hat
     return x

@@ -30,7 +30,6 @@ from dipa.graph import (
 )
 from dipa.inner import (
     BarrierSpec,
-    InnerState,
     PhaseContext,
     barrier_eval,
     minimize_phase,
@@ -162,6 +161,19 @@ def _polish_equalities(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     return x
 
 
+def neutral_start(m: ArcVarMap, params: DipaParams) -> tuple:
+    """(x, ctx): x is the neutral analytic center that the barrier-only
+    phase settles from initial_interior at gradient tolerance NEUTRAL_TOL,
+    and ctx the phase context of every solve phase on m."""
+    x = initial_interior(m, params.mode)
+    ctx = PhaseContext(
+        z=build_Z(m, mode=params.mode), m=m, grad_tol=params.grad_tol,
+        max_iter=MAX_PHASE_ITER, alpha=params.alpha,
+    )
+    spec = BarrierSpec(mu=math.inf, upper_log=params.upper_log)
+    return minimize_phase(x, spec, replace(ctx, grad_tol=NEUTRAL_TOL)), ctx
+
+
 def propose_mu(lam_hat: float, lam_bar: float, mu: float, shrink: float) -> float:
     """Next barrier weight: geometric shrink, capped so that a known negative
     objective curvature lam_hat survives against the barrier's largest
@@ -178,7 +190,7 @@ def mu_trigger(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, shrink: floa
     lam_bar. When lam_hat < 0 its cap keeps the reduced merit Hessian
     indefinite: along lam_hat's eigenvector the curvature is at most
     lam_hat + mu2 lam_bar <= lam_hat / 2."""
-    hd = detfun.hess(x, ctx.m, mode=ctx.mode)
+    hd = detfun.hess(x, ctx.m, mode=ctx.z.mode)
     hz = ctx.z.reduce_hessian(hd)
     lam_hat = float(np.linalg.eigvalsh(hz)[0]) if hz.size else 0.0
     _, _, hphi = barrier_eval(x, spec)
@@ -251,9 +263,11 @@ def drop_forced(m: ArcVarMap) -> tuple:
 
 
 def restore_S(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
-    """Renormalize every out-neighborhood to sum one. Rows that lost exactly
-    one variable of weight w are scaled by 1/(1-w); untouched rows are left
-    as they were."""
+    """Renormalize every out-neighborhood to sum one by dividing each row by
+    its sum, untouched rows too: a row that summed to one before surgery and
+    lost a variable of weight w is scaled by 1/(1-w), and an untouched row
+    moves only by the rounding of its sum. Raises StarvationError when a row
+    has no mass left."""
     x = np.asarray(xbar, dtype=float)
     sums = np.bincount(m.row, weights=x)[m.row]
     if np.any(sums <= 0.0):
@@ -362,7 +376,6 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     params.validate()
     t0 = time.monotonic()
     mode = params.mode
-    original = g
     trace: list = []
     # one deflation record per deflation, including one a dead end undid
     records: list = []
@@ -408,29 +421,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         deletions += forced
         if not support_connected(m):
             return report(NO_HC_DISCONNECTED, message="support disconnected after reduction")
-    x = initial_interior(m, mode)
-
-    def make_work(m_now: ArcVarMap) -> PhaseContext:
-        return PhaseContext(
-            z=build_Z(m_now, mode=mode),
-            m=m_now,
-            mode=mode,
-            grad_tol=params.grad_tol,
-            alpha=params.alpha,
-            max_iter=MAX_PHASE_ITER,
-        )
-
-    work = make_work(m)
-
-    # barrier-only phase settles the neutral analytic center
-    neutral_ctx = replace(work, grad_tol=NEUTRAL_TOL)
-    x = minimize_phase(x, BarrierSpec(mu=math.inf, upper_log=params.upper_log), neutral_ctx)
-
-    mu = params.mu_initial
-    state = InnerState()
-
-    def out_of_time() -> bool:
-        return time.monotonic() - t0 > params.time_limit
+    x, work = neutral_start(m, params)
 
     def surgery(x: np.ndarray):
         """Threshold sweep: deflate any variable at or above the deflation
@@ -477,18 +468,20 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             m_now = m2
             x = x2
 
-    spec = BarrierSpec(mu=mu, upper_log=params.upper_log)
+    spec = BarrierSpec(mu=params.mu_initial, upper_log=params.upper_log)
+    # the curvature estimate step_once carries from step to step
+    delta_hat = 0.0
     # step_once calls since the last trigger; surgery does not reset it
     phase_steps = 0
     while True:
-        if out_of_time():
+        if time.monotonic() - t0 > params.time_limit:
             return report(GAVE_UP, message="time limit", x=x, m=work.m)
         if iterations >= MAX_OUTER:
             return report(GAVE_UP, message="outer iteration cap", x=x, m=work.m)
         iterations += 1
 
-        info = step_once(x, spec, work, state)
-        x = info.x
+        info = step_once(x, spec, work, delta_hat)
+        x, delta_hat = info.x, info.delta_hat
         phase_steps += 1
         # a phase that spends its budget keeps its last step and ends like a
         # converged one
@@ -503,7 +496,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             mu2 = mu_trigger(x, spec, work, params.mu_shrink)
             trace.append(
                 TraceRow(
-                    it=iterations, mu=mu, f=f, phi=phi, merit=merit,
+                    it=iterations, mu=spec.mu, f=f, phi=phi, merit=merit,
                     step=0.0, kind="trigger", delta_hat=0.0,
                     x_min=float(np.min(x)), deflations=len(records),
                 )
@@ -513,21 +506,20 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                 if np.all(np.minimum(x, np.abs(1.0 - x)) <= 0.25):
                     message += " at a near-binary non-cycle point"
                 return report(GAVE_UP, message=message, x=x, m=work.m)
-            mu = mu2
-            spec = BarrierSpec(mu=mu, upper_log=params.upper_log)
-            state = InnerState()
+            spec = BarrierSpec(mu=mu2, upper_log=params.upper_log)
+            delta_hat = 0.0
             phase_steps = 0
             continue
 
         trace.append(
             TraceRow(
-                it=iterations, mu=mu, f=info.f, phi=info.phi, merit=info.merit,
+                it=iterations, mu=spec.mu, f=info.f, phi=info.phi, merit=info.merit,
                 step=info.step, kind=info.kind, delta_hat=info.delta_hat,
                 x_min=float(np.min(x)), deflations=len(records),
             )
         )
 
-        cert = round_to_hc(x, work.m, records, original)
+        cert = round_to_hc(x, work.m, records, g)
         if cert is not None:
             return report(HC_FOUND, cycle=cert, x=x, m=work.m)
 
@@ -535,9 +527,9 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         if dead_end is not None:
             return report(GAVE_UP, message=dead_end, x=x, m=m_now)
         if m_now is not work.m:
-            work = make_work(m_now)
+            work = replace(work, z=build_Z(m_now, mode=mode), m=m_now)
             if work.z.dim <= 0:
-                cert = round_to_hc(x, work.m, records, original)
+                cert = round_to_hc(x, work.m, records, g)
                 if cert is not None:
                     return report(HC_FOUND, cycle=cert, x=x, m=work.m)
                 return report(
@@ -545,4 +537,4 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                     message="reduced problem fully determined but not a cycle",
                     x=x, m=work.m,
                 )
-            state = InnerState()
+            delta_hat = 0.0

@@ -190,6 +190,27 @@ class TestPaths:
         neutral_point(g)
         assert len(calls) == 3
 
+    def test_neutral_point_is_the_solve_start(self, monkeypatch):
+        # the profiles start where every solve does: the barrier-only phase
+        # of dipa_solve ends on the neutral point, bit for bit
+        ends = []
+        real = dipa.outer.minimize_phase
+
+        def record(x0, spec, ctx):
+            out = real(x0, spec, ctx)
+            ends.append(out)
+            return out
+
+        monkeypatch.setattr(dipa.outer, "minimize_phase", record)
+        g = gen_random_graph(10, 3, 6, seed=24, plant=True)
+        dipa.outer.dipa_solve(g, DipaParams(mode="ds"))
+        assert len(ends) == 1
+        _, keep, forced = dipa.outer.drop_forced(build_arc_map(g))
+        assert forced > 0
+        x = neutral_point(g, "ds")
+        assert x[keep].tobytes() == ends[0].tobytes()
+        assert np.count_nonzero(x) == len(keep)
+
     def test_k3_profile(self):
         rows = trace_paths(k3(), samples=5)
         # two directed cycles, five samples each

@@ -10,7 +10,6 @@ from dipa.detfun import value_grad_hess
 from dipa.graph import build_arc_map, gen_random_graph, make_graph
 from dipa.inner import (
     BarrierSpec,
-    InnerState,
     LinesearchStall,
     PhaseContext,
     barrier_eval,
@@ -24,13 +23,14 @@ from dipa.inner import (
     newton_polish,
     step_once,
 )
+from dipa.inner import _default_delta, _factor_with_policy
 from dipa.nullspace import build_Z
 from dipa.outer import MAX_PHASE_ITER, DipaParams, dipa_solve, initial_interior
 
 
 def phase_context(g, m, mode, grad_tol=1e-9):
     return PhaseContext(
-        z=build_Z(m, mode=mode), m=m, mode=mode, grad_tol=grad_tol,
+        z=build_Z(m, mode=mode), m=m, grad_tol=grad_tol,
         max_iter=MAX_PHASE_ITER, alpha=DipaParams().alpha,
     )
 
@@ -38,7 +38,7 @@ def phase_context(g, m, mode, grad_tol=1e-9):
 class TestBarrier:
     def test_values(self):
         x = np.array([0.25, 0.5])
-        phi, g, h = barrier_eval(x, BarrierSpec(mu=0.5))
+        phi, g, h = barrier_eval(x, BarrierSpec(mu=0.5, upper_log=False))
         assert phi == pytest.approx(-(math.log(0.25) + math.log(0.5)))
         assert np.allclose(g, -1.0 / x)
         assert np.allclose(h, 1.0 / x**2)
@@ -54,7 +54,7 @@ class TestBarrier:
 
     def test_rejects_boundary(self):
         with pytest.raises(ValueError):
-            barrier_eval(np.array([0.0, 0.5]), BarrierSpec(mu=1.0))
+            barrier_eval(np.array([0.0, 0.5]), BarrierSpec(mu=1.0, upper_log=False))
         with pytest.raises(ValueError):
             barrier_eval(np.array([1.0, 0.5]), BarrierSpec(mu=1.0, upper_log=True))
 
@@ -512,6 +512,43 @@ class TestReducedHessianBytes:
             assert got.tobytes() == z.reduce_hessian(h_ref).tobytes()
 
 
+class TestShiftPolicy:
+    """The first factorization of a step is at the carried curvature
+    estimate delta_hat when that is negative, else at the default shift."""
+
+    @pytest.mark.parametrize("delta_hat", [0.0, -0.25])
+    def test_first_shift(self, monkeypatch, delta_hat):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((6, 6))
+        h_red = a + a.T
+        shifts = []
+        real = dipa.inner.modified_cholesky
+
+        def record(mred, delta):
+            shifts.append(delta)
+            return real(mred, delta)
+
+        monkeypatch.setattr(dipa.inner, "modified_cholesky", record)
+        _factor_with_policy(h_red, delta_hat)
+        assert shifts[0] == (delta_hat if delta_hat < 0.0 else _default_delta(h_red))
+
+    def test_step_once_passes_the_estimate(self, monkeypatch):
+        g = gen_random_graph(10, 3, 6, seed=22)
+        m = build_arc_map(g)
+        ctx = phase_context(g, m, "ds")
+        x = initial_interior(m, "ds")
+        shifts = []
+        real = dipa.inner.modified_cholesky
+
+        def record(mred, delta):
+            shifts.append(delta)
+            return real(mred, delta)
+
+        monkeypatch.setattr(dipa.inner, "modified_cholesky", record)
+        step_once(x, BarrierSpec(mu=0.01, upper_log=False), ctx, -0.125)
+        assert shifts[0] == -0.125
+
+
 class TestLinesearch:
     def test_boundary_step_lower_only(self):
         x = np.array([0.5, 0.2])
@@ -527,7 +564,7 @@ class TestLinesearch:
         assert max_boundary_step(x, d2, upper_log=True) == pytest.approx(1.25)
 
     def test_merit_decreases(self):
-        spec = BarrierSpec(mu=0.1)
+        spec = BarrierSpec(mu=0.1, upper_log=False)
         x = np.array([0.3, 0.7])
         objective = lambda v: float(np.sum(v**2))
         phi0, _, _ = barrier_eval(x, spec)
@@ -538,7 +575,7 @@ class TestLinesearch:
         assert res.t <= 0.9 * max_boundary_step(x, d, False) + 1e-15
 
     def test_stall_raises(self):
-        spec = BarrierSpec(mu=1.0)
+        spec = BarrierSpec(mu=1.0, upper_log=False)
         x = np.array([0.5, 0.5])
         # any nonzero move pays a huge objective penalty, so no trial step
         # can produce a strict merit decrease
@@ -556,11 +593,11 @@ class TestPhases:
             edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
             edges += [(i, i + n // 2) for i in range(1, n // 2 + 1)]
             g = make_graph(n, edges)
-            assert all(g.degree(v) == 3 for v in g.nodes)
+            assert all(len(nbrs) == 3 for nbrs in g.adjacency().values())
             m = build_arc_map(g)
             ctx = phase_context(g, m, "ds", grad_tol=1e-10)
             x0 = initial_interior(m, "ds")
-            spec = BarrierSpec(mu=math.inf)
+            spec = BarrierSpec(mu=math.inf, upper_log=False)
             x = minimize_phase(x0, spec, ctx)
             # a local minimum of the barrier: reduced gradient within tolerance
             phi, gphi, _ = barrier_eval(x, spec)
@@ -572,7 +609,7 @@ class TestPhases:
         g = gen_random_graph(12, 3, 6, seed=21)
         m = build_arc_map(g)
         ctx = phase_context(g, m, "ds", grad_tol=1e-10)
-        x = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf), ctx)
+        x = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf, upper_log=False), ctx)
         for k, (i, j) in enumerate(m.arcs):
             assert x[k] == pytest.approx(x[m.arcs.index((j, i))], abs=1e-8)
 
@@ -580,9 +617,9 @@ class TestPhases:
         g = gen_random_graph(10, 3, 6, seed=22)
         m = build_arc_map(g)
         ctx = phase_context(g, m, "ds", grad_tol=1e-8)
-        spec = BarrierSpec(mu=math.inf)
+        spec = BarrierSpec(mu=math.inf, upper_log=False)
         x = minimize_phase(initial_interior(m, "ds"), spec, ctx)
-        info = step_once(x, spec, ctx, InnerState())
+        info = step_once(x, spec, ctx, 0.0)
         assert info.kind == "converged"
 
     def test_step_once_negcurv_kind(self):
@@ -591,18 +628,18 @@ class TestPhases:
         g = gen_random_graph(12, 3, 6, seed=23)
         m = build_arc_map(g)
         nctx = phase_context(g, m, "ds", grad_tol=1e-10)
-        start = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf), nctx)
+        start = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf, upper_log=False), nctx)
         ctx = phase_context(g, m, "ds", grad_tol=1e-9)
-        spec = BarrierSpec(mu=1e-4)
-        state = InnerState()
+        spec = BarrierSpec(mu=1e-4, upper_log=False)
+        delta_hat = 0.0
         kinds = []
         x = start
         for _ in range(25):
-            info = step_once(x, spec, ctx, state)
+            info = step_once(x, spec, ctx, delta_hat)
             kinds.append(info.kind)
             if info.kind in ("converged", "stall"):
                 break
-            x = info.x
+            x, delta_hat = info.x, info.delta_hat
         assert "negcurv" in kinds
 
     def test_linesearch_values_trial_points_only(self, monkeypatch):
@@ -611,8 +648,8 @@ class TestPhases:
         g = gen_random_graph(12, 3, 6, seed=23)
         m = build_arc_map(g)
         ctx = phase_context(g, m, "ds", grad_tol=1e-10)
-        x = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf), ctx)
-        spec = BarrierSpec(mu=1e-2)
+        x = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf, upper_log=False), ctx)
+        spec = BarrierSpec(mu=1e-2, upper_log=False)
         points = []
         real = dipa.detfun.value_only
 
@@ -621,7 +658,7 @@ class TestPhases:
             return real(pt, m_, mode)
 
         monkeypatch.setattr(dipa.detfun, "value_only", spy)
-        info = step_once(x, spec, ctx, InnerState())
+        info = step_once(x, spec, ctx, 0.0)
         assert info.kind == "descent"
         # trials halve t from alpha times the boundary step down to the
         # accepted step, and the last one is where the step ends
@@ -646,7 +683,7 @@ class TestPhases:
             return real(pt, m_, mode)
 
         monkeypatch.setattr(dipa.detfun, "value_only", spy)
-        info = step_once(initial_interior(m, "ds"), BarrierSpec(mu=math.inf), ctx, InnerState())
+        info = step_once(initial_interior(m, "ds"), BarrierSpec(mu=math.inf, upper_log=False), ctx, 0.0)
         assert info.kind in ("descent", "negcurv")
         assert info.f is None
         assert calls == []
@@ -655,7 +692,7 @@ class TestPhases:
         g = gen_random_graph(10, 3, 6, seed=25)
         m = build_arc_map(g)
         ctx = phase_context(g, m, "ds", grad_tol=1e-6)
-        spec = BarrierSpec(mu=math.inf)
+        spec = BarrierSpec(mu=math.inf, upper_log=False)
         rough = minimize_phase(initial_interior(m, "ds"), spec, ctx)
         x2 = newton_polish(rough, spec, ctx)
         _, gphi, _ = barrier_eval(x2, spec)

@@ -22,7 +22,6 @@ from dipa.graph import (
     make_graph,
     petersen,
     support_connected,
-    support_graph,
 )
 from dipa.inner import BarrierSpec, PhaseContext, barrier_eval
 from dipa.lp import LPError, lp_solve
@@ -42,6 +41,12 @@ from dipa.outer import (
     propose_mu,
     round_to_hc,
 )
+
+
+def support_graph(nodes, arcs) -> Graph:
+    """Undirected support of a directed arc set."""
+    edges = frozenset((min(i, j), max(i, j)) for i, j in arcs)
+    return Graph(nodes=tuple(sorted(nodes)), edges=edges)
 
 
 def k3():
@@ -174,10 +179,10 @@ class TestMuTrigger:
         m = build_arc_map(g)
         x = neutral_point(g)
         ctx = PhaseContext(
-            z=build_Z(m, mode="ds"), m=m, mode="ds", grad_tol=1e-6,
+            z=build_Z(m, mode="ds"), m=m, grad_tol=1e-6,
             max_iter=MAX_PHASE_ITER, alpha=DipaParams().alpha,
         )
-        spec = BarrierSpec(mu=0.01)
+        spec = BarrierSpec(mu=0.01, upper_log=False)
         hz = ctx.z.reduce_hessian(detfun.hess(x, m, mode="ds"))
         assert np.linalg.eigvalsh(hz)[0] < 0.0
         calls = []
@@ -539,7 +544,7 @@ class TestReportShape:
         triggers = iter(r for r in rep.trace if r.kind == "trigger")
         for x, spec, ctx in polished:
             row = next(r for r in triggers if r.x_min == float(np.min(x)))
-            assert row.f == detfun.value_only(x, ctx.m, ctx.mode)
+            assert row.f == detfun.value_only(x, ctx.m, ctx.z.mode)
             assert row.phi == barrier_eval(x, spec)[0]
             assert row.f + row.mu * row.phi == row.merit
 
