@@ -232,7 +232,8 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
     records: list = []
     try:
         if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            # under fork the pool starts all its workers on the first submit
+            with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
                 for rec in pool.map(_solve_job, tasks, chunksize=1):
                     records.append(rec)
         else:

@@ -42,8 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--graph", required=True, help="instance file (header 'N M', then edge lines 'i j')")
     ps.add_argument("--mode", required=True, choices=("s", "ds"), help="stochastic or doubly stochastic relaxation")
     ps.add_argument("--mu0", type=float, default=defaults.mu_initial, help="initial barrier weight")
-    ps.add_argument("--mu-shrink", type=float, default=defaults.mu_shrink, help="barrier weight reduction factor")
-    ps.add_argument("--alpha", type=float, default=defaults.alpha, help="fraction of the feasible step taken by the linesearch")
     ps.add_argument("--deflate", type=float, default=defaults.deflation_threshold, help="deflation threshold")
     ps.add_argument("--delete", type=float, default=defaults.deletion_threshold, help="deletion threshold")
     ps.add_argument("--restore", choices=("lp", "qp"), default=defaults.restore, help="feasibility restoration method")
@@ -52,16 +50,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--time-limit", type=float, default=defaults.time_limit, help="wall-clock budget in seconds")
     ps.add_argument("--trace", help="write the per-iteration trace CSV here")
 
+    bench = BenchConfig()
     pb = sub.add_parser("bench", help="run a benchmark grid")
     pb.add_argument("--sizes", required=True, help="comma-separated node counts, e.g. 20,30")
     pb.add_argument("--count", type=int, required=True, help="instances per size")
-    pb.add_argument("--dmin", type=int, default=3)
-    pb.add_argument("--dmax", type=int, default=6)
+    pb.add_argument("--dmin", type=int, default=bench.dmin)
+    pb.add_argument("--dmax", type=int, default=bench.dmax)
     pb.add_argument("--grid", required=True, choices=sorted(GRIDS))
     pb.add_argument("--seed", type=int, required=True, help="base instance seed")
     pb.add_argument("--out", required=True, help="output directory for the CSV tables")
-    pb.add_argument("--time-limit", type=float, default=60.0)
-    pb.add_argument("--workers", type=int, default=1)
+    pb.add_argument("--time-limit", type=float, default=bench.time_limit)
+    pb.add_argument("--workers", type=int, default=bench.workers)
 
     pp = sub.add_parser("paths", help="objective profile toward every Hamiltonian cycle")
     pp.add_argument("--graph", required=True)
@@ -84,8 +83,6 @@ def _cmd_solve(args) -> int:
     params = DipaParams(
         mode=args.mode,
         mu_initial=args.mu0,
-        mu_shrink=args.mu_shrink,
-        alpha=args.alpha,
         deflation_threshold=args.deflate,
         deletion_threshold=args.delete,
         restore=args.restore,

@@ -22,6 +22,13 @@ from dipa.graph import ArcVarMap
 from dipa.nullspace import NullSpaceRep
 
 
+# step budget of every barrier phase; a phase that spends it ends like a
+# converged one
+MAX_PHASE_ITER = 500
+# the fraction of the boundary step at which the linesearch starts
+ALPHA = 0.9
+
+
 class LinesearchStall(RuntimeError):
     """No merit decrease after the halving budget."""
 
@@ -290,8 +297,6 @@ class PhaseContext:
     z: NullSpaceRep
     m: ArcVarMap
     grad_tol: float         # relative factor, scaled by 1 + |merit anchor|
-    max_iter: int           # step budget of minimize_phase
-    alpha: float            # fraction of the boundary step the linesearch starts at
 
 
 @dataclass
@@ -403,7 +408,7 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, delta_hat: fl
         return finish("stall")
     objective = lambda pt: detfun.value_only(pt, ctx.m, ctx.z.mode)
     try:
-        ls = linesearch(x, direction, ctx.alpha, spec, objective, merit)
+        ls = linesearch(x, direction, ALPHA, spec, objective, merit)
     except LinesearchStall:
         return finish("stall")
     return finish(kind, ls)
@@ -436,11 +441,11 @@ def newton_polish(x, spec: BarrierSpec, ctx: PhaseContext) -> np.ndarray:
 
 def minimize_phase(x0: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> np.ndarray:
     """Step at a fixed barrier weight until a step converges or stalls, or
-    ctx.max_iter steps are spent. Returns where the phase ends; a stall on
+    MAX_PHASE_ITER steps are spent. Returns where the phase ends; a stall on
     an unmodified factorization ends at the Newton-polished point."""
     x = np.asarray(x0, dtype=float).copy()
     delta_hat = 0.0
-    for _ in range(ctx.max_iter):
+    for _ in range(MAX_PHASE_ITER):
         info = step_once(x, spec, ctx, delta_hat)
         if info.kind == "converged":
             break

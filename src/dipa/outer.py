@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from dipa import detfun
+from dipa import detfun, inner
 from dipa.graph import (
     ArcVarMap,
     CycleCertificate,
@@ -45,13 +45,12 @@ GAVE_UP = "gave-up"
 
 # the barrier weight below which the path gives up
 MU_MIN = 1e-8
+# the factor each trigger shrinks the barrier weight by, at least: from
+# mu_initial <= 1 a solve gives up by its 9th trigger, so after at most
+# 9 * inner.MAX_PHASE_ITER steps
+MU_SHRINK = 0.1
 # gradient tolerance of the barrier-only phase that settles the neutral point
 NEUTRAL_TOL = 1e-10
-# step budget of every barrier phase; a phase that spends it ends like a
-# converged one
-MAX_PHASE_ITER = 500
-# step budget of the main loop; a solve that spends it gives up
-MAX_OUTER = 20000
 # the smallest lower bound x_min of the restoration box
 X_MIN_FLOOR = 1e-10
 
@@ -64,8 +63,6 @@ class NoInteriorPoint(RuntimeError):
 class DipaParams:
     mode: str = "ds"
     mu_initial: float = 0.01
-    mu_shrink: float = 0.1
-    alpha: float = 0.9
     deflation_threshold: float = 0.9
     deletion_threshold: float = 1e-5
     restore: str = "lp"
@@ -82,16 +79,14 @@ class DipaParams:
             raise ValueError(f"mode must be 's' or 'ds', got {self.mode!r}")
         if not 0.0 < self.mu_initial <= 1.0:
             raise ValueError("mu_initial out of range")
-        if not 0.0 < self.mu_shrink < 1.0:
-            raise ValueError("mu_shrink out of range")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha out of range")
         if not 0.5 < self.deflation_threshold <= 1.0 - 1e-13:
             raise ValueError("deflation threshold must sit in (0.5, 1)")
         if not 0.0 <= self.deletion_threshold < 0.01:
             raise ValueError("deletion threshold must sit in [0, 0.01)")
         if self.restore not in ("lp", "qp"):
             raise ValueError(f"restore must be 'lp' or 'qp', got {self.restore!r}")
+        if not self.grad_tol > 0.0:
+            raise ValueError(f"grad_tol must be positive, got {self.grad_tol!r}")
         if not self.time_limit > 0.0:
             raise ValueError(f"time_limit must be positive, got {self.time_limit!r}")
 
@@ -166,25 +161,22 @@ def neutral_start(m: ArcVarMap, params: DipaParams) -> tuple:
     phase settles from initial_interior at gradient tolerance NEUTRAL_TOL,
     and ctx the phase context of every solve phase on m."""
     x = initial_interior(m, params.mode)
-    ctx = PhaseContext(
-        z=build_Z(m, mode=params.mode), m=m, grad_tol=params.grad_tol,
-        max_iter=MAX_PHASE_ITER, alpha=params.alpha,
-    )
+    ctx = PhaseContext(z=build_Z(m, mode=params.mode), m=m, grad_tol=params.grad_tol)
     spec = BarrierSpec(mu=math.inf, upper_log=params.upper_log)
     return minimize_phase(x, spec, replace(ctx, grad_tol=NEUTRAL_TOL)), ctx
 
 
-def propose_mu(lam_hat: float, lam_bar: float, mu: float, shrink: float) -> float:
-    """Next barrier weight: geometric shrink, capped so that a known negative
-    objective curvature lam_hat survives against the barrier's largest
-    reduced curvature lam_bar."""
-    mu2 = shrink * mu
+def propose_mu(lam_hat: float, lam_bar: float, mu: float) -> float:
+    """Next barrier weight: MU_SHRINK times mu, capped so that a known
+    negative objective curvature lam_hat survives against the barrier's
+    largest reduced curvature lam_bar."""
+    mu2 = MU_SHRINK * mu
     if lam_hat < 0.0 and lam_bar > 0.0:
         mu2 = min(mu2, 0.5 * abs(lam_hat) / lam_bar)
     return mu2
 
 
-def mu_trigger(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, shrink: float) -> float:
+def mu_trigger(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> float:
     """Barrier weight after the phase at spec ends at x: propose_mu on the
     objective's least reduced curvature lam_hat and the barrier's largest
     lam_bar. When lam_hat < 0 its cap keeps the reduced merit Hessian
@@ -196,7 +188,7 @@ def mu_trigger(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, shrink: floa
     _, _, hphi = barrier_eval(x, spec)
     pz = ctx.z.reduce_diag_quadform(hphi)
     lam_bar = float(np.linalg.eigvalsh(pz)[-1]) if pz.size else 1.0
-    return propose_mu(lam_hat, lam_bar, spec.mu, shrink)
+    return propose_mu(lam_hat, lam_bar, spec.mu)
 
 
 def forced_zero_arcs(m: ArcVarMap) -> tuple:
@@ -476,8 +468,6 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     while True:
         if time.monotonic() - t0 > params.time_limit:
             return report(GAVE_UP, message="time limit", x=x, m=work.m)
-        if iterations >= MAX_OUTER:
-            return report(GAVE_UP, message="outer iteration cap", x=x, m=work.m)
         iterations += 1
 
         info = step_once(x, spec, work, delta_hat)
@@ -485,7 +475,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         phase_steps += 1
         # a phase that spends its budget keeps its last step and ends like a
         # converged one
-        if info.kind in ("converged", "stall") or phase_steps >= MAX_PHASE_ITER:
+        if info.kind in ("converged", "stall") or phase_steps >= inner.MAX_PHASE_ITER:
             f, phi, merit = info.f, info.phi, info.merit
             if info.kind == "stall" and not info.modified:
                 x = newton_polish(x, spec, work)
@@ -493,7 +483,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                 f = detfun.value_only(x, work.m, mode)
                 phi, _, _ = barrier_eval(x, spec)
                 merit = f + spec.mu * phi
-            mu2 = mu_trigger(x, spec, work, params.mu_shrink)
+            mu2 = mu_trigger(x, spec, work)
             trace.append(
                 TraceRow(
                     it=iterations, mu=spec.mu, f=f, phi=phi, merit=merit,

@@ -143,6 +143,30 @@ class TestRunBench:
         for fname in ("solves.csv", "results.csv", "combos.csv", "certificates.csv"):
             assert (serial / fname).read_bytes() == (pooled / fname).read_bytes()
 
+    def test_pool_forks_at_most_one_worker_per_task(self, monkeypatch):
+        # under fork the pool starts every worker on the first submit, so
+        # it must not be sized past the task count; the stand-in solves in
+        # this process and starts none
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(dipa.bench, "ProcessPoolExecutor", InProcessPool)
+        res = run_bench(BenchConfig(sizes=(8,), count=1, grid="paper-def", seed=100, workers=500))
+        assert sizes == [4]
+        assert len(res.solves) == 4
+
     def test_raising_instance_writes_error_row(self, tmp_path, monkeypatch):
         real = dipa.bench.dipa_solve
 
@@ -173,7 +197,7 @@ class TestPaths:
 
     def test_neutral_point_spends_the_solver_phase_budget(self, monkeypatch):
         # the neutral phase of the profiles and the solver share one step
-        # budget, dipa.outer.MAX_PHASE_ITER
+        # budget, dipa.inner.MAX_PHASE_ITER
         calls = []
         real = dipa.inner.step_once
 
@@ -186,7 +210,7 @@ class TestPaths:
         neutral_point(g)
         assert len(calls) > 3
         calls.clear()
-        monkeypatch.setattr(dipa.outer, "MAX_PHASE_ITER", 3)
+        monkeypatch.setattr(dipa.inner, "MAX_PHASE_ITER", 3)
         neutral_point(g)
         assert len(calls) == 3
 

@@ -2,6 +2,7 @@ import pytest
 
 import dipa.bench
 import dipa.cli
+from dipa.bench import BenchConfig
 from dipa.cli import main
 from dipa.graph import gen_random_graph, make_graph, petersen, write_graph
 from dipa.outer import GAVE_UP, DipaParams, SolveReport
@@ -83,6 +84,14 @@ class TestSolve:
         run("gen", "--n", "8", "--seed", "2", "--plant", "--out", str(gfile))
         assert run("solve", "--graph", str(gfile), "--mode", "ds", "--seed", "1") == 3
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--mu-shrink"])
+    def test_fixed_constant_flags_rejected(self, tmp_path, capsys, flag):
+        # the step fraction and the barrier shrink are constants, not options
+        gfile = tmp_path / "g.txt"
+        run("gen", "--n", "8", "--seed", "2", "--plant", "--out", str(gfile))
+        assert run("solve", "--graph", str(gfile), "--mode", "ds", flag, "0.5") == 3
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
     def test_s_mode_flag(self, tmp_path, capsys):
         gfile = tmp_path / "g.txt"
@@ -221,3 +230,24 @@ class TestSolveDefaults:
         monkeypatch.setattr(dipa.cli, "trace_solve", fake_trace_solve)
         assert run("solve", "--graph", str(gfile), "--mode", "ds") == 2
         assert seen == [DipaParams(mode="ds")]
+
+
+class TestBenchDefaults:
+    def test_defaults_are_bench_config(self, tmp_path, monkeypatch, capsys):
+        # every option left unset takes its value from BenchConfig
+        seen = []
+
+        def fake_run_bench(cfg):
+            seen.append(cfg)
+            return dipa.bench.BenchResult()
+
+        monkeypatch.setattr(dipa.cli, "run_bench", fake_run_bench)
+        out = str(tmp_path / "tables")
+        rc = run(
+            "bench", "--sizes", "8,10", "--count", "2", "--grid", "paper-nodef",
+            "--seed", "7", "--out", out,
+        )
+        assert rc == 0
+        assert seen == [
+            BenchConfig(sizes=(8, 10), count=2, grid="paper-nodef", seed=7, out_dir=out)
+        ]

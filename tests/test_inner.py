@@ -9,6 +9,7 @@ import dipa.inner
 from dipa.detfun import value_grad_hess
 from dipa.graph import build_arc_map, gen_random_graph, make_graph
 from dipa.inner import (
+    ALPHA,
     BarrierSpec,
     LinesearchStall,
     PhaseContext,
@@ -25,14 +26,11 @@ from dipa.inner import (
 )
 from dipa.inner import _default_delta, _factor_with_policy
 from dipa.nullspace import build_Z
-from dipa.outer import MAX_PHASE_ITER, DipaParams, dipa_solve, initial_interior
+from dipa.outer import DipaParams, dipa_solve, initial_interior
 
 
 def phase_context(g, m, mode, grad_tol=1e-9):
-    return PhaseContext(
-        z=build_Z(m, mode=mode), m=m, grad_tol=grad_tol,
-        max_iter=MAX_PHASE_ITER, alpha=DipaParams().alpha,
-    )
+    return PhaseContext(z=build_Z(m, mode=mode), m=m, grad_tol=grad_tol)
 
 
 class TestBarrier:
@@ -660,10 +658,10 @@ class TestPhases:
         monkeypatch.setattr(dipa.detfun, "value_only", spy)
         info = step_once(x, spec, ctx, 0.0)
         assert info.kind == "descent"
-        # trials halve t from alpha times the boundary step down to the
+        # trials halve t from ALPHA times the boundary step down to the
         # accepted step, and the last one is where the step ends
         direction = (info.x - x) / info.step
-        t0 = ctx.alpha * max_boundary_step(x, direction, False)
+        t0 = ALPHA * max_boundary_step(x, direction, False)
         trials = round(math.log2(t0 / info.step)) + 1
         assert trials > 1
         assert len(points) == trials

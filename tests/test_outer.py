@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import dipa.inner
 import dipa.outer
 from dipa import detfun
 from dipa.bench import SUPPRESS_DEFLATION, SUPPRESS_DELETION, neutral_point
@@ -29,7 +30,6 @@ from dipa.nullspace import build_A, build_Z
 from dipa.outer import (
     GAVE_UP,
     HC_FOUND,
-    MAX_PHASE_ITER,
     NO_HC_DISCONNECTED,
     DipaParams,
     NoInteriorPoint,
@@ -138,14 +138,14 @@ class TestInitialInterior:
 
 class TestProposeMu:
     def test_plain_shrink_when_psd(self):
-        assert propose_mu(0.5, 10.0, 0.01, 0.1) == pytest.approx(0.001)
+        assert propose_mu(0.5, 10.0, 0.01) == pytest.approx(0.001)
 
     def test_cap_by_curvature_ratio(self):
         # negative curvature -8 against barrier curvature 100: cap at 0.04
-        assert propose_mu(-8.0, 100.0, 1.0, 0.5) == pytest.approx(0.04)
+        assert propose_mu(-8.0, 100.0, 1.0) == pytest.approx(0.04)
 
     def test_shrink_smaller_than_cap(self):
-        assert propose_mu(-8.0, 1.0, 0.01, 0.1) == pytest.approx(0.001)
+        assert propose_mu(-8.0, 1.0, 0.01) == pytest.approx(0.001)
 
     def test_cap_keeps_merit_curvature_negative(self):
         # along the eigenvector of lam_hat the merit curvature is at most
@@ -164,8 +164,9 @@ class TestProposeMu:
             pz = c @ c.T * 10.0 ** rng.uniform(-2.0, 4.0) + 1e-6 * np.eye(d)
             lam_bar = float(np.linalg.eigvalsh(pz)[-1])
             for mu in (1.0, 0.01, 1e-5):
-                for shrink in (0.1, 0.5, 0.9):
-                    mu2 = propose_mu(lam_hat, lam_bar, mu, shrink)
+                # uncapped, the proposals of shrink factors 0.1, 0.5 and 0.9
+                for scale in (1.0, 5.0, 9.0):
+                    mu2 = propose_mu(lam_hat, lam_bar, mu * scale)
                     lam = float(np.linalg.eigvalsh(hz + mu2 * pz)[0])
                     assert lam <= 0.5 * lam_hat + 1e-12 * abs(lam_hat)
 
@@ -178,10 +179,7 @@ class TestMuTrigger:
         g = gen_random_graph(10, 3, 6, seed=0, plant=True)
         m = build_arc_map(g)
         x = neutral_point(g)
-        ctx = PhaseContext(
-            z=build_Z(m, mode="ds"), m=m, grad_tol=1e-6,
-            max_iter=MAX_PHASE_ITER, alpha=DipaParams().alpha,
-        )
+        ctx = PhaseContext(z=build_Z(m, mode="ds"), m=m, grad_tol=1e-6)
         spec = BarrierSpec(mu=0.01, upper_log=False)
         hz = ctx.z.reduce_hessian(detfun.hess(x, m, mode="ds"))
         assert np.linalg.eigvalsh(hz)[0] < 0.0
@@ -193,7 +191,7 @@ class TestMuTrigger:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        mu2 = mu_trigger(x, spec, ctx, 0.1)
+        mu2 = mu_trigger(x, spec, ctx)
         assert len(calls) == 2
         assert 0.0 < mu2 <= 0.001
 
@@ -460,6 +458,13 @@ class TestSolveSmall:
         assert rep.status == GAVE_UP
         assert "time" in rep.message
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_grad_tol_not_positive_rejected(self, tol):
+        # no phase could converge: each would silently spend its budget
+        g = gen_random_graph(10, 3, 6, seed=0, plant=True)
+        with pytest.raises(ValueError, match="grad_tol"):
+            dipa_solve(g, DipaParams(mode="ds", grad_tol=tol))
+
 
 class TestSurgeryDeadEnds:
     """A dead end inside surgery says nothing about the input graph: it ends
@@ -569,13 +574,6 @@ class TestReportShape:
         if rep.status == HC_FOUND:
             rep.cycle.validate(g)
 
-    def test_iteration_cap(self, monkeypatch):
-        monkeypatch.setattr(dipa.outer, "MAX_OUTER", 3)
-        g = gen_random_graph(16, 3, 6, seed=49)
-        rep = dipa_solve(g, DipaParams(mode="ds"))
-        assert rep.iterations <= 3
-        assert len(rep.trace) == rep.iterations
-
 
 class TestProofStatuses:
     """A no-HC-* status claims the input has no Hamiltonian cycle; on small
@@ -614,7 +612,7 @@ class TestPhaseBudget:
     that spends it ends with a trigger row, like a converged one."""
 
     def test_budget_ends_phases(self, monkeypatch):
-        monkeypatch.setattr(dipa.outer, "MAX_PHASE_ITER", 3)
+        monkeypatch.setattr(dipa.inner, "MAX_PHASE_ITER", 3)
         g = gen_random_graph(14, 3, 6, seed=46, plant=True)
         rep = dipa_solve(g, DipaParams(mode="ds"))
         assert len(rep.trace) == rep.iterations
@@ -640,8 +638,24 @@ class TestPhaseBudget:
         assert rep.message == "barrier weight exhausted"
         assert len(rep.trace) == rep.iterations
         lengths = phase_lengths(rep.trace)
-        assert max(lengths) == dipa.outer.MAX_PHASE_ITER
-        assert rep.iterations < 2 * dipa.outer.MAX_PHASE_ITER
+        assert max(lengths) == dipa.inner.MAX_PHASE_ITER
+        assert rep.iterations < 2 * dipa.inner.MAX_PHASE_ITER
+
+    def test_nine_triggers_bound_every_solve(self, monkeypatch):
+        # each trigger at least shrinks the weight tenfold, so from
+        # mu_initial <= 1 the 9th proposes 1e-9 < MU_MIN at the latest, and
+        # a solve spends at most 9 phase budgets; on this instance the
+        # shrink, not the curvature cap, sets the weight at one trigger
+        monkeypatch.setattr(dipa.inner, "MAX_PHASE_ITER", 2)
+        g = gen_random_graph(20, 3, 6, seed=8, plant=True)
+        rep = dipa_solve(g, DipaParams(mode="ds", mu_initial=1.0))
+        assert rep.status == GAVE_UP
+        assert rep.message == "barrier weight exhausted"
+        mus = [row.mu for row in rep.trace if row.kind == "trigger"]
+        assert all(b <= 0.1 * a for a, b in zip(mus, mus[1:]))
+        assert any(b == 0.1 * a for a, b in zip(mus, mus[1:]))
+        assert len(mus) <= 9
+        assert rep.iterations <= 9 * dipa.inner.MAX_PHASE_ITER
 
 
 # (n, graph seed, solver parameters, (status, iterations, deflations,

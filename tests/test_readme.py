@@ -4,6 +4,7 @@ code's."""
 import re
 from pathlib import Path
 
+import dipa.inner
 import dipa.outer
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -22,9 +23,16 @@ def test_quick_start_runs(capsys):
 
 def test_constants_match_the_code():
     text = " ".join(README.read_text(encoding="utf-8").split())
-    para = re.search(r"constants in `dipa.outer`, not `DipaParams` fields: (.*?)\. ", text)
+    para = re.search(r"constants, not `DipaParams` fields\. (.*?\.) `MAX_PHASE_ITER` bounds", text)
     assert para is not None, "README has no constants paragraph"
-    stated = dict(re.findall(r"`([A-Z_]+)` \(([^,)]+)", para.group(1)))
-    assert set(stated) == {"MU_MIN", "NEUTRAL_TOL", "MAX_PHASE_ITER", "MAX_OUTER", "X_MIN_FLOOR"}
-    for name, value in stated.items():
-        assert getattr(dipa.outer, name) == float(value), name
+    stated = {
+        (module, name): value
+        for module, names in re.findall(r"In `dipa\.(\w+)`: (.*?\))\.", para.group(1))
+        for name, value in re.findall(r"`([A-Z_]+)` \(([^,)]+)", names)
+    }
+    assert set(stated) == {
+        ("outer", "MU_MIN"), ("outer", "MU_SHRINK"), ("outer", "NEUTRAL_TOL"),
+        ("outer", "X_MIN_FLOOR"), ("inner", "MAX_PHASE_ITER"), ("inner", "ALPHA"),
+    }
+    for (module, name), value in stated.items():
+        assert getattr(getattr(dipa, module), name) == float(value), name
