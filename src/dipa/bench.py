@@ -214,9 +214,9 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
     tabulate per-setting and combined solve counts.
 
     Results are gathered into a fixed order before any aggregation, so the
-    output does not depend on worker scheduling. On interrupt, whatever has
-    finished is flushed to the output directory before the exception
-    propagates.
+    output does not depend on worker scheduling. When the campaign raises
+    (an interrupt, or a pool that loses a worker), whatever has finished is
+    flushed to the output directory before the exception propagates.
     """
     cfg.validate()
     settings = cfg.settings()
@@ -239,13 +239,9 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
         else:
             for task in tasks:
                 records.append(_solve_job(task))
-    except KeyboardInterrupt:
+    finally:
         _tabulate(result, records, cfg, settings)
         _flush(result, cfg.out_dir)
-        raise
-
-    _tabulate(result, records, cfg, settings)
-    _flush(result, cfg.out_dir)
     return result
 
 
@@ -299,18 +295,16 @@ def _tabulate(result: BenchResult, records: list, cfg: BenchConfig, settings) ->
         )
 
 
-def neutral_point(g: Graph, mode: str = "ds") -> np.ndarray:
+def neutral_point(g: Graph) -> np.ndarray:
     """The neutral start of every solve (outer.neutral_start with the
     default parameters), used as the common start of every profile, on the
-    arcs of build_arc_map(g). In ds mode the arcs in no perfect matching are
-    deleted first, as dipa_solve deletes them, and read 0; raises
-    NoInteriorPoint when g has no perfect matching."""
+    arcs of build_arc_map(g). The arcs in no perfect matching are deleted
+    first, as dipa_solve deletes them, and read 0; raises NoInteriorPoint
+    when g has no perfect matching."""
     m = build_arc_map(g)
     x = np.zeros(m.n_arcs)
-    keep = slice(None)
-    if mode == "ds":
-        m, keep, _ = outer.drop_forced(m)
-    x[keep], _ = outer.neutral_start(m, DipaParams(mode=mode))
+    m, keep, _ = outer.drop_forced(m)
+    x[keep], _ = outer.neutral_start(m, DipaParams())
     return x
 
 
@@ -329,7 +323,7 @@ def trace_paths(g: Graph, samples: int = 101, cap: int = 100000) -> list:
     if not hcs:
         return []
     m = build_arc_map(g)
-    x0 = neutral_point(g, mode="ds")
+    x0 = neutral_point(g)
     index = {a: k for k, a in enumerate(m.arcs)}
     eps = 1e-6
     rows = []

@@ -151,20 +151,20 @@ def descent_direction(R: np.ndarray, g_red: np.ndarray) -> np.ndarray:
     w = solve_triangular(R, -np.asarray(g_red, dtype=float), trans="T", lower=False)
     return solve_triangular(R, w, lower=False)
 
-def negcurv_direction(R: np.ndarray, j: int, g_red: np.ndarray) -> np.ndarray:
-    """Back-substitute R d = e_j; orient downhill against the gradient."""
+def negcurv_direction(R: np.ndarray, j: int) -> np.ndarray:
+    """Back-substitute R d = e_j. The sign is arbitrary: step_once orients
+    the refined direction."""
     e = np.zeros(R.shape[0])
     e[j] = 1.0
-    d = solve_triangular(R, e, lower=False)
-    if float(d @ g_red) > 0.0:
-        d = -d
-    return d
+    return solve_triangular(R, e, lower=False)
 
 
 def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, sweeps: int) -> tuple:
     """Reduce the generalized Rayleigh quotient d'Hd / d'Gd, G the metric,
     by cyclic single-coordinate moves. Each move solves a scalar quadratic
-    exactly, so the quotient never increases. Returns (d, final quotient)."""
+    exactly, so the quotient never increases. Returns (d, final quotient).
+    Every operation is odd in d or even in it, so a start of -d returns
+    exactly (-d', q) for a start of d returning (d', q)."""
     H = np.asarray(H, dtype=float)
     d = np.asarray(d, dtype=float).copy()
     n = len(d)
@@ -383,7 +383,7 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, delta_hat: fl
         return finish("converged")
 
     if res.modified:
-        d_z = negcurv_direction(res.r, res.j, g_red)
+        d_z = negcurv_direction(res.r, res.j)
         gram = ctx.z.gram()
         # Several cheap univariate sweeps pull the direction much closer to
         # the extreme eigenvector; direction quality decides which basin the
@@ -395,6 +395,7 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, delta_hat: fl
             d_z, q = improve_negcurv(h_red, d_z, metric=gram, sweeps=1)
             extra += 1
         if q < 0.0:
+            # downhill, oriented here only: improve_negcurv is odd in its start
             if float(d_z @ g_red) > 0.0:
                 d_z = -d_z
             kind, delta_hat = "negcurv", q

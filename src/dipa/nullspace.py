@@ -23,15 +23,14 @@ from scipy.linalg import solve_triangular
 from dipa.graph import ArcVarMap, component_labels
 
 
-def build_A(m: ArcVarMap, mode: str) -> np.ndarray:
-    """Dense 0/1 sum constraints: the row block, then (ds only) the column
-    block."""
+def build_A(m: ArcVarMap) -> np.ndarray:
+    """Dense 0/1 doubly stochastic sum constraints: the row block, then the
+    column block. The row block alone is row mode's."""
     nn = len(m.nodes)
     k = np.arange(m.n_arcs)
-    mat = np.zeros((nn if mode == "s" else 2 * nn, m.n_arcs))
+    mat = np.zeros((2 * nn, m.n_arcs))
     mat[m.row, k] = 1.0
-    if mode == "ds":
-        mat[nn + m.col, k] = 1.0
+    mat[nn + m.col, k] = 1.0
     return mat
 
 
@@ -44,7 +43,7 @@ class ReorderedDS:
 
 
 def _retained_rows(m: ArcVarMap) -> list:
-    """Rows of the stacked ds matrix (build_A in ds mode) that are linearly
+    """Rows of the stacked ds matrix (build_A) that are linearly
     independent and span its row space.
 
     Arc k = (i, j) joins row m.row[k] and column row n + m.col[k]. In each
@@ -64,12 +63,12 @@ def _retained_rows(m: ArcVarMap) -> list:
 
 def reorder_ds(m: ArcVarMap) -> ReorderedDS:
     """Permute rows and columns of the doubly stochastic constraint matrix
-    (build_A in ds mode) of m into [B S] with B unit lower triangular.
+    (build_A) of m into [B S] with B unit lower triangular.
 
     Columns with a single one among the still-active rows are pinned in
     batches, bottom row first; each batch prefers lower variable indices.
     """
-    am = build_A(m, mode="ds")[_retained_rows(m)]
+    am = build_A(m)[_retained_rows(m)]
     rank, width = am.shape
     # column-to-rows incidence, one entry per nonzero, columns ascending
     inc_col, inc_row = np.nonzero(am.T)

@@ -134,7 +134,7 @@ def initial_interior(m: ArcVarMap, mode: str) -> np.ndarray:
     if mode == "s":
         return 1.0 / np.bincount(m.row)[m.row]
     a = m.n_arcs
-    A = build_A(m, mode="ds")
+    A = build_A(m)
     rows = A.shape[0]
     aeq = np.hstack([A, (A @ np.ones(a)).reshape(-1, 1)])
     c = np.zeros(a + 1)
@@ -183,11 +183,9 @@ def mu_trigger(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> float:
     indefinite: along lam_hat's eigenvector the curvature is at most
     lam_hat + mu2 lam_bar <= lam_hat / 2."""
     hd = detfun.hess(x, ctx.m, mode=ctx.z.mode)
-    hz = ctx.z.reduce_hessian(hd)
-    lam_hat = float(np.linalg.eigvalsh(hz)[0]) if hz.size else 0.0
+    lam_hat = float(np.linalg.eigvalsh(ctx.z.reduce_hessian(hd))[0])
     _, _, hphi = barrier_eval(x, spec)
-    pz = ctx.z.reduce_diag_quadform(hphi)
-    lam_bar = float(np.linalg.eigvalsh(pz)[-1]) if pz.size else 1.0
+    lam_bar = float(np.linalg.eigvalsh(ctx.z.reduce_diag_quadform(hphi))[-1])
     return propose_mu(lam_hat, lam_bar, spec.mu)
 
 
@@ -276,8 +274,9 @@ def _restore_floor(xbar: np.ndarray) -> float:
     return min(max(float(np.min(xbar)), X_MIN_FLOOR), 1.0 / len(xbar))
 
 
-def restore_DS(xbar: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Reconcile row and column sums after surgery by one bounded-change LP.
+def restore_DS(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
+    """Reconcile the row and column sums (build_A) of xbar on the map m after
+    surgery by one bounded-change LP.
 
     Decision variables are an increase u in [0, 1-xbar], a decrease v in
     [0, xbar - x_min], and a scalar artificial gamma multiplying the sum
@@ -288,6 +287,7 @@ def restore_DS(xbar: np.ndarray, A: np.ndarray) -> np.ndarray:
     StarvationError."""
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
+    A = build_A(m)
     s = np.ones(A.shape[0]) - A @ xbar
     rho = 1e3 * (1.0 + float(np.abs(s).sum()))
     x_min = _restore_floor(xbar)
@@ -301,12 +301,13 @@ def restore_DS(xbar: np.ndarray, A: np.ndarray) -> np.ndarray:
     return _polish_equalities(xbar + uvg[:a] - uvg[a : 2 * a], A)
 
 
-def restore_DS_qp(xbar: np.ndarray, A: np.ndarray) -> np.ndarray:
+def restore_DS_qp(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
     """Least-distance variant: the Euclidean projection of xbar onto the sum
     constraints within the box [x_min, 1], with restore_DS's x_min, by one
     qp_least_distance call. Raises StarvationError when it is not optimal."""
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
+    A = build_A(m)
     x, status = qp_least_distance(
         xbar, A, np.ones(A.shape[0]), np.full(a, _restore_floor(xbar)), np.ones(a)
     )
@@ -452,9 +453,9 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                 if mode == "s":
                     x2 = restore_S(x2, m2)
                 elif params.restore == "lp":
-                    x2 = restore_DS(x2, build_A(m2, mode="ds"))
+                    x2 = restore_DS(x2, m2)
                 else:
-                    x2 = restore_DS_qp(x2, build_A(m2, mode="ds"))
+                    x2 = restore_DS_qp(x2, m2)
             except (StarvationError, NoInteriorPoint, LPError) as exc:
                 return x, m_now, f"surgery dead end: {exc}"
             m_now = m2
@@ -466,6 +467,17 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     # step_once calls since the last trigger; surgery does not reset it
     phase_steps = 0
     while True:
+        # on a map with no free direction, the start's included, only the
+        # rounding is left to try
+        if work.z.dim <= 0:
+            cert = round_to_hc(x, work.m, records, g)
+            if cert is not None:
+                return report(HC_FOUND, cycle=cert, x=x, m=work.m)
+            return report(
+                GAVE_UP,
+                message="reduced problem fully determined but not a cycle",
+                x=x, m=work.m,
+            )
         if time.monotonic() - t0 > params.time_limit:
             return report(GAVE_UP, message="time limit", x=x, m=work.m)
         iterations += 1
@@ -475,22 +487,24 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         phase_steps += 1
         # a phase that spends its budget keeps its last step and ends like a
         # converged one
-        if info.kind in ("converged", "stall") or phase_steps >= inner.MAX_PHASE_ITER:
-            f, phi, merit = info.f, info.phi, info.merit
-            if info.kind == "stall" and not info.modified:
-                x = newton_polish(x, spec, work)
-                # the row reports the polished point, so it values it too
-                f = detfun.value_only(x, work.m, mode)
-                phi, _, _ = barrier_eval(x, spec)
-                merit = f + spec.mu * phi
+        phase_end = info.kind in ("converged", "stall") or phase_steps >= inner.MAX_PHASE_ITER
+        if phase_end and info.kind == "stall" and not info.modified:
+            x = newton_polish(x, spec, work)
+            # the row reports the polished point, so it values it too
+            f = detfun.value_only(x, work.m, mode)
+            phi, _, _ = barrier_eval(x, spec)
+            info = replace(info, x=x, f=f, phi=phi, merit=f + spec.mu * phi)
+        row = TraceRow(
+            it=iterations, mu=spec.mu, f=info.f, phi=info.phi, merit=info.merit,
+            step=info.step, kind=info.kind, delta_hat=info.delta_hat,
+            x_min=float(np.min(x)), deflations=len(records),
+        )
+        if phase_end:
+            # a trigger row is the phase's last step, relabelled
+            row = replace(row, kind="trigger", step=0.0, delta_hat=0.0)
+        trace.append(row)
+        if phase_end:
             mu2 = mu_trigger(x, spec, work)
-            trace.append(
-                TraceRow(
-                    it=iterations, mu=spec.mu, f=f, phi=phi, merit=merit,
-                    step=0.0, kind="trigger", delta_hat=0.0,
-                    x_min=float(np.min(x)), deflations=len(records),
-                )
-            )
             if mu2 < MU_MIN:
                 message = "barrier weight exhausted"
                 if np.all(np.minimum(x, np.abs(1.0 - x)) <= 0.25):
@@ -501,14 +515,6 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             phase_steps = 0
             continue
 
-        trace.append(
-            TraceRow(
-                it=iterations, mu=spec.mu, f=info.f, phi=info.phi, merit=info.merit,
-                step=info.step, kind=info.kind, delta_hat=info.delta_hat,
-                x_min=float(np.min(x)), deflations=len(records),
-            )
-        )
-
         cert = round_to_hc(x, work.m, records, g)
         if cert is not None:
             return report(HC_FOUND, cycle=cert, x=x, m=work.m)
@@ -518,13 +524,4 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             return report(GAVE_UP, message=dead_end, x=x, m=m_now)
         if m_now is not work.m:
             work = replace(work, z=build_Z(m_now, mode=mode), m=m_now)
-            if work.z.dim <= 0:
-                cert = round_to_hc(x, work.m, records, g)
-                if cert is not None:
-                    return report(HC_FOUND, cycle=cert, x=x, m=work.m)
-                return report(
-                    GAVE_UP,
-                    message="reduced problem fully determined but not a cycle",
-                    x=x, m=work.m,
-                )
             delta_hat = 0.0

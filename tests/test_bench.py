@@ -189,10 +189,33 @@ class TestRunBench:
         assert (errors[0]["iterations"], errors[0]["deflations"], errors[0]["deletions"]) == (0, 0, 0)
         assert errors[0]["cycle"] == ""
 
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_campaign_that_raises_flushes_finished_rows(self, tmp_path, monkeypatch, error):
+        # the third task raises out of the campaign loop itself, as an
+        # interrupt does, or a pool that lost a worker
+        real = dipa.bench._solve_job
+        calls = []
+
+        def third_raises(task):
+            calls.append(task)
+            if len(calls) == 3:
+                raise error("planted failure")
+            return real(task)
+
+        monkeypatch.setattr(dipa.bench, "_solve_job", third_raises)
+        cfg = BenchConfig(sizes=(8,), count=3, grid="paper-def", seed=100, out_dir=str(tmp_path))
+        with pytest.raises(error, match="planted failure"):
+            run_bench(cfg)
+        lines = (tmp_path / "solves.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:4] for line in lines] == [
+            ["n8-s100", "8", "ds", "lp-0.9"],
+            ["n8-s101", "8", "ds", "lp-0.9"],
+        ]
+
 
 class TestPaths:
     def test_neutral_point_k3(self):
-        x = neutral_point(k3(), mode="ds")
+        x = neutral_point(k3())
         assert np.allclose(x, 0.5, atol=1e-9)
 
     def test_neutral_point_spends_the_solver_phase_budget(self, monkeypatch):
@@ -231,7 +254,7 @@ class TestPaths:
         assert len(ends) == 1
         _, keep, forced = dipa.outer.drop_forced(build_arc_map(g))
         assert forced > 0
-        x = neutral_point(g, "ds")
+        x = neutral_point(g)
         assert x[keep].tobytes() == ends[0].tobytes()
         assert np.count_nonzero(x) == len(keep)
 

@@ -40,6 +40,13 @@ class TestSolve:
         assert "status: HC-found" in out
         assert "cycle:" in out
 
+    def test_fully_determined_start_exit_zero(self, tmp_path, capsys):
+        gfile = tmp_path / "k3.txt"
+        write_graph(make_graph(3, [(1, 2), (1, 3), (2, 3)]), gfile)
+        rc = run("solve", "--graph", str(gfile), "--mode", "ds", "--drop-var")
+        assert rc == 0
+        assert "status: HC-found" in capsys.readouterr().out
+
     def test_trace_file(self, tmp_path, capsys):
         gfile = tmp_path / "g.txt"
         run("gen", "--n", "10", "--seed", "3", "--plant", "--out", str(gfile))

@@ -285,8 +285,8 @@ class TestGmwLoopReference:
             if n == 0:
                 continue
             g = rng.standard_normal(n)
-            got = negcurv_direction(res.r, res.j, g)
-            assert got.tobytes() == negcurv_direction(ref.r, ref.j, g).tobytes()
+            got = negcurv_direction(res.r, res.j)
+            assert got.tobytes() == negcurv_direction(ref.r, ref.j).tobytes()
             got = descent_direction(res.r, g)
             assert got.tobytes() == descent_direction(ref.r, g).tobytes()
 
@@ -331,7 +331,7 @@ class TestNegativeCurvature:
     def test_extreme_eigenvector_on_diag(self):
         M = np.diag([1.0, -2.0])
         res = modified_cholesky(M, 0.0)
-        d = negcurv_direction(res.r, res.j, np.zeros(2))
+        d = negcurv_direction(res.r, res.j)
         q = d @ M @ d / (d @ d)
         assert q == pytest.approx(-2.0, abs=1e-12)
 
@@ -340,17 +340,54 @@ class TestNegativeCurvature:
         A = rng.standard_normal((6, 6))
         M = (A + A.T) / 2 - 3.0 * np.eye(6)
         res = modified_cholesky(M, 0.0)
-        g = rng.standard_normal(6)
-        d = negcurv_direction(res.r, res.j, g)
+        d = negcurv_direction(res.r, res.j)
         assert d @ M @ d < 0.0
-        assert d @ g <= 1e-12
+        # negcurv_direction leaves the sign open; step_once orients the
+        # refined direction, so every negcurv step moves downhill
+        g = gen_random_graph(12, 3, 6, seed=23)
+        m = build_arc_map(g)
+        nctx = phase_context(g, m, "ds", grad_tol=1e-10)
+        x = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf, upper_log=False), nctx)
+        ctx = phase_context(g, m, "ds", grad_tol=1e-9)
+        spec = BarrierSpec(mu=1e-4, upper_log=False)
+        delta_hat = 0.0
+        negcurv = 0
+        for _ in range(25):
+            info = step_once(x, spec, ctx, delta_hat)
+            if info.kind in ("converged", "stall"):
+                break
+            if info.kind == "negcurv":
+                grad = value_grad_hess(x, m, "ds")[1] + spec.mu * barrier_eval(x, spec)[1]
+                assert (info.x - x) @ grad <= 0.0
+                negcurv += 1
+            x, delta_hat = info.x, info.delta_hat
+        assert negcurv
+
+    @pytest.mark.parametrize("with_metric", [False, True])
+    def test_improve_is_odd_in_its_start(self, with_metric):
+        # why step_once may orient only the refined direction: a start of
+        # -d returns exactly (-d', q) where d returns (d', q)
+        rng = np.random.default_rng(41)
+        for n in range(1, 61):
+            A = rng.standard_normal((n, n))
+            H = (A + A.T) / 2
+            metric = np.eye(n)
+            if with_metric:
+                B = rng.standard_normal((n, n))
+                metric = B @ B.T + np.eye(n)
+            d0 = rng.standard_normal(n)
+            for sweeps in (1, 3):
+                d, q = improve_negcurv(H, d0, metric=metric, sweeps=sweeps)
+                d_neg, q_neg = improve_negcurv(H, -d0, metric=metric, sweeps=sweeps)
+                assert (-d_neg).tobytes() == d.tobytes()
+                assert np.float64(q_neg).tobytes() == np.float64(q).tobytes()
 
     def test_improve_monotone(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((10, 10))
         M = (A + A.T) / 2 - 2.0 * np.eye(10)
         res = modified_cholesky(M, 0.0)
-        d0 = negcurv_direction(res.r, res.j, np.zeros(10))
+        d0 = negcurv_direction(res.r, res.j)
         q0 = d0 @ M @ d0 / (d0 @ d0)
         d1, q1 = improve_negcurv(M, d0.copy(), metric=np.eye(10), sweeps=1)
         d3, q3 = improve_negcurv(M, d0.copy(), metric=np.eye(10), sweeps=3)

@@ -292,7 +292,7 @@ class TestMatchesLinprog:
             x2[seed % len(x2)] = 0.97
             for xbar, mm in ((x2, m2), (x[1:], delete_arc(m, [0])[0])):
                 mm, xbar = without_forced(mm, xbar)
-                got = recorded_lps(monkeypatch, restore_DS, xbar, build_A(mm, mode="ds"))[1]
+                got = recorded_lps(monkeypatch, restore_DS, xbar, mm)[1]
                 restore_lps.append(len(got))
                 lps += got
             box = TestQPMatchesVertexStart.planted_box(seed)
@@ -367,7 +367,7 @@ class TestQPLeastDistance:
         # a feasible xbar projects onto itself
         g = make_graph(3, [(1, 2), (1, 3), (2, 3)])
         m = build_arc_map(g)
-        mat = build_A(m, mode="ds")
+        mat = build_A(m)
         xbar = np.full(6, 0.5)
         x, status = qp_least_distance(
             xbar, mat, np.ones(6), np.zeros(6), np.ones(6)
@@ -378,7 +378,7 @@ class TestQPLeastDistance:
     def test_projection_optimality(self):
         g = gen_random_graph(10, 3, 6, seed=11)
         m = build_arc_map(g)
-        mat = build_A(m, mode="ds")
+        mat = build_A(m)
         rng = np.random.default_rng(4)
         xbar = np.clip(initial_interior(m, "ds") + rng.normal(0, 0.1, m.n_arcs), 0, 1)
         lb = np.full(m.n_arcs, 1e-4)
@@ -428,7 +428,7 @@ class TestQPMatchesVertexStart:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 25))
         m = build_arc_map(gen_random_graph(n, 3, 6, seed=seed, plant=True))
-        mat = build_A(m, mode="ds")
+        mat = build_A(m)
         floor = (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2)[seed % 6]
         noise = (0.01, 0.05, 0.2, 0.5)[seed % 4]
         xbar = 1.0 / np.bincount(m.row)[m.row] + rng.normal(0.0, noise, m.n_arcs)
@@ -526,18 +526,18 @@ class TestRestoreDS:
         g = gen_random_graph(12, 3, 6, seed=seed)
         m = build_arc_map(g)
         assert forced_zero_arcs(m) == ()
-        mat = build_A(m, mode="ds")
+        mat = build_A(m)
         rng = np.random.default_rng(seed)
         xbar = np.clip(
             initial_interior(m, "ds") + rng.normal(0, 0.05, m.n_arcs), 0.0, 1.0
         )
-        return mat, xbar
+        return m, mat, xbar
 
     @pytest.mark.parametrize("which", ["lp", "qp"])
     def test_feasible_result(self, which):
-        mat, xbar = self.setup_unbalanced(13)
+        m, mat, xbar = self.setup_unbalanced(13)
         fn = restore_DS if which == "lp" else restore_DS_qp
-        x = fn(xbar, mat)
+        x = fn(xbar, m)
         r = mat @ x
         assert np.max(np.abs(r - 1.0)) <= 1e-8
         assert np.min(x) >= -1e-12
@@ -548,8 +548,8 @@ class TestRestoreDS:
             assert verify_qp(x, xbar, mat, np.ones(mat.shape[0]), lb, np.ones(a)) <= 1e-7
 
     def test_lp_stays_close(self):
-        mat, xbar = self.setup_unbalanced(14)
-        x = restore_DS(xbar, mat)
+        m, _, xbar = self.setup_unbalanced(14)
+        x = restore_DS(xbar, m)
         # the one-norm objective keeps the correction moderate
         assert np.abs(x - xbar).sum() <= 2.0
 
@@ -559,10 +559,10 @@ class TestRestoreDS:
         # min(xbar) >= 0.4 the box [min(xbar), 1] holds no point with row
         # sums 1; the floor 1/a = 1/12 admits the uniform point 1/3
         m = build_arc_map(make_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]))
-        mat = build_A(m, mode="ds")
+        mat = build_A(m)
         xbar = np.random.default_rng(5).uniform(0.4, 0.5, m.n_arcs)
         fn = restore_DS if which == "lp" else restore_DS_qp
-        x, lps = recorded_lps(monkeypatch, fn, xbar, mat)
+        x, lps = recorded_lps(monkeypatch, fn, xbar, m)
         assert np.max(np.abs(mat @ x - 1.0)) <= 1e-8
         assert np.min(x) >= 1.0 / 12 - 1e-12
         if which == "lp":
@@ -581,4 +581,4 @@ class TestRestoreDS:
         xbar = 1.0 / np.bincount(m.row)[m.row]
         fn = restore_DS if which == "lp" else restore_DS_qp
         with pytest.raises(StarvationError, match="restoration program infeasible"):
-            fn(xbar, build_A(m, mode="ds"))
+            fn(xbar, m)

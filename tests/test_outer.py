@@ -201,7 +201,7 @@ def forced_zero_arcs_reference(m):
     the reference: maximize sum(u) with u <= x, u <= 1/(4a) over the doubly
     stochastic points x of the support; u stays at zero exactly on the arcs
     no such point uses."""
-    A = build_A(m, mode="ds")
+    A = build_A(m)
     rows, a = A.shape
     eps = 1.0 / (4.0 * a)
     # variables [x, u, s] with u - x + s = 0
@@ -437,6 +437,15 @@ class TestSolveSmall:
         assert rep.status == HC_FOUND
         assert rep.deletions >= 6
         rep.cycle.validate(g)
+
+    def test_fully_determined_start_rounds(self):
+        # dropping arc (1, 2) forces (2, 3) and (3, 1) to zero, which leaves
+        # exactly the cycle 1 -> 3 -> 2: the start is the only feasible
+        # point, and it is rounded before any step
+        rep = dipa_solve(k3(), DipaParams(mode="ds", drop_one_var=True))
+        assert rep.status == HC_FOUND
+        assert rep.cycle.seq == (1, 3, 2)
+        assert (rep.iterations, rep.deletions, rep.trace) == (0, 3, [])
 
     def test_drop_one_var(self):
         g = gen_random_graph(12, 3, 6, seed=43)
