@@ -124,24 +124,25 @@ def f_minor(x, m: ArcVarMap, validate: bool = True) -> float:
     return -float(np.prod(np.diag(lu.u)[:-1]))
 
 
-def _matrix(x, m: ArcVarMap, mode: str) -> tuple:
-    """The differentiated matrix and which arcs lie inside it: the leading
-    principal minor of I - P in ds mode, where the arcs touching the last
-    node fall outside, and I - P + J/n with every arc in s mode."""
+def _matrix(x, m: ArcVarMap, mode: str) -> np.ndarray:
+    """The differentiated matrix: the leading principal minor of I - P in
+    ds mode, I - P + J/n in s mode."""
     P = assemble_P(m, x)
     nn = P.shape[0]
     if mode == "ds":
-        return (np.eye(nn) - P)[: nn - 1, : nn - 1], (m.row < nn - 1) & (m.col < nn - 1)
+        return (np.eye(nn) - P)[: nn - 1, : nn - 1]
     if mode == "s":
-        return np.eye(nn) - P + np.ones((nn, nn)) / nn, np.ones(m.n_arcs, dtype=bool)
+        return np.eye(nn) - P + np.ones((nn, nn)) / nn
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def _core(x, m: ArcVarMap, mode: str) -> tuple:
-    """The determinant and inverse of the differentiated matrix, and the
-    arcs inside it."""
-    M, inside = _matrix(x, m, mode)
-    return float(np.linalg.det(M)), np.linalg.inv(M), inside
+    """The determinant and inverse of the differentiated matrix, and which
+    arcs lie inside it: in ds mode the arcs touching the last node fall
+    outside the minor."""
+    M = _matrix(x, m, mode)
+    k = M.shape[0]
+    return float(np.linalg.det(M)), np.linalg.inv(M), (m.row < k) & (m.col < k)
 
 
 def _hessian(det: float, inv: np.ndarray, m: ArcVarMap) -> np.ndarray:
@@ -178,4 +179,4 @@ def value_grad_hess(x, m: ArcVarMap, mode: str) -> tuple:
 def value_only(x, m: ArcVarMap, mode: str) -> float:
     """f alone, from the same determinant of the same matrix as
     value_grad_hess, so the two agree to the last bit."""
-    return -float(np.linalg.det(_matrix(x, m, mode)[0]))
+    return -float(np.linalg.det(_matrix(x, m, mode)))

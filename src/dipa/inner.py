@@ -42,22 +42,27 @@ class BarrierSpec:
     upper_log: bool
 
 
+def barrier_value(x: np.ndarray, spec: BarrierSpec) -> float:
+    """phi alone, the number barrier_eval returns first; x must be
+    strictly inside the bounds."""
+    phi = -float(np.sum(np.log(x)))
+    if spec.upper_log:
+        phi -= float(np.sum(np.log(1.0 - x)))
+    return phi
+
+
 def barrier_eval(x: np.ndarray, spec: BarrierSpec) -> tuple:
     """(phi, grad phi, diagonal of hess phi) for the log barrier."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if np.any(x <= 0.0) or (spec.upper_log and np.any(x >= 1.0)):
         raise ValueError("barrier evaluated at a non-interior point")
-    phi = -float(np.sum(np.log(x)))
     g = -1.0 / x
     h = 1.0 / x**2
     if spec.upper_log:
-        if np.any(x >= 1.0):
-            raise ValueError("barrier evaluated at a non-interior point")
         one = 1.0 - x
-        phi -= float(np.sum(np.log(one)))
         g = g + 1.0 / one
         h = h + 1.0 / one**2
-    return phi, g, h
+    return barrier_value(x, spec), g, h
 
 
 @dataclass(frozen=True)
@@ -268,7 +273,7 @@ def linesearch(x, direction, alpha, spec: BarrierSpec, objective, m0: float) -> 
     direction = np.asarray(direction, dtype=float)
 
     def merit(pt) -> tuple:
-        phi, _, _ = barrier_eval(pt, spec)
+        phi = barrier_value(pt, spec)
         if math.isinf(spec.mu):
             return None, phi, phi
         f = objective(pt)

@@ -120,6 +120,9 @@ class NullSpaceRep:
     cols: np.ndarray | None = None   # variable index per basis column
     leads: np.ndarray | None = None  # leading variable of the same row
     _sp: sp.csc_matrix | None = field(default=None, repr=False)
+    # Z.T and Z as CSR, built with _sp: the operands of the reduced products
+    _zt: sp.csr_matrix | None = field(default=None, repr=False)
+    _zr: sp.csr_matrix | None = field(default=None, repr=False)
     _gram: np.ndarray | None = field(default=None, repr=False)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -147,31 +150,37 @@ class NullSpaceRep:
                 zm = np.zeros((self.n_vars, self.dim))
                 zm[self.basis] = -self.y
                 zm[self.free] = np.eye(self.dim)
-                self._sp = sp.csc_matrix(zm)
+                zs = sp.csc_matrix(zm)
             else:
                 data = np.concatenate([np.ones(self.dim), -np.ones(self.dim)])
                 rows = np.concatenate([self.cols, self.leads])
                 colidx = np.concatenate([np.arange(self.dim), np.arange(self.dim)])
-                self._sp = sp.csc_matrix(
-                    (data, (rows, colidx)), shape=(self.n_vars, self.dim)
-                )
+                zs = sp.csc_matrix((data, (rows, colidx)), shape=(self.n_vars, self.dim))
+            # the transpose shares zs's arrays; the CSR copy of Z is the one
+            # a CSR product would convert zs to
+            self._sp, self._zt, self._zr = zs, zs.T, zs.tocsr()
         return self._sp
 
     def gram(self) -> np.ndarray:
         """Z.T Z, the reduced-space metric."""
         if self._gram is None:
-            zs = self.sparse()
-            self._gram = (zs.T @ zs).toarray()
+            self.sparse()
+            self._gram = (self._zt @ self._zr).toarray()
         return self._gram
 
     def reduce_hessian(self, H: np.ndarray) -> np.ndarray:
-        zs = self.sparse()
-        return np.asarray(zs.T @ (zs.T @ H.T).T)
+        """Z.T H Z, as Z.T (Z.T H.T).T."""
+        self.sparse()
+        zt = self._zt
+        return np.asarray(zt @ (zt @ H.T).T)
 
     def reduce_diag_quadform(self, d: np.ndarray) -> np.ndarray:
-        """Z.T diag(d) Z without forming the full Hessian."""
-        zs = self.sparse()
-        return np.asarray((zs.T.multiply(d) @ zs).todense())
+        """Z.T diag(d) Z without forming the full Hessian: Z.T's entries
+        scaled by d at their columns, times Z."""
+        self.sparse()
+        zt = self._zt
+        scaled = sp.csr_matrix((zt.data * d[zt.indices], zt.indices, zt.indptr), shape=zt.shape)
+        return (scaled @ self._zr).toarray()
 
 
 def build_Z(m: ArcVarMap, mode: str) -> NullSpaceRep:

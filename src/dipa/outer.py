@@ -200,8 +200,9 @@ def forced_zero_arcs(m: ArcVarMap) -> tuple:
     row for each unmatched arc (Dulmage-Mendelsohn). Raises NoInteriorPoint
     when the support has no perfect matching."""
     n = len(m.nodes)
+    arcs = list(zip(m.row.tolist(), m.col.tolist()))
     succ: list = [[] for _ in range(n)]
-    for i, j in zip(m.row.tolist(), m.col.tolist()):
+    for i, j in arcs:
         succ[i].append(j)
     # augmenting paths, one breadth-first search from each row
     mate = [-1] * n  # column matched to row i
@@ -228,17 +229,50 @@ def forced_zero_arcs(m: ArcVarMap) -> tuple:
             owner[j], mate[i], j = i, j, mate[i]
     # the edge of arc (i, j) runs from i to the row matched to j; a matched
     # arc gives the loop i -> i and always passes
-    to = np.array(owner)[m.col]
-    reach = np.eye(n, dtype=bool)
-    reach[m.row, to] = True
-    # transitive closure by repeated boolean squaring
-    while True:
-        closed = reach @ reach
-        if np.array_equal(closed, reach):
-            break
-        reach = closed
-    strong = reach & reach.T
-    return tuple(int(k) for k in np.flatnonzero(~strong[m.row, to]))
+    comp = _strong_components([[owner[j] for j in cols] for cols in succ])
+    return tuple(k for k, (i, j) in enumerate(arcs) if comp[i] != comp[owner[j]])
+
+
+def _strong_components(succ: list) -> list:
+    """Strong component label of every node of the digraph with successor
+    lists succ, by one iterative Tarjan pass: linear in nodes plus edges."""
+    n = len(succ)
+    index = [-1] * n  # discovery order
+    low = [0] * n
+    comp = [-1] * n  # -1 while the node is unvisited or on the stack
+    stack: list = []
+    found = labels = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = found
+                    found += 1
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0:
+                    low[v] = min(low[v], index[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = labels
+                        if w == v:
+                            break
+                    labels += 1
+    return comp
 
 
 def drop_forced(m: ArcVarMap) -> tuple:
@@ -330,27 +364,33 @@ def round_to_hc(
     against original, or None."""
     nodes = m.nodes
     rr = len(nodes)
-    work = np.zeros((rr, rr))
-    work[m.row, m.col] = x
-    free = np.zeros((rr, rr), dtype=bool)
-    free[m.row, m.col] = True
-    succ = np.full(rr, -1)
+    x = np.asarray(x, dtype=float)
+    # every node misses at least its own column, so a row's mass is at
+    # least 0.0, as in the dense matrix of x
+    top = np.zeros(rr)
+    np.maximum.at(top, m.row, x)
+    rows = np.argsort(-top, kind="stable").tolist()
+    # the arcs of each row in turn, largest entry first, ties to the lower
+    # column: row r's columns are ranked[bounds[r]:bounds[r + 1]]
+    ranked = m.col[np.lexsort((m.col, -x, m.row))].tolist()
+    bounds = [0, *np.cumsum(np.bincount(m.row, minlength=rr)).tolist()]
+    taken = [False] * rr
+    succ = [-1] * rr
     # the picks form disjoint paths: end[c] is the last node of the path
     # starting at c, start[r] the first node of the path ending at r
-    start = np.arange(rr)
-    end = np.arange(rr)
-    for picks, r in enumerate(np.argsort(-work.max(axis=1), kind="stable")):
-        cands = np.flatnonzero(free[r])
-        if not cands.size:
+    start = list(range(rr))
+    end = list(range(rr))
+    for picks, r in enumerate(rows):
+        last = picks + 1 == rr
+        c = -1
+        for cand in ranked[bounds[r] : bounds[r + 1]]:
+            if not taken[cand] and (last or end[cand] != r):
+                c = cand
+                break
+        if c < 0:
             return None
-        closing = end[cands] == r
-        if picks + 1 < rr and closing.any():
-            if closing.all():
-                return None
-            cands = cands[~closing]
-        c = int(cands[np.argmax(work[r, cands])])
         succ[r] = c
-        free[:, c] = False
+        taken[c] = True
         head, tail = start[r], end[c]
         end[head], start[tail] = tail, head
     seq = [nodes[0]]

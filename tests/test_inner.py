@@ -14,6 +14,7 @@ from dipa.inner import (
     LinesearchStall,
     PhaseContext,
     barrier_eval,
+    barrier_value,
     descent_direction,
     improve_negcurv,
     linesearch,
@@ -49,6 +50,16 @@ class TestBarrier:
         )
         assert np.allclose(g, -1.0 / x + 1.0 / (1.0 - x))
         assert np.allclose(h, 1.0 / x**2 + 1.0 / (1.0 - x) ** 2)
+
+    @pytest.mark.parametrize("upper_log", [False, True])
+    def test_value_alone_matches_bytes(self, upper_log):
+        # a linesearch trial values phi alone; it is barrier_eval's phi
+        spec = BarrierSpec(mu=0.5, upper_log=upper_log)
+        rng = np.random.default_rng(4)
+        for size in (1, 7, 60, 400):
+            x = rng.uniform(1e-9, 1.0 - 1e-9, size=size)
+            got = np.float64(barrier_value(x, spec))
+            assert got.tobytes() == np.float64(barrier_eval(x, spec)[0]).tobytes()
 
     def test_rejects_boundary(self):
         with pytest.raises(ValueError):

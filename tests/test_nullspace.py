@@ -135,6 +135,38 @@ class TestNullSpace:
             )
             assert np.allclose(Z.gram(), zd.T @ zd, atol=1e-13)
 
+    @pytest.mark.parametrize("mode", ["s", "ds"])
+    def test_reduce_helpers_match_sparse_products_bytes(self, mode):
+        # the cached CSR operators give the bytes of the products on the CSC
+        # basis, on planted maps before and after deflate and delete_arc; H
+        # carries -0.0 rows and columns, as _hessian pads them
+        rng = np.random.default_rng(11)
+        checked = 0
+        for seed in range(12):
+            m = build_arc_map(gen_random_graph(8 + seed, 3, 6, seed=seed, plant=True))
+            maps = [m]
+            try:
+                m2 = deflate(m, int(rng.integers(m.n_arcs)))[0]
+                maps += [m2, delete_arc(m2, [int(rng.integers(m2.n_arcs))])[0]]
+            except StarvationError:
+                pass
+            for mm in maps:
+                Z = build_Z(mm, mode=mode)
+                zs = Z.sparse()
+                a = mm.n_arcs
+                H = rng.standard_normal((a, a))
+                H = H + H.T
+                pad = rng.random(a) < 0.2
+                H[pad] = -0.0
+                H[:, pad] = -0.0
+                want = np.asarray(zs.T @ (zs.T @ H.T).T)
+                assert Z.reduce_hessian(H).tobytes() == want.tobytes()
+                h = 1.0 / rng.uniform(0.01, 0.99, size=a) ** 2
+                want = np.asarray((zs.T.multiply(h) @ zs).todense())
+                assert Z.reduce_diag_quadform(h).tobytes() == want.tobytes()
+                checked += 1
+        assert checked >= 30
+
     def test_surgered_map_supported(self):
         # maps produced by deflation are asymmetric; the basis must still
         # annihilate the constraints exactly

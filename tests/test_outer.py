@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import dipa.inner
 import dipa.outer
@@ -222,6 +224,31 @@ def forced_zero_arcs_reference(m):
     return tuple(int(k) for k in np.flatnonzero(u <= 0.5 * eps))
 
 
+def forced_zero_arcs_closure(m):
+    """forced_zero_arcs as the boolean closure it took before its strong
+    component pass, kept as the reference: strong components by repeated
+    squaring of the reachability matrix of the alternating digraph. The
+    matching comes from scipy's csgraph; by Birkhoff-von Neumann the forced
+    set does not depend on which perfect matching is used."""
+    n = len(m.nodes)
+    support = sp.csr_matrix((np.ones(m.n_arcs), (m.row, m.col)), shape=(n, n))
+    mate = maximum_bipartite_matching(support, perm_type="column")
+    if (mate < 0).any():
+        raise NoInteriorPoint("no perfect matching on this support")
+    owner = np.empty(n, dtype=int)
+    owner[mate] = np.arange(n)
+    to = owner[m.col]
+    reach = np.eye(n, dtype=bool)
+    reach[m.row, to] = True
+    while True:
+        closed = reach @ reach
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    strong = reach & reach.T
+    return tuple(int(k) for k in np.flatnonzero(~strong[m.row, to]))
+
+
 def pruned_support(m, seed):
     """m without about a third of its arcs, drawn at random, skipping any
     deletion that would leave a node without an out-arc or an in-arc."""
@@ -257,6 +284,23 @@ class TestForcedZeroArcs:
             assert got == self.verdict(forced_zero_arcs_reference, m), seed
             outcomes["no matching" if got is None else "non-empty" if got else "empty"] += 1
         assert min(outcomes.values()) >= 50, outcomes
+
+    def test_matches_closure_reference(self):
+        # unplanted, planted and arc-pruned supports on 6 to 45 nodes
+        outcomes = {"empty": 0, "non-empty": 0, "no matching": 0}
+        for seed in range(300):
+            n = 6 + seed % 40
+            if seed % 3 == 0:
+                m = build_arc_map(gen_random_graph(n, 2, 3 + seed % 2, seed=seed, plant=False))
+            elif seed % 3 == 1:
+                m = build_arc_map(gen_random_graph(n, 2, 3 + seed % 3, seed=seed, plant=True))
+            else:
+                g = gen_random_graph(n, 3, 5, seed=seed, plant=seed % 2 == 0)
+                m = pruned_support(build_arc_map(g), seed)
+            got = self.verdict(forced_zero_arcs, m)
+            assert got == self.verdict(forced_zero_arcs_closure, m), seed
+            outcomes["no matching" if got is None else "non-empty" if got else "empty"] += 1
+        assert min(outcomes.values()) >= 40, outcomes
 
     def test_total_support_unchanged(self):
         g = gen_random_graph(12, 3, 6, seed=32)
