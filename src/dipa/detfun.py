@@ -9,9 +9,10 @@ exactly at Hamiltonian cycle indicators.
 
 The solver values both modes with LAPACK: value_only and value_grad_hess
 take the determinant of the one matrix that _matrix builds, so the
-linesearch merit and the step's f are the same number. lu_nopivot and
-f_minor are the paper's pivot-free routine for the minor, kept off the
-solve path for the library checks and the path profiles.
+linesearch merit and the step's f are the same number. _matrix copies a
+template kept on the map per mode and writes only the arc entries.
+lu_nopivot and f_minor are the paper's pivot-free routine for the minor,
+kept off the solve path for the library checks and the path profiles.
 """
 
 from __future__ import annotations
@@ -124,25 +125,60 @@ def f_minor(x, m: ArcVarMap, validate: bool = True) -> float:
     return -float(np.prod(np.diag(lu.u)[:-1]))
 
 
+@dataclass(frozen=True)
+class _Template:
+    """The differentiated matrix of one map and mode at x = 0 (base), the
+    flat position in it of each arc inside it (pos), and which arcs those
+    are (inside): in ds mode the arcs touching the last node fall outside
+    the minor."""
+
+    base: np.ndarray
+    pos: np.ndarray
+    inside: np.ndarray
+
+
+def _template(m: ArcVarMap, mode: str) -> _Template:
+    t = m.templates.get(mode)
+    if t is not None:
+        return t
+    nn = len(m.nodes)
+    if mode == "ds":
+        k = nn - 1
+        base = np.eye(k)
+    elif mode == "s":
+        k = nn
+        base = np.eye(nn) + np.ones((nn, nn)) / nn
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    # every _matrix call copies base, so nothing may write to it
+    base.flags.writeable = False
+    inside = (m.row < k) & (m.col < k)
+    t = m.templates[mode] = _Template(base, m.row[inside] * k + m.col[inside], inside)
+    return t
+
+
 def _matrix(x, m: ArcVarMap, mode: str) -> np.ndarray:
     """The differentiated matrix: the leading principal minor of I - P in
-    ds mode, I - P + J/n in s mode."""
-    P = assemble_P(m, x)
-    nn = P.shape[0]
+    ds mode, I - P + J/n in s mode. The template holds every entry no arc
+    touches; no arc lies on the diagonal, so an arc's entry is 0.0 - x, plus
+    1/n in s mode, the operations of (I - P)[:k, :k] and I - P + J/n."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (m.n_arcs,):
+        raise ValueError(f"x has shape {x.shape}, expected ({m.n_arcs},)")
+    t = _template(m, mode)
+    M = t.base.copy()
     if mode == "ds":
-        return (np.eye(nn) - P)[: nn - 1, : nn - 1]
-    if mode == "s":
-        return np.eye(nn) - P + np.ones((nn, nn)) / nn
-    raise ValueError(f"unknown mode {mode!r}")
+        M.ravel()[t.pos] = 0.0 - x[t.inside]
+    else:
+        M.ravel()[t.pos] = (0.0 - x) + 1.0 / M.shape[0]
+    return M
 
 
 def _core(x, m: ArcVarMap, mode: str) -> tuple:
     """The determinant and inverse of the differentiated matrix, and which
-    arcs lie inside it: in ds mode the arcs touching the last node fall
-    outside the minor."""
+    arcs lie inside it."""
     M = _matrix(x, m, mode)
-    k = M.shape[0]
-    return float(np.linalg.det(M)), np.linalg.inv(M), (m.row < k) & (m.col < k)
+    return float(np.linalg.det(M)), np.linalg.inv(M), _template(m, mode).inside
 
 
 def _hessian(det: float, inv: np.ndarray, m: ArcVarMap) -> np.ndarray:

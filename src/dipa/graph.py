@@ -74,7 +74,8 @@ class ArcVarMap:
     row[k] and col[k] are the matrix positions of arc k = (i, j): the
     indices of i and j in the sorted nodes. Every matrix built from the arc
     variables (P(x), the sum constraints, the rounding grid) is laid out
-    from them; arcs gives the label pairs, built on first use."""
+    from them; arcs gives the label pairs, built on first use. No arc is a
+    self-loop: graphs have none, and deflation drops (j,i) with (i,j)."""
 
     nodes: tuple[int, ...]
     row: np.ndarray
@@ -92,6 +93,12 @@ class ArcVarMap:
     def arcs(self) -> tuple:
         nodes = self.nodes
         return tuple((nodes[i], nodes[j]) for i, j in zip(self.row.tolist(), self.col.tolist()))
+
+    @cached_property
+    def templates(self) -> dict:
+        """dipa.detfun's determinant-matrix templates, one per mode, each
+        built on first use."""
+        return {}
 
 
 def arc_map_from_arcs(nodes, arcs) -> ArcVarMap:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from dipa import detfun
 from dipa.graph import ArcVarMap
@@ -27,6 +27,10 @@ from dipa.nullspace import NullSpaceRep
 MAX_PHASE_ITER = 500
 # the fraction of the boundary step at which the linesearch starts
 ALPHA = 0.9
+# the double-precision routines behind scipy's cholesky and solve_triangular,
+# called directly: at the solver's sizes their wrappers cost several times
+# the factorization or solve itself
+_POTRF, _TRTRS = get_lapack_funcs(("potrf", "trtrs"))
 
 
 class LinesearchStall(RuntimeError):
@@ -44,10 +48,11 @@ class BarrierSpec:
 
 def barrier_value(x: np.ndarray, spec: BarrierSpec) -> float:
     """phi alone, the number barrier_eval returns first; x must be
-    strictly inside the bounds."""
-    phi = -float(np.sum(np.log(x)))
+    strictly inside the bounds. np.add.reduce is the reduction np.sum
+    calls, without its dispatch."""
+    phi = -float(np.add.reduce(np.log(x)))
     if spec.upper_log:
-        phi -= float(np.sum(np.log(1.0 - x)))
+        phi -= float(np.add.reduce(np.log(1.0 - x)))
     return phi
 
 
@@ -95,7 +100,7 @@ def modified_cholesky(mred: np.ndarray, delta: float) -> CholResult:
     small = 2.2e-16 * max(gamma + xi, 1.0)
 
     try:
-        R = cholesky(C, lower=False, check_finite=False)
+        R = _cholesky(C)
     except LinAlgError:
         return _gmw_loop(C, beta2, small)
     rjj = np.diag(R)
@@ -105,6 +110,19 @@ def modified_cholesky(mred: np.ndarray, delta: float) -> CholResult:
     if np.all(d >= theta * theta / beta2) and np.all(d >= small):
         return CholResult(r=R, modified=False, j=-1)
     return _gmw_loop(C, beta2, small)
+
+
+def _cholesky(C: np.ndarray) -> np.ndarray:
+    """cholesky(C, lower=False, check_finite=False) without the wrapper: the
+    same potrf call, so the same upper factor in Fortran order (0 x 0 for an
+    empty C), and LinAlgError where a leading minor is not positive
+    definite."""
+    R, info = _POTRF(C, lower=False, overwrite_a=False, clean=True)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"potrf rejected argument {-info}")
+    return R
 
 
 def _gmw_loop(C: np.ndarray, beta2: float, small: float) -> CholResult:
@@ -122,6 +140,7 @@ def _gmw_loop(C: np.ndarray, beta2: float, small: float) -> CholResult:
     d = np.zeros(n)
     dcol = d[:, None]
     buf = np.empty(n * n)
+    maxreduce = np.maximum.reduce
     for j in range(n):
         row = U[j, j:]
         if j:
@@ -134,14 +153,13 @@ def _gmw_loop(C: np.ndarray, beta2: float, small: float) -> CholResult:
             np.subtract.reduce(stack, axis=0, out=row)
         cjj = row.item(0)
         col = row[1:]
-        theta = max(col.max(), -col.min()) if j < n - 1 else 0.0
+        theta = maxreduce(np.abs(col)) if j < n - 1 else 0.0
         dj = max(abs(cjj), theta * theta / beta2, small)
         d[j] = dj
     # U's diagonal keeps each c_jj as the loop met it
     E = d - U.diagonal()
     # R = (L sqrt(d)).T with L's column j = U[j, j+1:] / d_j below a unit
-    # diagonal, in Fortran order like LAPACK's R: solve_triangular takes
-    # another LAPACK path, with other bits, for a C-ordered R
+    # diagonal, in Fortran order like LAPACK's R, as _solve_upper requires
     lt = np.triu(U, 1)
     lt /= dcol
     lt.flat[:: n + 1] = 1.0
@@ -151,17 +169,42 @@ def _gmw_loop(C: np.ndarray, beta2: float, small: float) -> CholResult:
     return CholResult(r=r, modified=modified, j=int(np.argmax(E)) if modified else -1)
 
 
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _solve_upper(R: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """solve_triangular(R, b, trans=trans, lower=False) without the wrapper,
+    for a Fortran-ordered R the caller has checked finite; b is checked
+    here. scipy solves a C-ordered R through its transpose, with other
+    bits, so R's order is asserted. LinAlgError when R has a zero on its
+    diagonal."""
+    assert R.flags.f_contiguous
+    _require_finite(b)
+    if b.size == 0:
+        return np.empty_like(b)
+    x, info = _TRTRS(R, b, lower=False, trans=trans)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"trtrs rejected argument {-info}")
+    return x
+
+
 def descent_direction(R: np.ndarray, g_red: np.ndarray) -> np.ndarray:
     """Solve R.T R p = -g in two triangular sweeps."""
-    w = solve_triangular(R, -np.asarray(g_red, dtype=float), trans="T", lower=False)
-    return solve_triangular(R, w, lower=False)
+    _require_finite(R)
+    w = _solve_upper(R, -np.asarray(g_red, dtype=float), 1)
+    return _solve_upper(R, w, 0)
 
 def negcurv_direction(R: np.ndarray, j: int) -> np.ndarray:
     """Back-substitute R d = e_j. The sign is arbitrary: step_once orients
     the refined direction."""
     e = np.zeros(R.shape[0])
     e[j] = 1.0
-    return solve_triangular(R, e, lower=False)
+    _require_finite(R)
+    return _solve_upper(R, e, 0)
 
 
 def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, sweeps: int) -> tuple:
@@ -189,15 +232,17 @@ def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, sweeps: in
     buf = np.empty((2, n))
     h_diag = np.diagonal(H).tolist()
     g_diag = np.diagonal(G).tolist()
-    # d only changes in place, so its bound dot (the ddot of d @ v) stays valid
+    # d only changes in place, so its bound methods (dot is the ddot of
+    # d @ v) stay valid, as do those of hd and gd, rows of s
     dot, add, multiply, sqrt = d.dot, np.add, np.multiply, math.sqrt
+    d_item, hd_item, gd_item = d.item, hd.item, gd.item
     num = float(dot(hd))
     den = float(dot(gd))
     for _ in range(max(sweeps, 0)):
         for i in range(n):
-            b = hd.item(i)
+            b = hd_item(i)
             c = h_diag[i]
-            q = gd.item(i)
+            q = gd_item(i)
             r = g_diag[i]
             # stationary points of (num + 2bt + ct^2) / (den + 2qt + rt^2)
             A2 = c * q - b * r
@@ -229,9 +274,9 @@ def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, sweeps: in
                     best_q, best_t = qq, t2
             if best_t != 0.0:
                 t = best_t
-                d[i] += t
-                multiply(cols[i], t, out=buf)
-                add(s, buf, out=s)
+                d[i] = d_item(i) + t
+                multiply(cols[i], t, buf)
+                add(s, buf, s)
                 num = float(dot(hd))
                 den = float(dot(gd))
         nrm = float(np.linalg.norm(d))
@@ -285,7 +330,8 @@ def linesearch(x, direction, alpha, spec: BarrierSpec, objective, m0: float) -> 
     t = alpha * tstar
     for _ in range(51):
         xt = x + t * direction
-        if np.all(xt > 0.0) and (not spec.upper_log or np.all(xt < 1.0)):
+        # min and max propagate NaN, so a NaN trial fails like np.all's
+        if xt.min() > 0.0 and (not spec.upper_log or xt.max() < 1.0):
             ft, phit, mt = merit(xt)
             if mt < m0:
                 return LsResult(x=xt, t=t, f=ft, phi=phit, merit=mt)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dipa.detfun
 from dipa.detfun import (
     assemble_P,
     check_feasible,
@@ -10,7 +11,14 @@ from dipa.detfun import (
     value_grad_hess,
     value_only,
 )
-from dipa.graph import build_arc_map, gen_random_graph, make_graph
+from dipa.graph import (
+    StarvationError,
+    build_arc_map,
+    deflate,
+    delete_arc,
+    gen_random_graph,
+    make_graph,
+)
 from dipa.outer import initial_interior
 
 
@@ -240,3 +248,113 @@ def test_assemble_P_layout():
     assert P[0, 1] == x[m.arcs.index((1, 2))]
     assert P[2, 0] == x[m.arcs.index((3, 1))]
     assert np.all(np.diag(P) == 0.0)
+
+
+def matrix_reference(x, m, mode):
+    """The differentiated matrix built from assemble_P, frozen as the oracle
+    the per-map template must match byte for byte."""
+    P = assemble_P(m, x)
+    nn = P.shape[0]
+    if mode == "ds":
+        return (np.eye(nn) - P)[: nn - 1, : nn - 1]
+    return np.eye(nn) - P + np.ones((nn, nn)) / nn
+
+
+def bundle_reference(x, m, mode):
+    """(f, g, H) from matrix_reference, with the inside mask from its size."""
+    M = matrix_reference(x, m, mode)
+    k = M.shape[0]
+    det, inv = float(np.linalg.det(M)), np.linalg.inv(M)
+    inside = (m.row < k) & (m.col < k)
+    g = np.zeros(m.n_arcs)
+    g[inside] = det * inv[m.col[inside], m.row[inside]]
+    return -det, g, dipa.detfun._hessian(det, inv, m)
+
+
+def template_maps():
+    """Planted maps, each with maps derived from it by deflate and by
+    delete_arc, so templates are built for new node counts and arc sets."""
+    for seed in range(4):
+        m = build_arc_map(gen_random_graph(12 + 3 * seed, 3, 6, seed=seed, plant=True))
+        yield m
+        for k in (0, m.n_arcs // 2, m.n_arcs - 1):
+            try:
+                m2 = deflate(m, k)[0]
+            except StarvationError:
+                continue
+            yield m2
+            try:
+                yield delete_arc(m2, [m2.n_arcs // 3])[0]
+            except StarvationError:
+                pass
+
+
+def template_points(m, rng):
+    """Interior points, and points with 0.0, -0.0 and entries above 1, where
+    0.0 - x and -x part ways."""
+    a = m.n_arcs
+    yield rng.uniform(0.01, 0.99, size=a)
+    x = rng.uniform(0.0, 1.0, size=a)
+    x[rng.integers(a, size=a // 3)] = 0.0
+    x[rng.integers(a, size=a // 5)] = -0.0
+    yield x
+    yield rng.standard_normal(a) * 3.0
+
+
+class TestMatrixTemplate:
+    """_matrix copies a per-map, per-mode template and writes the arc
+    entries: the same bytes as the assemble_P construction."""
+
+    @pytest.mark.parametrize("mode", ["ds", "s"])
+    def test_matches_assemble_P_bytes(self, mode):
+        rng = np.random.default_rng(41)
+        count = 0
+        for m in template_maps():
+            for x in template_points(m, rng):
+                got = dipa.detfun._matrix(x, m, mode)
+                assert got.tobytes() == matrix_reference(x, m, mode).tobytes()
+                ref = bundle_reference(x, m, mode)
+                f, g, H = value_grad_hess(x, m, mode)
+                assert np.float64(f).tobytes() == np.float64(ref[0]).tobytes()
+                assert g.tobytes() == ref[1].tobytes()
+                assert H.tobytes() == ref[2].tobytes()
+                assert hess(x, m, mode).tobytes() == ref[2].tobytes()
+                assert np.float64(value_only(x, m, mode)).tobytes() == np.float64(ref[0]).tobytes()
+                count += 1
+        assert count >= 40
+
+    @pytest.mark.parametrize("mode", ["ds", "s"])
+    def test_wrong_shape_raises(self, mode):
+        m = build_arc_map(gen_random_graph(10, 3, 5, seed=2))
+        for x in (np.full(m.n_arcs - 1, 0.5), np.full((m.n_arcs, 1), 0.5)):
+            for fn in (dipa.detfun._matrix, value_only, value_grad_hess, hess):
+                with pytest.raises(ValueError, match="shape"):
+                    fn(x, m, mode)
+
+    def test_unknown_mode_raises(self):
+        m = build_arc_map(gen_random_graph(10, 3, 5, seed=2))
+        with pytest.raises(ValueError, match="unknown mode"):
+            value_only(np.full(m.n_arcs, 0.5), m, "x")
+
+    def test_template_is_cached_per_map_and_mode(self, monkeypatch):
+        m = build_arc_map(gen_random_graph(10, 3, 5, seed=3, plant=True))
+        x = np.full(m.n_arcs, 0.25)
+        value_only(x, m, "ds")
+        first = m.templates["ds"]
+        assert set(m.templates) == {"ds"}
+        # a second call builds nothing: np.eye is not reached again
+        def no_eye(*args, **kwargs):
+            raise AssertionError("template rebuilt")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "eye", no_eye)
+            value_grad_hess(x, m, "ds")
+            value_only(x, m, "ds")
+        assert m.templates["ds"] is first
+        value_only(x, m, "s")
+        assert set(m.templates) == {"ds", "s"}
+        # a derived map has a template of its own
+        m2 = deflate(m, 0)[0]
+        value_only(np.full(m2.n_arcs, 0.25), m2, "ds")
+        assert m2.templates["ds"] is not first
+        assert m.templates["ds"] is first

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 import dipa.detfun
 import dipa.inner
@@ -113,7 +113,7 @@ class TestCholeskyFastPath:
             raise LinAlgError("forced")
 
         with monkeypatch.context() as mp:
-            mp.setattr(dipa.inner, "cholesky", no_lapack)
+            mp.setattr(dipa.inner, "_cholesky", no_lapack)
             return modified_cholesky(M, delta)
 
     @staticmethod
@@ -165,6 +165,104 @@ class TestCholeskyFastPath:
         assert res.modified
         assert (res.modified, res.j) == (ref.modified, ref.j)
         assert np.array_equal(res.r, ref.r)
+
+
+class TestLapackDirect:
+    """potrf and trtrs called without scipy's wrappers give the wrappers'
+    bytes and raise their errors."""
+
+    @staticmethod
+    def factors():
+        """(matrix, Fortran-ordered factor) for n = 0..80: potrf's factor of
+        a positive definite matrix, and the GMW loop's of an indefinite one."""
+        rng = np.random.default_rng(51)
+        for n in range(81):
+            A = rng.standard_normal((n, n))
+            M = A @ A.T + n * np.eye(n)
+            yield M, dipa.inner._cholesky(M)
+            C, beta2, small = gmw_preamble_reference((A + A.T) / 2, -1e-8)
+            yield C, dipa.inner._gmw_loop(C, beta2, small).r
+
+    def test_cholesky_matches_wrapper_bytes(self):
+        # the loop's inputs are indefinite: both refuse them
+        for M, _ in self.factors():
+            try:
+                ref = cholesky(M, lower=False, check_finite=False)
+            except LinAlgError:
+                with pytest.raises(LinAlgError):
+                    dipa.inner._cholesky(M)
+                continue
+            got = dipa.inner._cholesky(M)
+            assert got.tobytes() == ref.tobytes()
+            assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+            assert got.flags.f_contiguous == ref.flags.f_contiguous
+
+    def test_solves_match_wrapper_bytes(self):
+        rng = np.random.default_rng(52)
+        for _, R in self.factors():
+            n = R.shape[0]
+            assert R.flags.f_contiguous
+            g = rng.standard_normal(n)
+            w = solve_triangular(R, -g, trans="T", lower=False)
+            ref = solve_triangular(R, w, lower=False)
+            assert descent_direction(R, g).tobytes() == ref.tobytes()
+            if n:
+                j = int(rng.integers(n))
+                e = np.zeros(n)
+                e[j] = 1.0
+                got = negcurv_direction(R, j)
+                assert got.tobytes() == solve_triangular(R, e, lower=False).tobytes()
+            for trans in (0, 1):
+                ref = solve_triangular(R, g, trans=trans, lower=False)
+                assert dipa.inner._solve_upper(R, g, trans).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_value_error(self, bad):
+        M = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        R = dipa.inner._cholesky(M)
+        g = np.array([1.0, bad, 0.5])
+        with pytest.raises(ValueError):
+            descent_direction(R, g)
+        # the solves never read the lower triangle; the check reads it all
+        for pos in ((0, 2), (2, 0)):
+            R_bad = R.copy(order="F")
+            R_bad[pos] = bad
+            with pytest.raises(ValueError):
+                descent_direction(R_bad, np.ones(3))
+            with pytest.raises(ValueError):
+                negcurv_direction(R_bad, 1)
+
+    def test_singular_factor_raises_linalg_error(self):
+        R = np.asfortranarray(np.triu(np.ones((4, 4))))
+        R[2, 2] = 0.0
+        with pytest.raises(LinAlgError):
+            descent_direction(R, np.ones(4))
+        with pytest.raises(LinAlgError):
+            negcurv_direction(R, 3)
+        with pytest.raises(LinAlgError):
+            solve_triangular(R, np.ones(4), lower=False)
+
+    def test_indefinite_takes_the_loop(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        A = rng.standard_normal((15, 15))
+        M = (A + A.T) / 2
+        with pytest.raises(LinAlgError):
+            dipa.inner._cholesky(M)
+        with pytest.raises(LinAlgError):
+            cholesky(M, lower=False, check_finite=False)
+        calls = TestCholeskyFastPath.count_loop_calls(monkeypatch)
+        assert modified_cholesky(M, -1e-8).modified
+        assert len(calls) == 1
+
+    def test_empty(self):
+        R = dipa.inner._cholesky(np.empty((0, 0)))
+        ref = cholesky(np.empty((0, 0)), lower=False, check_finite=False)
+        assert (R.shape, R.dtype) == (ref.shape, ref.dtype)
+        res = modified_cholesky(np.empty((0, 0)), -1e-8)
+        assert (res.r.shape, res.modified, res.j) == ((0, 0), False, -1)
+        got = descent_direction(res.r, np.empty(0))
+        ref = solve_triangular(res.r, np.empty(0), lower=False)
+        assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
 
 
 def gmw_preamble_reference(mred, delta):
@@ -311,7 +409,7 @@ class TestGmwLoopReference:
         def no_lapack(*args, **kwargs):
             raise LinAlgError("forced")
 
-        monkeypatch.setattr(dipa.inner, "cholesky", no_lapack)
+        monkeypatch.setattr(dipa.inner, "_cholesky", no_lapack)
         monkeypatch.setattr(dipa.inner, "_gmw_loop", lambda *args: seen.append(args))
         for mred, delta in cases:
             dipa.inner.modified_cholesky(mred, delta)
@@ -630,6 +728,83 @@ class TestLinesearch:
         m0 = objective(x) + 1.0 * phi0
         with pytest.raises(LinesearchStall):
             linesearch(x, np.array([-0.4, 0.4]), 0.9, spec, objective, m0)
+
+
+def linesearch_reference(x, direction, alpha, spec, objective, m0):
+    """The linesearch with np.all interior tests and np.sum barrier sums,
+    frozen as the oracle for the lighter trials."""
+    x = np.asarray(x, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+
+    def merit(pt):
+        phi = -float(np.sum(np.log(pt)))
+        if spec.upper_log:
+            phi -= float(np.sum(np.log(1.0 - pt)))
+        if math.isinf(spec.mu):
+            return None, phi, phi
+        f = objective(pt)
+        return f, phi, f + spec.mu * phi
+
+    tstar = max_boundary_step(x, direction, spec.upper_log)
+    if not math.isfinite(tstar):
+        tstar = 1.0 / max(float(np.max(np.abs(direction))), 1e-300)
+    t = alpha * tstar
+    for _ in range(51):
+        xt = x + t * direction
+        if np.all(xt > 0.0) and (not spec.upper_log or np.all(xt < 1.0)):
+            ft, phit, mt = merit(xt)
+            if mt < m0:
+                return dipa.inner.LsResult(x=xt, t=t, f=ft, phi=phit, merit=mt)
+        t *= 0.5
+    raise LinesearchStall(f"no decrease along direction (merit {m0:.6e})")
+
+
+def ls_outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except LinesearchStall as exc:
+        return ("stall", str(exc))
+    return (r.x.tobytes(), np.float64(r.t).tobytes(), None if r.f is None else np.float64(r.f).tobytes(),
+            np.float64(r.phi).tobytes(), np.float64(r.merit).tobytes())
+
+
+def linesearch_cases():
+    """(x, direction, alpha, spec, m0): random directions, and ladders whose
+    trial points hold NaN, land exactly on 0.0, or on 1.0 under upper_log."""
+    rng = np.random.default_rng(61)
+    objective = lambda v: float(v @ np.linspace(-1.0, 1.0, v.size))
+    for k in range(300):
+        n = int(rng.integers(1, 40))
+        upper = bool(k % 2)
+        spec = BarrierSpec(mu=(math.inf, 0.3, 1e-3)[k % 3], upper_log=upper)
+        x = rng.uniform(0.05, 0.95, size=n)
+        d = rng.standard_normal(n)
+        alpha = (ALPHA, 1.0, 2.0)[k % 3]
+        if k % 5 == 1:
+            d[rng.integers(n)] = math.nan
+        if k % 5 == 2:
+            # alpha 1 puts the first trial exactly on the lower bound
+            x[0], d[0], alpha = 0.5, -1.0, 1.0
+            d[1:] = np.clip(d[1:], -0.1, 0.1) * x[1:]
+        if k % 5 == 3 and upper:
+            x[0], d[0], alpha = 0.5, 1.0, 1.0
+            d[1:] = np.clip(d[1:], -0.1, 0.1) * np.minimum(x[1:], 1.0 - x[1:])
+        phi0 = barrier_value(x, spec)
+        m0 = phi0 if math.isinf(spec.mu) else objective(x) + spec.mu * phi0
+        # a merit anchor above, at and below the start
+        yield x, d, alpha, spec, objective, m0 + (1.0, 0.0, -1e-3)[k % 3] * abs(m0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_linesearch_matches_reference():
+    # a trial on a bound that the interior test let through would take a
+    # log of 0.0 and warn
+    kinds = set()
+    for case in linesearch_cases():
+        got = ls_outcome(linesearch, *case)
+        assert got == ls_outcome(linesearch_reference, *case)
+        kinds.add(got[0] == "stall")
+    assert kinds == {True, False}
 
 
 class TestPhases:
