@@ -14,7 +14,6 @@ import hashlib
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -232,6 +231,10 @@ def run_bench(cfg: BenchConfig) -> BenchResult:
     records: list = []
     try:
         if cfg.workers > 1:
+            # imported here, the one place dipa forks: the process pool and
+            # multiprocessing are a cost no other command's start pays
+            from concurrent.futures import ProcessPoolExecutor
+
             # under fork the pool starts all its workers on the first submit
             with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
                 for rec in pool.map(_solve_job, tasks, chunksize=1):

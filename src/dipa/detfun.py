@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from dipa.graph import ArcVarMap
 
@@ -176,9 +177,13 @@ def _matrix(x, m: ArcVarMap, mode: str) -> np.ndarray:
 
 def _core(x, m: ArcVarMap, mode: str) -> tuple:
     """The determinant and inverse of the differentiated matrix, and which
-    arcs lie inside it."""
+    arcs lie inside it. The determinant is the gufunc call np.linalg.det
+    makes after its checks, with the same bytes; np.linalg.inv stays,
+    because its error state is what turns a singular matrix into
+    LinAlgError."""
     M = _matrix(x, m, mode)
-    return float(np.linalg.det(M)), np.linalg.inv(M), _template(m, mode).inside
+    det = float(_umath_linalg.det(M, signature="d->d"))
+    return det, np.linalg.inv(M), _template(m, mode).inside
 
 
 def _hessian(det: float, inv: np.ndarray, m: ArcVarMap) -> np.ndarray:
@@ -215,4 +220,4 @@ def value_grad_hess(x, m: ArcVarMap, mode: str) -> tuple:
 def value_only(x, m: ArcVarMap, mode: str) -> float:
     """f alone, from the same determinant of the same matrix as
     value_grad_hess, so the two agree to the last bit."""
-    return -float(np.linalg.det(_matrix(x, m, mode)))
+    return -float(_umath_linalg.det(_matrix(x, m, mode), signature="d->d"))

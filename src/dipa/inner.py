@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
-from dipa import detfun
+from dipa import detfun, scipy_ext
 from dipa.graph import ArcVarMap
 from dipa.nullspace import NullSpaceRep
 
@@ -27,10 +27,12 @@ from dipa.nullspace import NullSpaceRep
 MAX_PHASE_ITER = 500
 # the fraction of the boundary step at which the linesearch starts
 ALPHA = 0.9
-# the double-precision routines behind scipy's cholesky and solve_triangular,
-# called directly: at the solver's sizes their wrappers cost several times
-# the factorization or solve itself
-_POTRF, _TRTRS = get_lapack_funcs(("potrf", "trtrs"))
+# the double-precision routines behind scipy's cholesky and solve_triangular
+# (what get_lapack_funcs returns for float64), called directly: at the
+# solver's sizes their wrappers cost several times the factorization or
+# solve itself
+_flapack = scipy_ext.load("scipy.linalg._flapack")
+_POTRF, _TRTRS = _flapack.dpotrf, _flapack.dtrtrs
 
 
 class LinesearchStall(RuntimeError):
@@ -105,8 +107,12 @@ def modified_cholesky(mred: np.ndarray, delta: float) -> CholResult:
         return _gmw_loop(C, beta2, small)
     rjj = np.diag(R)
     d = rjj * rjj
-    # row j of R past the diagonal is the loop's column j scaled by 1/R[j,j]
-    theta = rjj * np.max(np.abs(np.triu(R, 1)), axis=1, initial=0.0)
+    # row j of R past the diagonal is the loop's column j scaled by 1/R[j,j];
+    # potrf zeroed the lower triangle, so with the diagonal zeroed too the
+    # row maxima of |R| are those of the strict upper triangle
+    off = np.abs(R)
+    off.flat[:: n + 1] = 0.0
+    theta = rjj * np.max(off, axis=1, initial=0.0)
     if np.all(d >= theta * theta / beta2) and np.all(d >= small):
         return CholResult(r=R, modified=False, j=-1)
     return _gmw_loop(C, beta2, small)

@@ -13,47 +13,24 @@ multipliers are the ones linprog(method="highs") passes and reads, and a
 tier-1 test (tests/test_lp.py) pins x, the row duals and the bound
 multipliers to linprog's, bit for bit.
 
-The binding is loaded from its extension file, not imported: importing it
-runs the scipy.optimize package __init__, which pulls in linprog, shgo,
-scipy.special, scipy.fft and scipy.spatial, 202 of the 808 modules a dipa
-command loaded, and about a quarter of its cold start. When scipy.optimize
-has already loaded the binding, that module object is used; otherwise the
-file is loaded without being entered in sys.modules (entering it would
-leave scipy.optimize._highspy without its _core attribute), and a later
-import of scipy.optimize finds the same module object.
+The binding is loaded from its extension file by dipa.scipy_ext.load, not
+imported: importing it runs the scipy.optimize package __init__, which
+pulls in linprog, shgo, scipy.special, scipy.fft and scipy.spatial, 202 of
+the 808 modules a dipa command loaded, and about a quarter of its cold
+start. When scipy.optimize has already loaded the binding, that module
+object is used, and a later import of scipy.optimize finds the same module
+object.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import scipy
 
-_HIGHS = "scipy.optimize._highspy._core"
+from dipa import scipy_ext
 
-
-def _load_highs():
-    """The HiGHS binding: the module scipy.optimize loaded, or else the
-    extension file in scipy's optimize/_highspy folder."""
-    if _HIGHS in sys.modules:
-        return sys.modules[_HIGHS]
-    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = folder / f"_core{suffix}"
-        if path.is_file():
-            spec = importlib.util.spec_from_file_location(_HIGHS, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    raise ImportError(f"no HiGHS binding _core in {folder}")
-
-
-highs = _load_highs()
+highs = scipy_ext.load("scipy.optimize._highspy._core")
 
 
 class LPError(RuntimeError):

@@ -17,10 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 
+from dipa import scipy_ext
 from dipa.graph import ArcVarMap, component_labels
+
+# the sparse kernels behind scipy.sparse's CSR products and toarray, and
+# the LAPACK triangular solve behind solve_triangular, called directly
+_SPARSETOOLS = scipy_ext.load("scipy.sparse._sparsetools")
+_TRTRS = scipy_ext.load("scipy.linalg._flapack").dtrtrs
 
 
 def build_A(m: ArcVarMap) -> np.ndarray:
@@ -119,10 +123,10 @@ class NullSpaceRep:
     # s fields
     cols: np.ndarray | None = None   # variable index per basis column
     leads: np.ndarray | None = None  # leading variable of the same row
-    _sp: sp.csc_matrix | None = field(default=None, repr=False)
-    # Z.T and Z as CSR, built with _sp: the operands of the reduced products
-    _zt: sp.csr_matrix | None = field(default=None, repr=False)
-    _zr: sp.csr_matrix | None = field(default=None, repr=False)
+    # the CSR arrays (indptr, indices, data) of Z.T and of Z, made once per
+    # map: the operands of the reduced products
+    _zt: tuple | None = field(default=None, repr=False)
+    _zr: tuple | None = field(default=None, repr=False)
     _gram: np.ndarray | None = field(default=None, repr=False)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -144,43 +148,67 @@ class NullSpaceRep:
             return w[self.free] - self.y.T @ w[self.basis]
         return w[self.cols] - w[self.leads]
 
-    def sparse(self) -> sp.csc_matrix:
-        if self._sp is None:
+    def _operators(self) -> tuple:
+        """(Z.T, Z) as CSR arrays, each as scipy.sparse stores the matrix:
+        nonzeros in row-major order, int32 indices."""
+        if self._zt is None:
+            zm = np.zeros((self.n_vars, self.dim))
             if self.mode == "ds":
-                zm = np.zeros((self.n_vars, self.dim))
                 zm[self.basis] = -self.y
                 zm[self.free] = np.eye(self.dim)
-                zs = sp.csc_matrix(zm)
             else:
-                data = np.concatenate([np.ones(self.dim), -np.ones(self.dim)])
-                rows = np.concatenate([self.cols, self.leads])
-                colidx = np.concatenate([np.arange(self.dim), np.arange(self.dim)])
-                zs = sp.csc_matrix((data, (rows, colidx)), shape=(self.n_vars, self.dim))
-            # the transpose shares zs's arrays; the CSR copy of Z is the one
-            # a CSR product would convert zs to
-            self._sp, self._zt, self._zr = zs, zs.T, zs.tocsr()
-        return self._sp
+                k = np.arange(self.dim)
+                zm[self.cols, k] = 1.0
+                zm[self.leads, k] = -1.0
+            self._zt, self._zr = _csr(zm.T), _csr(zm)
+        return self._zt, self._zr
 
     def gram(self) -> np.ndarray:
         """Z.T Z, the reduced-space metric."""
         if self._gram is None:
-            self.sparse()
-            self._gram = (self._zt @ self._zr).toarray()
+            zt, zr = self._operators()
+            self._gram = _product(zt, zr, self.dim, self.dim)
         return self._gram
 
     def reduce_hessian(self, H: np.ndarray) -> np.ndarray:
-        """Z.T H Z, as Z.T (Z.T H.T).T."""
-        self.sparse()
-        zt = self._zt
-        return np.asarray(zt @ (zt @ H.T).T)
+        """Z.T H Z, as Z.T (Z.T H.T).T: the two csr_matvecs calls of
+        scipy.sparse's CSR @ dense, each on its operand raveled in C order."""
+        (ptr, idx, val), _ = self._operators()
+        dim, a = self.dim, self.n_vars
+        half = np.zeros((dim, a))
+        _SPARSETOOLS.csr_matvecs(dim, a, a, ptr, idx, val, H.T.ravel(), half.ravel())
+        out = np.zeros((dim, dim))
+        _SPARSETOOLS.csr_matvecs(dim, a, dim, ptr, idx, val, half.T.ravel(), out.ravel())
+        return out
 
     def reduce_diag_quadform(self, d: np.ndarray) -> np.ndarray:
         """Z.T diag(d) Z without forming the full Hessian: Z.T's entries
         scaled by d at their columns, times Z."""
-        self.sparse()
-        zt = self._zt
-        scaled = sp.csr_matrix((zt.data * d[zt.indices], zt.indices, zt.indptr), shape=zt.shape)
-        return (scaled @ self._zr).toarray()
+        (ptr, idx, val), zr = self._operators()
+        return _product((ptr, idx, val * d[idx]), zr, self.dim, self.dim)
+
+
+def _csr(dense: np.ndarray) -> tuple:
+    """(indptr, indices, data) of the nonzeros of dense."""
+    rows, cols = np.nonzero(dense)
+    ptr = np.zeros(dense.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=ptr[1:])
+    return ptr, cols.astype(np.int32), dense[rows, cols]
+
+
+def _product(a: tuple, b: tuple, rows: int, cols: int) -> np.ndarray:
+    """The dense rows x cols product of two CSR operands, as scipy.sparse's
+    A @ B followed by toarray: csr_matmat, whose result drops exact zeros,
+    summed into a zero array by csr_todense."""
+    out = np.zeros((rows, cols))
+    nnz = _SPARSETOOLS.csr_matmat_maxnnz(rows, cols, a[0], a[1], b[0], b[1])
+    if nnz:
+        ptr = np.empty(rows + 1, dtype=np.int32)
+        idx = np.empty(nnz, dtype=np.int32)
+        val = np.empty(nnz)
+        _SPARSETOOLS.csr_matmat(rows, cols, *a, *b, ptr, idx, val)
+        _SPARSETOOLS.csr_todense(rows, cols, ptr, idx, val, out)
+    return out
 
 
 def build_Z(m: ArcVarMap, mode: str) -> NullSpaceRep:
@@ -200,9 +228,10 @@ def build_Z(m: ArcVarMap, mode: str) -> NullSpaceRep:
     # B is unit lower triangular 0/1 and every partial sum of the forward
     # substitution is a small integer, so the float solve is exact. C order
     # keeps the summation order of y @ v that the integer solve gave.
-    y = np.ascontiguousarray(
-        solve_triangular(rds.b, rds.s, lower=True, unit_diagonal=True, check_finite=False)
-    )
+    y, info = _TRTRS(rds.b, rds.s, lower=True, unitdiag=True)
+    if info:
+        raise ValueError(f"trtrs rejected argument {-info}")
+    y = np.ascontiguousarray(y)
     if not np.isin(y, (-1.0, 0.0, 1.0)).all():
         raise AssertionError(f"null space block has entries {np.unique(y).tolist()}")
     return NullSpaceRep(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -162,7 +163,7 @@ class TestRunBench:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(dipa.bench, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         res = run_bench(BenchConfig(sizes=(8,), count=1, grid="paper-def", seed=100, workers=500))
         assert sizes == [4]
         assert len(res.solves) == 4

@@ -324,6 +324,20 @@ class TestMatrixTemplate:
         assert count >= 40
 
     @pytest.mark.parametrize("mode", ["ds", "s"])
+    def test_det_matches_np_linalg_det_bytes(self, mode):
+        # value_only and value_grad_hess call the gufunc np.linalg.det calls
+        # after its checks, on the matrix _matrix builds from the template
+        rng = np.random.default_rng(42)
+        count = 0
+        for m in template_maps():
+            for x in template_points(m, rng):
+                want = np.float64(-float(np.linalg.det(dipa.detfun._matrix(x, m, mode))))
+                assert np.float64(value_only(x, m, mode)).tobytes() == want.tobytes()
+                assert np.float64(value_grad_hess(x, m, mode)[0]).tobytes() == want.tobytes()
+                count += 1
+        assert count >= 40
+
+    @pytest.mark.parametrize("mode", ["ds", "s"])
     def test_wrong_shape_raises(self, mode):
         m = build_arc_map(gen_random_graph(10, 3, 5, seed=2))
         for x in (np.full(m.n_arcs - 1, 0.5), np.full((m.n_arcs, 1), 0.5)):

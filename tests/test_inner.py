@@ -154,6 +154,31 @@ class TestCholeskyFastPath:
         assert (res.modified, res.j) == (ref.modified, ref.j)
         assert np.array_equal(res.r, ref.r)
 
+    def test_zero_rows_past_the_diagonal(self, monkeypatch):
+        # a decoupled index gives a row of R that is zero past the diagonal,
+        # where theta is 0 and only small bounds the pivot: the positive
+        # definite matrix keeps LAPACK's factor, the tiny pivot takes the loop
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((6, 6))
+        pd = A @ A.T + 6 * np.eye(6)
+        pd[2, :] = pd[:, 2] = 0.0
+        pd[2, 2] = 3.0
+        tiny = np.diag([2.0, 1e-17, 3.0])
+        for M, j, loop in ((pd, 2, False), (tiny, 1, True)):
+            R = dipa.inner._cholesky(M)
+            assert not R[j, j + 1 :].any()
+            ref = self.loop_only(monkeypatch, M, 0.0)
+            calls = self.count_loop_calls(monkeypatch)
+            res = modified_cholesky(M, 0.0)
+            monkeypatch.undo()
+            assert len(calls) == loop
+            assert (res.modified, res.j) == (ref.modified, ref.j)
+            if loop:
+                assert np.array_equal(res.r, ref.r)
+            else:
+                assert res.r.tobytes() == R.tobytes()
+                np.testing.assert_allclose(res.r, ref.r, rtol=1e-12, atol=1e-12)
+
     def test_indefinite_is_the_loop(self, monkeypatch):
         rng = np.random.default_rng(12)
         A = rng.standard_normal((12, 12))

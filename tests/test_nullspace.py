@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 
 from dipa import nullspace
 from dipa.graph import (
@@ -19,6 +21,11 @@ from dipa.nullspace import _retained_rows, build_A, build_Z, reorder_ds
 
 def out_arcs(m, v):
     return [k for k, (i, _) in enumerate(m.arcs) if i == v]
+
+
+def dense_z(Z):
+    """Z as a dense matrix, one Z.apply column per reduced coordinate."""
+    return np.array([Z.apply(e) for e in np.eye(Z.dim)]).reshape(Z.dim, Z.n_vars).T
 
 
 def cases():
@@ -62,13 +69,13 @@ class TestNullSpace:
             a, n = m.n_arcs, g.n
             expected = a - n if mode == "s" else a - 2 * n + 1
             assert Z.dim == expected
-            prod = A @ Z.sparse().toarray()
+            prod = A @ dense_z(Z)
             assert np.all(prod == 0.0)
 
     def test_ds_entries_integer(self):
         for g, m in cases():
             Z = build_Z(m, mode="ds")
-            vals = np.unique(Z.sparse().toarray())
+            vals = np.unique(dense_z(Z))
             assert set(vals) <= {-1.0, 0.0, 1.0}
 
     def test_s_gram_spectrum(self):
@@ -103,7 +110,7 @@ class TestNullSpace:
             A = sum_constraints(m, mode)
             Z = build_Z(m, mode=mode)
             r = np.linalg.matrix_rank(A)
-            stacked = np.hstack([A.T, Z.sparse().toarray()])
+            stacked = np.hstack([A.T, dense_z(Z)])
             assert np.linalg.matrix_rank(stacked) == m.n_arcs
             assert r + Z.dim == m.n_arcs
 
@@ -113,7 +120,7 @@ class TestNullSpace:
         m = build_arc_map(g)
         Z = build_Z(m, mode=mode)
         rng = np.random.default_rng(0)
-        zd = Z.sparse().toarray()
+        zd = dense_z(Z)
         v = rng.standard_normal(Z.dim)
         w = rng.standard_normal(Z.n_vars)
         assert np.allclose(Z.apply(v), zd @ v, atol=1e-13)
@@ -125,7 +132,7 @@ class TestNullSpace:
         rng = np.random.default_rng(1)
         for mode in ("s", "ds"):
             Z = build_Z(m, mode=mode)
-            zd = Z.sparse().toarray()
+            zd = dense_z(Z)
             H = rng.standard_normal((m.n_arcs, m.n_arcs))
             H = H + H.T
             assert np.allclose(Z.reduce_hessian(H), zd.T @ H @ zd, atol=1e-11)
@@ -135,36 +142,56 @@ class TestNullSpace:
             )
             assert np.allclose(Z.gram(), zd.T @ zd, atol=1e-13)
 
-    @pytest.mark.parametrize("mode", ["s", "ds"])
-    def test_reduce_helpers_match_sparse_products_bytes(self, mode):
-        # the cached CSR operators give the bytes of the products on the CSC
-        # basis, on planted maps before and after deflate and delete_arc; H
-        # carries -0.0 rows and columns, as _hessian pads them
-        rng = np.random.default_rng(11)
-        checked = 0
+    @staticmethod
+    def planted_maps(rng):
+        """Planted maps, each also after one deflate and one delete_arc."""
         for seed in range(12):
             m = build_arc_map(gen_random_graph(8 + seed, 3, 6, seed=seed, plant=True))
-            maps = [m]
+            yield m
             try:
                 m2 = deflate(m, int(rng.integers(m.n_arcs)))[0]
-                maps += [m2, delete_arc(m2, [int(rng.integers(m2.n_arcs))])[0]]
             except StarvationError:
-                pass
-            for mm in maps:
-                Z = build_Z(mm, mode=mode)
-                zs = Z.sparse()
-                a = mm.n_arcs
-                H = rng.standard_normal((a, a))
-                H = H + H.T
-                pad = rng.random(a) < 0.2
-                H[pad] = -0.0
-                H[:, pad] = -0.0
-                want = np.asarray(zs.T @ (zs.T @ H.T).T)
-                assert Z.reduce_hessian(H).tobytes() == want.tobytes()
-                h = 1.0 / rng.uniform(0.01, 0.99, size=a) ** 2
-                want = np.asarray((zs.T.multiply(h) @ zs).todense())
-                assert Z.reduce_diag_quadform(h).tobytes() == want.tobytes()
-                checked += 1
+                continue
+            yield m2
+            yield delete_arc(m2, [int(rng.integers(m2.n_arcs))])[0]
+
+    @pytest.mark.parametrize("mode", ["s", "ds"])
+    def test_reduce_helpers_match_sparse_products_bytes(self, mode):
+        # the direct sparsetools calls give the bytes of scipy.sparse's
+        # products on the CSC basis, on planted maps before and after
+        # deflate and delete_arc; H carries -0.0 rows and columns, as
+        # _hessian pads them
+        rng = np.random.default_rng(11)
+        checked = 0
+        for mm in self.planted_maps(rng):
+            Z = build_Z(mm, mode=mode)
+            zs = sp.csc_matrix(dense_z(Z))
+            a = mm.n_arcs
+            H = rng.standard_normal((a, a))
+            H = H + H.T
+            pad = rng.random(a) < 0.2
+            H[pad] = -0.0
+            H[:, pad] = -0.0
+            want = np.asarray(zs.T @ (zs.T @ H.T).T)
+            assert Z.reduce_hessian(H).tobytes() == want.tobytes()
+            h = 1.0 / rng.uniform(0.01, 0.99, size=a) ** 2
+            want = np.asarray((zs.T.multiply(h) @ zs).todense())
+            assert Z.reduce_diag_quadform(h).tobytes() == want.tobytes()
+            assert Z.gram().tobytes() == (zs.T @ zs).toarray().tobytes()
+            checked += 1
+        assert checked >= 30
+
+    def test_y_matches_solve_triangular_bytes(self):
+        # the direct trtrs call is scipy's unit lower triangular solve
+        rng = np.random.default_rng(12)
+        checked = 0
+        for mm in self.planted_maps(rng):
+            rds = reorder_ds(mm)
+            want = solve_triangular(rds.b, rds.s, lower=True, unit_diagonal=True)
+            y = build_Z(mm, mode="ds").y
+            assert y.flags.c_contiguous
+            assert y.tobytes() == np.ascontiguousarray(want).tobytes()
+            checked += 1
         assert checked >= 30
 
     def test_surgered_map_supported(self):
@@ -178,7 +205,7 @@ class TestNullSpace:
         for mode in ("s", "ds"):
             A = sum_constraints(m2, mode)
             Z = build_Z(m2, mode=mode)
-            assert np.all(A @ Z.sparse().toarray() == 0.0)
+            assert np.all(A @ dense_z(Z) == 0.0)
             rank = np.linalg.matrix_rank(A)
             assert Z.dim == m2.n_arcs - rank
 
