@@ -313,7 +313,8 @@ def neutral_point(g: Graph) -> np.ndarray:
 
 def trace_paths(g: Graph, samples: int = 101, cap: int = 100000) -> list:
     """Objective profile along the straight segment from the neutral point to
-    every Hamiltonian cycle of g.
+    every Hamiltonian cycle of g: f is detfun.value_only in ds mode, the
+    determinant the solver minimizes.
 
     Returns (hc_id, t, f) tuples on a uniform t grid over [0, 1 - eps], and
     none when g has no Hamiltonian cycle; the last grid point stops just
@@ -336,7 +337,7 @@ def trace_paths(g: Graph, samples: int = 101, cap: int = 100000) -> list:
         for j in range(samples):
             t = (1.0 - eps) * j / (samples - 1)
             xt = (1.0 - t) * x0 + t * xs
-            rows.append((hc_id, t, detfun.f_minor(xt, m, validate=False)))
+            rows.append((hc_id, t, detfun.value_only(xt, m, "ds")))
     return rows
 
 

@@ -12,7 +12,7 @@ take the determinant of the one matrix that _matrix builds, so the
 linesearch merit and the step's f are the same number. _matrix copies a
 template kept on the map per mode and writes only the arc entries.
 lu_nopivot and f_minor are the paper's pivot-free routine for the minor,
-kept off the solve path for the library checks and the path profiles.
+kept off the solve path as the reference of the library checks.
 """
 
 from __future__ import annotations
@@ -190,16 +190,21 @@ def _hessian(det: float, inv: np.ndarray, m: ArcVarMap) -> np.ndarray:
     """H[k, l] = -det (inv[c_k, r_k] inv[c_l, r_l] - inv[c_k, r_l] inv[c_l, r_k]).
     In ds mode the inverse of the minor is padded with a zero last row and
     column, so the arcs outside the minor get zero rows and columns. Some of
-    those zeros are -0.0; the reduced-Hessian products sum them into +0.0."""
+    those zeros are -0.0; the reduced-Hessian products sum them into +0.0.
+
+    H is bitwise symmetric: entry (l, k) takes the same two products, with
+    their factors swapped, which rounding does not see."""
     nn = len(m.nodes)
     if inv.shape[0] < nn:
         padded = np.zeros((nn, nn))
         padded[:-1, :-1] = inv
         inv = padded
     v = inv[m.col, m.row]
-    T = inv[np.ix_(m.col, m.row)]
-    H = np.outer(v, v)
-    H -= T * T.T
+    # T[k, l] = inv[c_k, r_l], gathered row by row, then times T[l, k]
+    T = inv.take(m.col, axis=0).take(m.row, axis=1)
+    T *= np.ascontiguousarray(T.T)
+    H = np.multiply.outer(v, v)
+    H -= T
     H *= -det
     return H
 

@@ -213,26 +213,22 @@ def negcurv_direction(R: np.ndarray, j: int) -> np.ndarray:
     return _solve_upper(R, e, 0)
 
 
-def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, sweeps: int) -> tuple:
+def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, target: float) -> tuple:
     """Reduce the generalized Rayleigh quotient d'Hd / d'Gd, G the metric,
     by cyclic single-coordinate moves. Each move solves a scalar quadratic
-    exactly, so the quotient never increases. Returns (d, final quotient).
-    Every operation is odd in d or even in it, so a start of -d returns
-    exactly (-d', q) for a start of d returning (d', q)."""
+    exactly, so no move raises the quotient. Three sweeps run from d; then,
+    while the quotient stays above target, up to four restarts of one sweep
+    each. A start or restart normalizes d and forms H d and G d afresh.
+    Returns (d, final quotient). Every operation is odd in d or even in it,
+    so a start of -d returns exactly (-d', q) for a start of d returning
+    (d', q)."""
     H = np.asarray(H, dtype=float)
     d = np.asarray(d, dtype=float).copy()
     n = len(d)
     G = np.asarray(metric, dtype=float)
-
-    nrm = float(np.linalg.norm(d))
-    if nrm == 0.0:
-        raise ValueError("zero start vector")
-    d /= nrm
     # hd = H d and gd = G d are the rows of s, so a move on coordinate i
     # updates both with one add of cols[i] = [H[:, i], G[:, i]]
     s = np.empty((2, n))
-    s[0] = H @ d
-    s[1] = G @ d
     hd, gd = s
     cols = list(np.stack([H.T, G.T], axis=1))
     buf = np.empty((2, n))
@@ -242,9 +238,19 @@ def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, sweeps: in
     # d @ v) stay valid, as do those of hd and gd, rows of s
     dot, add, multiply, sqrt = d.dot, np.add, np.multiply, math.sqrt
     d_item, hd_item, gd_item = d.item, hd.item, gd.item
-    num = float(dot(hd))
-    den = float(dot(gd))
-    for _ in range(max(sweeps, 0)):
+    for sweep in range(7):
+        # sweeps 1 and 2 go on from the sweep before; the rest (re)start
+        if sweep not in (1, 2):
+            if sweep and not num / den > target:
+                break
+            nrm = float(np.linalg.norm(d))
+            if nrm == 0.0:
+                raise ValueError("zero start vector")
+            d /= nrm
+            s[0] = H @ d
+            s[1] = G @ d
+            num = float(dot(hd))
+            den = float(dot(gd))
         for i in range(n):
             b = hd_item(i)
             c = h_diag[i]
@@ -446,11 +452,7 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, delta_hat: fl
         # the extreme eigenvector; direction quality decides which basin the
         # polarization cascade lands in, so the extra sweeps pay for
         # themselves many times over.
-        d_z, q = improve_negcurv(h_red, d_z, metric=gram, sweeps=3)
-        extra = 0
-        while q > delta_used and extra < 4:
-            d_z, q = improve_negcurv(h_red, d_z, metric=gram, sweeps=1)
-            extra += 1
+        d_z, q = improve_negcurv(h_red, d_z, metric=gram, target=delta_used)
         if q < 0.0:
             # downhill, oriented here only: improve_negcurv is odd in its start
             if float(d_z @ g_red) > 0.0:

@@ -62,20 +62,36 @@ def _retained_rows(m: ArcVarMap) -> list:
     np.maximum.at(last, label[n:], np.arange(n, 2 * n))
     if (last[label[:n]] < 0).any():
         raise ValueError("could not reach full row rank by dropping column rows")
-    return np.setdiff1d(np.arange(2 * n), last[last >= 0]).tolist()
+    kept = np.ones(2 * n, dtype=bool)
+    kept[last[last >= 0]] = False
+    return np.flatnonzero(kept).tolist()
 
 
 def reorder_ds(m: ArcVarMap) -> ReorderedDS:
     """Permute rows and columns of the doubly stochastic constraint matrix
-    (build_A) of m into [B S] with B unit lower triangular.
+    (build_A) of m, on its retained rows, into [B S] with B unit lower
+    triangular.
 
     Columns with a single one among the still-active rows are pinned in
     batches, bottom row first; each batch prefers lower variable indices.
+    Every batch pins at least one row: in each component of the graph that
+    joins a row to the columns of its arcs, some arc not yet pinned joins
+    an active row to one pinned or dropped by _retained_rows, and that arc
+    has a single active row. B and S are written from the arcs' incidence
+    on the retained rows; the constraint matrix is never formed.
     """
-    am = build_A(m)[_retained_rows(m)]
-    rank, width = am.shape
-    # column-to-rows incidence, one entry per nonzero, columns ascending
-    inc_col, inc_row = np.nonzero(am.T)
+    n, width = len(m.nodes), m.n_arcs
+    retained = _retained_rows(m)
+    rank = len(retained)
+    # position among the retained rows of each stacked row, -1 if dropped
+    where = np.full(2 * n, -1)
+    where[retained] = np.arange(rank)
+    # column-to-rows incidence, one entry per nonzero, columns ascending:
+    # arc k meets its row-block row, then its column-block row if retained
+    pair = np.stack([where[m.row], where[n + m.col]], axis=1).ravel()
+    hit = pair >= 0
+    inc_row = pair[hit]
+    inc_col = np.repeat(np.arange(width), 2)[hit]
     active = np.ones(rank, dtype=bool)
     remaining = np.ones(width, dtype=bool)
     col_sel = []
@@ -91,8 +107,6 @@ def reorder_ds(m: ArcVarMap) -> ReorderedDS:
         # the first candidate column of each row, in ascending column order
         _, first = np.unique(rows, return_index=True)
         first.sort()
-        if not first.size:
-            raise ValueError("reordering stalled; constraint support degenerate")
         cols, rows = cand[first], rows[first]
         col_sel.append(cols)
         remaining[cols] = False
@@ -100,11 +114,21 @@ def reorder_ds(m: ArcVarMap) -> ReorderedDS:
         slot[pos - len(rows) : pos] = rows[::-1]
         pos -= len(rows)
     pinned = np.concatenate(col_sel)[::-1]
-    perm = tuple(pinned.tolist()) + tuple(np.flatnonzero(remaining).tolist())
-    bm = am[slot][:, pinned]
-    sm = am[slot][:, np.flatnonzero(remaining)]
+    free = np.flatnonzero(remaining)
+    # row p of [B S] is retained row slot[p], column q variable perm[q]
+    at_row = np.empty(rank, dtype=np.intp)
+    at_row[slot] = np.arange(rank)
+    at_col = np.empty(width, dtype=np.intp)
+    at_col[pinned] = np.arange(rank)
+    at_col[free] = np.arange(width - rank)
+    bm = np.zeros((rank, rank))
+    sm = np.zeros((rank, width - rank))
+    in_b = ~remaining[inc_col]
+    bm[at_row[inc_row[in_b]], at_col[inc_col[in_b]]] = 1.0
+    sm[at_row[inc_row[~in_b]], at_col[inc_col[~in_b]]] = 1.0
     if not np.array_equal(np.diag(bm), np.ones(rank)) or np.any(np.triu(bm, 1) != 0):
         raise AssertionError("reordered block is not unit lower triangular")
+    perm = tuple(pinned.tolist()) + tuple(free.tolist())
     return ReorderedDS(b=bm, s=sm, perm=perm, rank=rank)
 
 
@@ -150,17 +174,23 @@ class NullSpaceRep:
 
     def _operators(self) -> tuple:
         """(Z.T, Z) as CSR arrays, each as scipy.sparse stores the matrix:
-        nonzeros in row-major order, int32 indices."""
+        nonzeros in row-major order, int32 indices. Written from the
+        nonzeros of y (ds) or from cols and leads (s); Z is never formed."""
         if self._zt is None:
-            zm = np.zeros((self.n_vars, self.dim))
+            dim = self.dim
+            k = np.arange(dim)
             if self.mode == "ds":
-                zm[self.basis] = -self.y
-                zm[self.free] = np.eye(self.dim)
+                # Z's row basis[p] is -y[p], its row free[q] is e_q
+                p, q = np.nonzero(self.y)
+                var = np.concatenate([self.basis[p], self.free])
+                red = np.concatenate([q, k])
+                val = np.concatenate([-self.y[p, q], np.ones(dim)])
             else:
-                k = np.arange(self.dim)
-                zm[self.cols, k] = 1.0
-                zm[self.leads, k] = -1.0
-            self._zt, self._zr = _csr(zm.T), _csr(zm)
+                var = np.concatenate([self.cols, self.leads])
+                red = np.concatenate([k, k])
+                val = np.concatenate([np.ones(dim), np.full(dim, -1.0)])
+            self._zt = _csr(red, var, val, dim, self.n_vars)
+            self._zr = _csr(var, red, val, self.n_vars, dim)
         return self._zt, self._zr
 
     def gram(self) -> np.ndarray:
@@ -172,11 +202,13 @@ class NullSpaceRep:
 
     def reduce_hessian(self, H: np.ndarray) -> np.ndarray:
         """Z.T H Z, as Z.T (Z.T H.T).T: the two csr_matvecs calls of
-        scipy.sparse's CSR @ dense, each on its operand raveled in C order."""
+        scipy.sparse's CSR @ dense, each on its operand raveled in C order.
+        H must be bitwise symmetric, as dipa.detfun's Hessians are with the
+        barrier on their diagonal: H.T is then read as H, without a copy."""
         (ptr, idx, val), _ = self._operators()
         dim, a = self.dim, self.n_vars
         half = np.zeros((dim, a))
-        _SPARSETOOLS.csr_matvecs(dim, a, a, ptr, idx, val, H.T.ravel(), half.ravel())
+        _SPARSETOOLS.csr_matvecs(dim, a, a, ptr, idx, val, H.ravel(), half.ravel())
         out = np.zeros((dim, dim))
         _SPARSETOOLS.csr_matvecs(dim, a, dim, ptr, idx, val, half.T.ravel(), out.ravel())
         return out
@@ -188,12 +220,13 @@ class NullSpaceRep:
         return _product((ptr, idx, val * d[idx]), zr, self.dim, self.dim)
 
 
-def _csr(dense: np.ndarray) -> tuple:
-    """(indptr, indices, data) of the nonzeros of dense."""
-    rows, cols = np.nonzero(dense)
-    ptr = np.zeros(dense.shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=ptr[1:])
-    return ptr, cols.astype(np.int32), dense[rows, cols]
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_rows: int, n_cols: int) -> tuple:
+    """(indptr, indices, data) of the n_rows x n_cols matrix with entries
+    vals at (rows, cols), no position twice, in row-major order."""
+    order = np.argsort(rows * n_cols + cols)
+    ptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=ptr[1:])
+    return ptr, cols[order].astype(np.int32), vals[order]
 
 
 def _product(a: tuple, b: tuple, rows: int, cols: int) -> np.ndarray:
@@ -232,7 +265,7 @@ def build_Z(m: ArcVarMap, mode: str) -> NullSpaceRep:
     if info:
         raise ValueError(f"trtrs rejected argument {-info}")
     y = np.ascontiguousarray(y)
-    if not np.isin(y, (-1.0, 0.0, 1.0)).all():
+    if not ((y == 0.0) | (np.abs(y) == 1.0)).all():
         raise AssertionError(f"null space block has entries {np.unique(y).tolist()}")
     return NullSpaceRep(
         mode="ds",

@@ -372,3 +372,69 @@ class TestMatrixTemplate:
         value_only(np.full(m2.n_arcs, 0.25), m2, "ds")
         assert m2.templates["ds"] is not first
         assert m.templates["ds"] is first
+
+
+def hessian_by_ix(det, inv, m):
+    """_hessian as the np.ix_ gather it replaced, frozen as the oracle of its
+    bytes: T[k, l] = inv[c_k, r_l] in one fancy index, then T * T.T."""
+    nn = len(m.nodes)
+    if inv.shape[0] < nn:
+        padded = np.zeros((nn, nn))
+        padded[:-1, :-1] = inv
+        inv = padded
+    v = inv[m.col, m.row]
+    T = inv[np.ix_(m.col, m.row)]
+    H = np.outer(v, v)
+    H -= T * T.T
+    H *= -det
+    return H
+
+
+def signed_zero_inverses(k, rng):
+    """Inverses with 0.0 and -0.0 entries next to ordinary ones, and
+    determinants of both signs, zero included."""
+    for det in (rng.uniform(0.1, 2.0), -rng.uniform(0.1, 2.0), 0.0, -0.0):
+        inv = rng.standard_normal((k, k))
+        inv[rng.random((k, k)) < 0.2] = 0.0
+        inv[rng.random((k, k)) < 0.2] = -0.0
+        yield det, inv
+
+
+class TestHessianGathers:
+    """_hessian gathers T with two takes and multiplies it in place by a copy
+    of its transpose: the bytes of the np.ix_ construction, on maps before
+    and after deflate and delete_arc, and an H that is bitwise symmetric,
+    which NullSpaceRep.reduce_hessian relies on."""
+
+    @pytest.mark.parametrize("mode", ["ds", "s"])
+    def test_matches_ix_construction_bytes(self, mode):
+        rng = np.random.default_rng(43)
+        count = 0
+        for m in template_maps():
+            k = len(m.nodes) - (mode == "ds")
+            for det, inv in signed_zero_inverses(k, rng):
+                got = dipa.detfun._hessian(det, inv, m)
+                assert got.tobytes() == hessian_by_ix(det, inv, m).tobytes()
+                assert got.flags.c_contiguous
+                count += 1
+            for x in template_points(m, rng):
+                det, inv, _ = dipa.detfun._core(x, m, mode)
+                got = dipa.detfun._hessian(det, inv, m)
+                assert got.tobytes() == hessian_by_ix(det, inv, m).tobytes()
+                count += 1
+        assert count >= 100
+
+    @pytest.mark.parametrize("mode", ["ds", "s"])
+    def test_bitwise_symmetric(self, mode):
+        rng = np.random.default_rng(44)
+        count = 0
+        for m in template_maps():
+            k = len(m.nodes) - (mode == "ds")
+            for det, inv in signed_zero_inverses(k, rng):
+                H = dipa.detfun._hessian(det, inv, m)
+                assert H.tobytes() == np.ascontiguousarray(H.T).tobytes()
+            for x in template_points(m, rng):
+                for H in (value_grad_hess(x, m, mode)[2], hess(x, m, mode)):
+                    assert H.tobytes() == np.ascontiguousarray(H.T).tobytes()
+                    count += 1
+        assert count >= 80

@@ -510,9 +510,10 @@ class TestNegativeCurvature:
                 B = rng.standard_normal((n, n))
                 metric = B @ B.T + np.eye(n)
             d0 = rng.standard_normal(n)
-            for sweeps in (1, 3):
-                d, q = improve_negcurv(H, d0, metric=metric, sweeps=sweeps)
-                d_neg, q_neg = improve_negcurv(H, -d0, metric=metric, sweeps=sweeps)
+            # three sweeps alone, and with all four restarts
+            for target in (math.inf, -math.inf):
+                d, q = improve_negcurv(H, d0, metric=metric, target=target)
+                d_neg, q_neg = improve_negcurv(H, -d0, metric=metric, target=target)
                 assert (-d_neg).tobytes() == d.tobytes()
                 assert np.float64(q_neg).tobytes() == np.float64(q).tobytes()
 
@@ -523,13 +524,14 @@ class TestNegativeCurvature:
         res = modified_cholesky(M, 0.0)
         d0 = negcurv_direction(res.r, res.j)
         q0 = d0 @ M @ d0 / (d0 @ d0)
-        d1, q1 = improve_negcurv(M, d0.copy(), metric=np.eye(10), sweeps=1)
-        d3, q3 = improve_negcurv(M, d0.copy(), metric=np.eye(10), sweeps=3)
+        # three sweeps, then three sweeps and four one-sweep restarts
+        d3, q3 = improve_negcurv(M, d0.copy(), metric=np.eye(10), target=math.inf)
+        d7, q7 = improve_negcurv(M, d0.copy(), metric=np.eye(10), target=-math.inf)
         lam_min = float(np.linalg.eigvalsh(M)[0])
-        assert q1 == pytest.approx(d1 @ M @ d1 / (d1 @ d1), abs=1e-10)
-        assert q1 <= q0 + 1e-12
-        assert q3 <= q1 + 1e-12
-        assert q3 >= lam_min - 1e-12
+        assert q3 == pytest.approx(d3 @ M @ d3 / (d3 @ d3), abs=1e-10)
+        assert q3 <= q0 + 1e-12
+        assert q7 <= q3 + 1e-12
+        assert q7 >= lam_min - 1e-12
 
     def test_improve_with_metric(self):
         rng = np.random.default_rng(8)
@@ -538,7 +540,7 @@ class TestNegativeCurvature:
         B = rng.standard_normal((6, 6))
         G = B @ B.T + np.eye(6)
         d0 = rng.standard_normal(6)
-        d1, q1 = improve_negcurv(M, d0.copy(), metric=G, sweeps=4)
+        d1, q1 = improve_negcurv(M, d0.copy(), metric=G, target=-math.inf)
         q0 = d0 @ M @ d0 / (d0 @ G @ d0)
         assert q1 == pytest.approx(d1 @ M @ d1 / (d1 @ G @ d1), abs=1e-10)
         assert q1 <= q0 + 1e-12
@@ -605,11 +607,35 @@ def improve_negcurv_reference(H, d, G, sweeps=1):
     return d, num / den
 
 
+def improve_negcurv_calls_reference(H, d, G, target):
+    """The calls step_once made before improve_negcurv ran its own
+    restarts: three sweeps, then single sweeps, each a fresh call, while the
+    quotient stays above target, four at most. Returns (d, q, restarts)."""
+    d, q = improve_negcurv_reference(H, d, G, sweeps=3)
+    extra = 0
+    while q > target and extra < 4:
+        d, q = improve_negcurv_reference(H, d, G, sweeps=1)
+        extra += 1
+    return d, q, extra
+
+
+def restart_targets(H, d0, G):
+    """Targets that stop the restarts after 0, 1, 2, 3 and 4 of them: each
+    quotient of the reference sequence, then -inf."""
+    quotients = []
+    d, q = improve_negcurv_reference(H, d0, G, sweeps=3)
+    for _ in range(4):
+        quotients.append(q)
+        d, q = improve_negcurv_reference(H, d, G, sweeps=1)
+    return quotients + [-math.inf]
+
+
 class TestImproveNegcurvReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("with_metric", [False, True])
     def test_bit_identical_to_loop(self, seed, with_metric):
         rng = np.random.default_rng(seed)
+        restarts = set()
         for n in range(1, 81):
             A = rng.standard_normal((n, n))
             H = (A + A.T) / 2 - 0.5 * np.eye(n)
@@ -619,11 +645,13 @@ class TestImproveNegcurvReference:
                 B = rng.standard_normal((n, n))
                 metric = B @ B.T + np.eye(n)
             d0 = rng.standard_normal(n)
-            for sweeps in (1, 3):
-                d, q = improve_negcurv(H, d0, metric=metric, sweeps=sweeps)
-                d_ref, q_ref = improve_negcurv_reference(H, d0, metric, sweeps=sweeps)
+            for target in [math.inf] + restart_targets(H, d0, metric):
+                d, q = improve_negcurv(H, d0, metric=metric, target=target)
+                d_ref, q_ref, extra = improve_negcurv_calls_reference(H, d0, metric, target)
                 assert d.tobytes() == d_ref.tobytes()
                 assert np.float64(q).tobytes() == np.float64(q_ref).tobytes()
+                restarts.add(extra)
+        assert restarts == {0, 1, 2, 3, 4}
 
     def test_bit_identical_in_gram_metric(self):
         # the solver's own case: a reduced Hessian in the metric Z'Z
@@ -633,10 +661,32 @@ class TestImproveNegcurvReference:
         x = initial_interior(m, "ds")
         h_red = z.reduce_hessian(value_grad_hess(x, m, "ds")[2])
         d0 = np.random.default_rng(3).standard_normal(z.dim)
-        d, q = improve_negcurv(h_red, d0, metric=z.gram(), sweeps=3)
-        d_ref, q_ref = improve_negcurv_reference(h_red, d0, z.gram(), sweeps=3)
-        assert d.tobytes() == d_ref.tobytes()
-        assert np.float64(q).tobytes() == np.float64(q_ref).tobytes()
+        for target in [math.inf, _default_delta(h_red)] + restart_targets(h_red, d0, z.gram()):
+            d, q = improve_negcurv(h_red, d0, metric=z.gram(), target=target)
+            d_ref, q_ref, _ = improve_negcurv_calls_reference(h_red, d0, z.gram(), target)
+            assert d.tobytes() == d_ref.tobytes()
+            assert np.float64(q).tobytes() == np.float64(q_ref).tobytes()
+
+    def test_solver_calls_match_call_sequence(self, monkeypatch):
+        # every refinement of a planted ds solve, one call per negcurv
+        # attempt, against the calls step_once made before
+        calls = []
+        real = dipa.inner.improve_negcurv
+
+        def record(H, d, metric, target):
+            out = real(H, d, metric=metric, target=target)
+            calls.append((H, d.copy(), metric, target, out))
+            return out
+
+        monkeypatch.setattr(dipa.inner, "improve_negcurv", record)
+        dipa_solve(gen_random_graph(20, 3, 6, seed=101, plant=True), DipaParams(mode="ds"))
+        restarts = set()
+        for H, d0, metric, target, (d, q) in calls:
+            d_ref, q_ref, extra = improve_negcurv_calls_reference(H, d0, metric, target)
+            assert d.tobytes() == d_ref.tobytes()
+            assert np.float64(q).tobytes() == np.float64(q_ref).tobytes()
+            restarts.add(extra)
+        assert len(calls) > 20 and len(restarts) > 1
 
 
 def hessian_reference(x, m, mode):

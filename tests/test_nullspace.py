@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from dipa import nullspace
 from dipa.graph import (
     StarvationError,
     arc_map_from_arcs,
@@ -356,8 +355,11 @@ class TestRebuildMatchesReference:
             perm, row_order, b, s = reorder_ds_reference(mat)
             rds = reorder_ds(m)
             assert rds.perm == perm
-            # the rows of B and S are the retained rows in row_order
-            assert np.array_equal(rds.b, b) and np.array_equal(rds.s, s)
+            # the rows of B and S are the retained rows in row_order, written
+            # from the incidence with the bytes of the constraint rows
+            for got, want in ((rds.b, b), (rds.s, s)):
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.astype(float).tobytes()
             y_ref = forward_substitute_reference(b, s).astype(float)
             Z = build_Z(m, mode="ds")
             assert np.array_equal(Z.basis, perm[: rds.rank])
@@ -368,15 +370,58 @@ class TestRebuildMatchesReference:
             assert Z.y.flags.c_contiguous
         assert len(maps) > 60
 
-    def test_stall_raises(self, monkeypatch):
+    def test_stall_raises(self):
         # the incidence of a 4-node graph with a triangle has full row rank,
-        # and each column has two ones: none ever has a single active row
+        # and each column has two ones: none ever has a single active row.
+        # No arc map reaches this: _retained_rows drops one column row per
+        # component of the row/column graph, and each component peels from
+        # it, so reorder_ds has no such branch
         mat = np.zeros((4, 5))
         for k, pair in enumerate([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]):
             mat[pair, k] = 1.0
         with pytest.raises(ValueError, match="stalled"):
             reorder_ds_reference(mat)
-        # the same holds for a map once its dependent rows are kept
-        monkeypatch.setattr(nullspace, "_retained_rows", lambda m: list(range(2 * len(m.nodes))))
-        with pytest.raises(ValueError, match="stalled"):
-            reorder_ds(build_arc_map(make_graph(3, [(1, 2), (1, 3), (2, 3)])))
+
+
+def csr_of_dense(dense):
+    """(indptr, indices, data) of the nonzeros of a dense matrix, as
+    NullSpaceRep built its operators from a dense Z before: frozen as the
+    oracle of their bytes."""
+    rows, cols = np.nonzero(dense)
+    ptr = np.zeros(dense.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=ptr[1:])
+    return ptr, cols.astype(np.int32), dense[rows, cols]
+
+
+def z_by_fields(Z):
+    """The dense a x dim Z written from the basis fields, as before."""
+    zm = np.zeros((Z.n_vars, Z.dim))
+    if Z.mode == "ds":
+        zm[Z.basis] = -Z.y
+        zm[Z.free] = np.eye(Z.dim)
+    else:
+        k = np.arange(Z.dim)
+        zm[Z.cols, k] = 1.0
+        zm[Z.leads, k] = -1.0
+    return zm
+
+
+class TestOperatorsWithoutDenseZ:
+    """The CSR arrays of Z.T and Z, written from the nonzeros of y (ds) or
+    from cols and leads (s), against those of the dense Z, byte for byte,
+    on planted maps before and after deflate and delete_arc."""
+
+    @pytest.mark.parametrize("mode", ["s", "ds"])
+    def test_csr_arrays_match_dense_z(self, mode):
+        rng = np.random.default_rng(13)
+        checked = 0
+        for mm in TestNullSpace.planted_maps(rng):
+            Z = build_Z(mm, mode=mode)
+            zm = z_by_fields(Z)
+            assert np.array_equal(zm, dense_z(Z))
+            zt, zr = Z._operators()
+            for got, want in ((zt, csr_of_dense(zm.T)), (zr, csr_of_dense(zm))):
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            checked += 1
+        assert checked >= 30

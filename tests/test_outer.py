@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+import dipa.graph
 import dipa.inner
 import dipa.outer
 from dipa import detfun
@@ -312,6 +313,65 @@ class TestForcedZeroArcs:
         m = build_arc_map(g)
         forced = [m.arcs[k] for k in forced_zero_arcs(m)]
         assert forced == [(1, 2), (2, 1), (2, 8), (5, 8), (8, 2), (8, 5)]
+
+
+def is_perfect_matching(matched, m):
+    """Whether matched gives each row of m one arc on that row, with every
+    column hit once."""
+    return (
+        (matched >= 0).all()
+        and np.array_equal(m.row[matched], np.arange(len(m.nodes)))
+        and np.array_equal(np.sort(m.col[matched]), np.arange(len(m.nodes)))
+    )
+
+
+class TestCarriedMatching:
+    """forced_zero_arcs started from the matching carried through a surgery
+    change gives the from-scratch forced set (Birkhoff-von Neumann), over
+    random chains of deflations and deletions, each followed by drop_forced
+    as in dipa_solve."""
+
+    def test_matches_from_scratch_over_surgery_chains(self):
+        seen = {"augmented": 0, "intact": 0, "forced": 0, "no matching": 0}
+        for seed in range(80):
+            rng = random.Random(seed)
+            g = gen_random_graph(8 + seed % 25, 3, 4 + seed % 3, seed=seed, plant=seed % 3 != 0)
+            m = build_arc_map(g)
+            matched = np.full(len(m.nodes), -1)
+            try:
+                m, _, _ = drop_forced(m, matched)
+            except NoInteriorPoint:
+                continue
+            assert is_perfect_matching(matched, m)
+            for _ in range(30):
+                if len(m.nodes) < 4:
+                    break
+                k = rng.randrange(m.n_arcs)
+                try:
+                    if rng.random() < 0.3:
+                        m2, keep, _ = deflate(m, k)
+                    else:
+                        m2, keep = dipa.graph.delete_arc(m, [k])
+                except StarvationError:
+                    continue
+                carried = dipa.outer._carry_matching(matched, keep, m.n_arcs, m2)
+                seen["augmented" if (carried < 0).any() else "intact"] += 1
+                try:
+                    want = forced_zero_arcs(m2)
+                except NoInteriorPoint:
+                    with pytest.raises(NoInteriorPoint):
+                        forced_zero_arcs(m2, carried)
+                    seen["no matching"] += 1
+                    break
+                assert forced_zero_arcs(m2, carried) == want, seed
+                assert is_perfect_matching(carried, m2)
+                seen["forced"] += bool(want)
+                m, matched = m2, carried
+                # the chain goes on from supports with forced arcs as well
+                if rng.random() < 0.5:
+                    m, _, _ = drop_forced(m, matched)
+                    assert is_perfect_matching(matched, m)
+        assert min(seen.values()) >= 10, seen
 
 
 class TestRounding:
