@@ -84,7 +84,8 @@ def modified_cholesky(mred: np.ndarray, delta: float) -> CholResult:
     only as far as a Gill-Murray-Wright style bound requires. modified is
     True exactly when E is nonzero; j reports where E is largest.
 
-    LAPACK factors C = mred - delta I first. When it succeeds and no pivot
+    LAPACK factors C = mred - delta I first, unless a diagonal entry of C
+    is not positive, where it must fail. When it succeeds and no pivot
     d_j = R[j,j]**2 falls below the growth bound theta_j**2 / beta2 or below
     small, the loop would add E = 0 and produce the same factor, so R is
     returned as it is; otherwise the loop runs."""
@@ -101,6 +102,10 @@ def modified_cholesky(mred: np.ndarray, delta: float) -> CholResult:
     beta2 = max(gamma, xi / nu, 1e-30)
     small = 2.2e-16 * max(gamma + xi, 1.0)
 
+    # a pivot never exceeds its diagonal entry, so potrf would fail here; a
+    # NaN entry reaches the loop either way
+    if not C.diagonal().min(initial=math.inf) > 0.0:
+        return _gmw_loop(C, beta2, small)
     try:
         R = _cholesky(C)
     except LinAlgError:
@@ -146,7 +151,9 @@ def _gmw_loop(C: np.ndarray, beta2: float, small: float) -> CholResult:
     d = np.zeros(n)
     dcol = d[:, None]
     buf = np.empty(n * n)
-    maxreduce = np.maximum.reduce
+    abs_buf = np.empty(n)
+    multiply, divide, absolute = np.multiply, np.divide, np.absolute
+    maxreduce, subreduce = np.maximum.reduce, np.subtract.reduce
     for j in range(n):
         row = U[j, j:]
         if j:
@@ -154,12 +161,11 @@ def _gmw_loop(C: np.ndarray, beta2: float, small: float) -> CholResult:
             stack = buf[: (j + 1) * (n - j)].reshape(j + 1, n - j)
             stack[0] = row
             terms = stack[1:]
-            np.multiply(U[:j, j:], U[:j, j : j + 1], out=terms)
-            np.divide(terms, dcol[:j], out=terms)
-            np.subtract.reduce(stack, axis=0, out=row)
+            multiply(U[:j, j:], U[:j, j : j + 1], out=terms)
+            divide(terms, dcol[:j], out=terms)
+            subreduce(stack, axis=0, out=row)
         cjj = row.item(0)
-        col = row[1:]
-        theta = maxreduce(np.abs(col)) if j < n - 1 else 0.0
+        theta = maxreduce(absolute(row[1:], out=abs_buf[: n - j - 1])) if j < n - 1 else 0.0
         dj = max(abs(cjj), theta * theta / beta2, small)
         d[j] = dj
     # U's diagonal keeps each c_jj as the loop met it
@@ -226,18 +232,18 @@ def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, target: fl
     d = np.asarray(d, dtype=float).copy()
     n = len(d)
     G = np.asarray(metric, dtype=float)
-    # hd = H d and gd = G d are the rows of s, so a move on coordinate i
-    # updates both with one add of cols[i] = [H[:, i], G[:, i]]
-    s = np.empty((2, n))
-    hd, gd = s
-    cols = list(np.stack([H.T, G.T], axis=1))
-    buf = np.empty((2, n))
-    h_diag = np.diagonal(H).tolist()
-    g_diag = np.diagonal(G).tolist()
+    # s = [H d, G d] in one flat array, so a move on coordinate i updates
+    # both halves with one add of the flat row [H[:, i], G[:, i]]: numpy
+    # runs a 2-D operand row by row, at several times the cost
+    s = np.empty(2 * n)
+    hd, gd = s[:n], s[n:]
+    buf = np.empty(2 * n)
+    coords = list(zip(range(n), range(n, 2 * n), np.diagonal(H).tolist(),
+                      np.diagonal(G).tolist(), np.concatenate([H.T, G.T], axis=1)))
     # d only changes in place, so its bound methods (dot is the ddot of
-    # d @ v) stay valid, as do those of hd and gd, rows of s
+    # d @ v) stay valid, as do those of s
     dot, add, multiply, sqrt = d.dot, np.add, np.multiply, math.sqrt
-    d_item, hd_item, gd_item = d.item, hd.item, gd.item
+    d_item, s_item = d.item, s.item
     for sweep in range(7):
         # sweeps 1 and 2 go on from the sweep before; the rest (re)start
         if sweep not in (1, 2):
@@ -247,15 +253,13 @@ def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, target: fl
             if nrm == 0.0:
                 raise ValueError("zero start vector")
             d /= nrm
-            s[0] = H @ d
-            s[1] = G @ d
+            hd[:] = H @ d
+            gd[:] = G @ d
             num = float(dot(hd))
             den = float(dot(gd))
-        for i in range(n):
-            b = hd_item(i)
-            c = h_diag[i]
-            q = gd_item(i)
-            r = g_diag[i]
+        for i, ni, c, r, col in coords:
+            b = s_item(i)
+            q = s_item(ni)
             # stationary points of (num + 2bt + ct^2) / (den + 2qt + rt^2)
             A2 = c * q - b * r
             A1 = c * den - num * r
@@ -265,8 +269,9 @@ def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, target: fl
                 if not disc >= 0.0:
                     continue
                 sq = sqrt(disc)
-                t1 = (-A1 + sq) / (2 * A2)
-                t2 = (-A1 - sq) / (2 * A2)
+                a2x2 = 2 * A2
+                t1 = (-A1 + sq) / a2x2
+                t2 = (-A1 - sq) / a2x2
             elif abs(A1) > 1e-300:
                 # a second look at the same step cannot beat the first
                 t1 = t2 = -A0 / A1
@@ -287,7 +292,7 @@ def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, target: fl
             if best_t != 0.0:
                 t = best_t
                 d[i] = d_item(i) + t
-                multiply(cols[i], t, buf)
+                multiply(col, t, buf)
                 add(s, buf, s)
                 num = float(dot(hd))
                 den = float(dot(gd))

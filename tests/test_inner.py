@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -178,6 +179,59 @@ class TestCholeskyFastPath:
             else:
                 assert res.r.tobytes() == R.tobytes()
                 np.testing.assert_allclose(res.r, ref.r, rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def count_potrf_calls(monkeypatch):
+        calls = []
+        potrf = dipa.inner._POTRF
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return potrf(*args, **kwargs)
+
+        monkeypatch.setattr(dipa.inner, "_POTRF", spy)
+        return calls
+
+    @pytest.mark.parametrize("entry", [0.0, -0.0, -1e-300, -2.5, math.nan])
+    def test_non_positive_diagonal_skips_lapack(self, monkeypatch, entry):
+        # a pivot never exceeds its diagonal entry, so where C = M - delta I
+        # holds one that is not positive potrf must fail: it is not called,
+        # and the result is the loop's. A NaN passes potrf with info 0 and
+        # then fails the pivot test, so it reaches the same loop.
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 7, 30):
+            for pos in sorted({0, n // 2, n - 1}):
+                A = rng.standard_normal((n, n))
+                M = A @ A.T + n * np.eye(n)
+                M[pos, pos] = entry
+                C, beta2, small = gmw_preamble_reference(M, 0.0)
+                if not math.isnan(entry):
+                    with pytest.raises(LinAlgError):
+                        dipa.inner._cholesky(C)
+                calls = self.count_potrf_calls(monkeypatch)
+                res = modified_cholesky(M, 0.0)
+                monkeypatch.undo()
+                assert not calls
+                ref = dipa.inner._gmw_loop(C, beta2, small)
+                assert res.r.tobytes() == ref.r.tobytes()
+                assert (res.modified, res.j) == (ref.modified, ref.j)
+
+    def test_positive_diagonal_calls_lapack_once(self, monkeypatch):
+        # the positive definite fast path, an indefinite matrix with a
+        # positive diagonal, and the empty matrix all still ask potrf
+        rng = np.random.default_rng(15)
+        A = rng.standard_normal((9, 9))
+        indefinite = (A + A.T) / 2
+        np.fill_diagonal(indefinite, 0.5)
+        for M, fast in ((A @ A.T + 9 * np.eye(9), True), (indefinite, False),
+                        (np.empty((0, 0)), True)):
+            calls = self.count_potrf_calls(monkeypatch)
+            loops = self.count_loop_calls(monkeypatch)
+            res = modified_cholesky(M, -1e-8)
+            monkeypatch.undo()
+            assert (len(calls), len(loops)) == (1, 0 if fast else 1)
+            if not M.size:
+                assert (res.r.shape, res.modified, res.j) == ((0, 0), False, -1)
 
     def test_indefinite_is_the_loop(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -510,10 +564,13 @@ class TestNegativeCurvature:
                 B = rng.standard_normal((n, n))
                 metric = B @ B.T + np.eye(n)
             d0 = rng.standard_normal(n)
+            # and a start holding -0.0, whose negation holds +0.0
+            signed = d0.copy()
+            signed[1::3] = -0.0
             # three sweeps alone, and with all four restarts
-            for target in (math.inf, -math.inf):
-                d, q = improve_negcurv(H, d0, metric=metric, target=target)
-                d_neg, q_neg = improve_negcurv(H, -d0, metric=metric, target=target)
+            for start, target in itertools.product((d0, signed), (math.inf, -math.inf)):
+                d, q = improve_negcurv(H, start, metric=metric, target=target)
+                d_neg, q_neg = improve_negcurv(H, -start, metric=metric, target=target)
                 assert (-d_neg).tobytes() == d.tobytes()
                 assert np.float64(q_neg).tobytes() == np.float64(q).tobytes()
 
@@ -652,6 +709,90 @@ class TestImproveNegcurvReference:
                 assert np.float64(q).tobytes() == np.float64(q_ref).tobytes()
                 restarts.add(extra)
         assert restarts == {0, 1, 2, 3, 4}
+
+    @staticmethod
+    def assert_matches_reference(H, d0, metric):
+        for target in [math.inf] + restart_targets(H, d0, metric):
+            d, q = improve_negcurv(H, d0, metric=metric, target=target)
+            d_ref, q_ref, _ = improve_negcurv_calls_reference(H, d0, metric, target)
+            assert d.tobytes() == d_ref.tobytes()
+            assert np.float64(q).tobytes() == np.float64(q_ref).tobytes()
+
+    @staticmethod
+    def first_visit(H, d0, G):
+        """(A2, A1, disc) at coordinate 0 of the first sweep, formed as the
+        reference forms them."""
+        d = np.asarray(d0, dtype=float).copy()
+        d /= float(np.linalg.norm(d))
+        hd, gd = H @ d, G @ d
+        num, den = float(d @ hd), float(d @ gd)
+        b, c, q, r = hd[0], H[0, 0], gd[0], G[0, 0]
+        A2, A1, A0 = c * q - b * r, c * den - num * r, b * den - num * q
+        return A2, A1, A1 * A1 - 4.0 * A2 * A0
+
+    @staticmethod
+    def metrics(rng, n):
+        B = rng.standard_normal((n, n))
+        return np.eye(n), B @ B.T + np.eye(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_signed_zero_starts(self, n):
+        rng = np.random.default_rng(60 + n)
+        A = rng.standard_normal((n, n))
+        H = (A + A.T) / 2 - 0.5 * np.eye(n)
+        d0 = rng.standard_normal(n)
+        zeros = np.resize([-0.0, 0.0], n)
+        starts = [d0]
+        for z in (zeros, -zeros):
+            # one nonzero entry, and every other entry a signed zero
+            sparse = z.copy()
+            sparse[0] = d0[0]
+            half = d0.copy()
+            half[1::2] = z[1::2]
+            starts += [sparse, half]
+        for metric in self.metrics(rng, n):
+            for start in starts:
+                self.assert_matches_reference(H, start, metric)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_zero_row_and_column(self, n):
+        # coordinate 0 of H is decoupled and flat: b = c = 0 there, so
+        # A2 = 0 on every visit, and A1 = -num r is 0 only while num is
+        rng = np.random.default_rng(70 + n)
+        A = rng.standard_normal((n, n))
+        H = (A + A.T) / 2 - 0.5 * np.eye(n)
+        H[0, :] = H[:, 0] = 0.0
+        e0 = np.zeros(n)
+        e0[0] = 1.0
+        e0[1::2] = -0.0
+        starts = [(e0, True)]
+        if n > 1:
+            e01 = e0.copy()
+            e01[1] = 1.0
+            starts.append((e01, False))
+        for metric in self.metrics(rng, n):
+            for start, flat in starts:
+                A2, A1, _ = self.first_visit(H, start, metric)
+                assert abs(A2) <= 1e-300
+                assert (abs(A1) <= 1e-300) == flat
+                self.assert_matches_reference(H, start, metric)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_negative_discriminant(self, n):
+        # with H = 3 G the quotient is 3 along every line, so A2, A1 and A0
+        # are rounding noise and disc falls below 0 on some visits
+        negative = 0
+        for seed in range(250):
+            rng = np.random.default_rng(seed)
+            B = rng.standard_normal((n, n))
+            G = B @ B.T + np.eye(n)
+            H = 3.0 * G
+            d0 = rng.standard_normal(n)
+            A2, _, disc = self.first_visit(H, d0, G)
+            if abs(A2) > 1e-300 and disc < 0.0:
+                negative += 1
+                self.assert_matches_reference(H, d0, G)
+        assert negative >= 2
 
     def test_bit_identical_in_gram_metric(self):
         # the solver's own case: a reduced Hessian in the metric Z'Z
