@@ -326,8 +326,8 @@ def max_boundary_step(x: np.ndarray, direction: np.ndarray, upper_log: bool) -> 
     return t
 
 
-def linesearch(x, direction, alpha, spec: BarrierSpec, objective, m0: float) -> LsResult:
-    """Crude backtracking: start at alpha times the boundary step, halve until
+def linesearch(x, direction, spec: BarrierSpec, objective, m0: float) -> LsResult:
+    """Crude backtracking: start at ALPHA times the boundary step, halve until
     the merit strictly decreases below m0, the merit at x. objective(x)
     supplies the smooth term; it is skipped entirely in the barrier-only
     phase."""
@@ -344,7 +344,7 @@ def linesearch(x, direction, alpha, spec: BarrierSpec, objective, m0: float) -> 
     tstar = max_boundary_step(x, direction, spec.upper_log)
     if not math.isfinite(tstar):
         tstar = 1.0 / max(float(np.max(np.abs(direction))), 1e-300)
-    t = alpha * tstar
+    t = ALPHA * tstar
     for _ in range(51):
         xt = x + t * direction
         # min and max propagate NaN, so a NaN trial fails like np.all's
@@ -452,7 +452,7 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, delta_hat: fl
 
     if res.modified:
         d_z = negcurv_direction(res.r, res.j)
-        gram = ctx.z.gram()
+        gram = ctx.z.gram
         # Several cheap univariate sweeps pull the direction much closer to
         # the extreme eigenvector; direction quality decides which basin the
         # polarization cascade lands in, so the extra sweeps pay for
@@ -473,7 +473,7 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, delta_hat: fl
         return finish("stall")
     objective = lambda pt: detfun.value_only(pt, ctx.m, ctx.z.mode)
     try:
-        ls = linesearch(x, direction, ALPHA, spec, objective, merit)
+        ls = linesearch(x, direction, spec, objective, merit)
     except LinesearchStall:
         return finish("stall")
     return finish(kind, ls)

@@ -14,7 +14,7 @@ triangular over the integers; the null space basis then has entries in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,8 @@ def build_A(m: ArcVarMap) -> np.ndarray:
 class ReorderedDS:
     b: np.ndarray        # rank x rank, unit lower triangular, 0/1
     s: np.ndarray        # rank x (a - rank), 0/1
-    perm: tuple          # variable permutation, basis columns first
-    rank: int
+    basis: np.ndarray    # variable index per column of b
+    free: np.ndarray     # variable index per column of s
 
 
 def _retained_rows(m: ArcVarMap) -> list:
@@ -115,7 +115,8 @@ def reorder_ds(m: ArcVarMap) -> ReorderedDS:
         pos -= len(rows)
     pinned = np.concatenate(col_sel)[::-1]
     free = np.flatnonzero(remaining)
-    # row p of [B S] is retained row slot[p], column q variable perm[q]
+    # row p of [B S] is retained row slot[p]; column q of B is variable
+    # pinned[q], column q of S variable free[q]
     at_row = np.empty(rank, dtype=np.intp)
     at_row[slot] = np.arange(rank)
     at_col = np.empty(width, dtype=np.intp)
@@ -128,30 +129,27 @@ def reorder_ds(m: ArcVarMap) -> ReorderedDS:
     sm[at_row[inc_row[~in_b]], at_col[inc_col[~in_b]]] = 1.0
     if not np.array_equal(np.diag(bm), np.ones(rank)) or np.any(np.triu(bm, 1) != 0):
         raise AssertionError("reordered block is not unit lower triangular")
-    perm = tuple(pinned.tolist()) + tuple(free.tolist())
-    return ReorderedDS(b=bm, s=sm, perm=perm, rank=rank)
+    return ReorderedDS(b=bm, s=sm, basis=pinned, free=free)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NullSpaceRep:
-    """Sparse-structured basis Z with A Z = 0, applied without ever forming
-    the dense matrix in the solve path."""
+    """Sparse-structured basis Z with A Z = 0, held as the CSR arrays of Z.T
+    and Z and applied without ever forming the dense matrix."""
 
     mode: str
     n_vars: int
     dim: int
+    # the CSR arrays (indptr, indices, data) of Z.T and of Z, each as
+    # scipy.sparse stores the matrix: nonzeros in row-major order, int32
+    # indices. The operands of every product with Z
+    zt: tuple
+    zr: tuple
+    gram: np.ndarray  # Z.T Z, the reduced-space metric
     # ds fields: Z = P [-Y; I] with P placing rows at basis, then free
     basis: np.ndarray | None = None  # variable index per row of Y
     free: np.ndarray | None = None   # variable index per basis column
     y: np.ndarray | None = None      # rank x dim integer block
-    # s fields
-    cols: np.ndarray | None = None   # variable index per basis column
-    leads: np.ndarray | None = None  # leading variable of the same row
-    # the CSR arrays (indptr, indices, data) of Z.T and of Z, made once per
-    # map: the operands of the reduced products
-    _zt: tuple | None = field(default=None, repr=False)
-    _zr: tuple | None = field(default=None, repr=False)
-    _gram: np.ndarray | None = field(default=None, repr=False)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Z @ v for reduced vectors v."""
@@ -161,8 +159,10 @@ class NullSpaceRep:
             out[self.free] = v
             out[self.basis] = -(self.y @ v)
         else:
-            np.add.at(out, self.cols, v)
-            np.subtract.at(out, self.leads, v)
+            # csr_matvec reads dim entries of v whatever its length
+            if v.shape != (self.dim,):
+                raise ValueError(f"Z @ v needs shape ({self.dim},), got {v.shape}")
+            _SPARSETOOLS.csr_matvec(self.n_vars, self.dim, *self.zr, v, out)
         return out
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
@@ -170,42 +170,18 @@ class NullSpaceRep:
         w = np.asarray(w, dtype=float)
         if self.mode == "ds":
             return w[self.free] - self.y.T @ w[self.basis]
-        return w[self.cols] - w[self.leads]
-
-    def _operators(self) -> tuple:
-        """(Z.T, Z) as CSR arrays, each as scipy.sparse stores the matrix:
-        nonzeros in row-major order, int32 indices. Written from the
-        nonzeros of y (ds) or from cols and leads (s); Z is never formed."""
-        if self._zt is None:
-            dim = self.dim
-            k = np.arange(dim)
-            if self.mode == "ds":
-                # Z's row basis[p] is -y[p], its row free[q] is e_q
-                p, q = np.nonzero(self.y)
-                var = np.concatenate([self.basis[p], self.free])
-                red = np.concatenate([q, k])
-                val = np.concatenate([-self.y[p, q], np.ones(dim)])
-            else:
-                var = np.concatenate([self.cols, self.leads])
-                red = np.concatenate([k, k])
-                val = np.concatenate([np.ones(dim), np.full(dim, -1.0)])
-            self._zt = _csr(red, var, val, dim, self.n_vars)
-            self._zr = _csr(var, red, val, self.n_vars, dim)
-        return self._zt, self._zr
-
-    def gram(self) -> np.ndarray:
-        """Z.T Z, the reduced-space metric."""
-        if self._gram is None:
-            zt, zr = self._operators()
-            self._gram = _product(zt, zr, self.dim, self.dim)
-        return self._gram
+        if w.shape != (self.n_vars,):
+            raise ValueError(f"Z.T @ w needs shape ({self.n_vars},), got {w.shape}")
+        out = np.zeros(self.dim)
+        _SPARSETOOLS.csr_matvec(self.dim, self.n_vars, *self.zt, w, out)
+        return out
 
     def reduce_hessian(self, H: np.ndarray) -> np.ndarray:
         """Z.T H Z, as Z.T (Z.T H.T).T: the two csr_matvecs calls of
         scipy.sparse's CSR @ dense, each on its operand raveled in C order.
         H must be bitwise symmetric, as dipa.detfun's Hessians are with the
         barrier on their diagonal: H.T is then read as H, without a copy."""
-        (ptr, idx, val), _ = self._operators()
+        ptr, idx, val = self.zt
         dim, a = self.dim, self.n_vars
         half = np.zeros((dim, a))
         _SPARSETOOLS.csr_matvecs(dim, a, a, ptr, idx, val, H.ravel(), half.ravel())
@@ -216,8 +192,8 @@ class NullSpaceRep:
     def reduce_diag_quadform(self, d: np.ndarray) -> np.ndarray:
         """Z.T diag(d) Z without forming the full Hessian: Z.T's entries
         scaled by d at their columns, times Z."""
-        (ptr, idx, val), zr = self._operators()
-        return _product((ptr, idx, val * d[idx]), zr, self.dim, self.dim)
+        ptr, idx, val = self.zt
+        return _product((ptr, idx, val * d[idx]), self.zr, self.dim, self.dim)
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_rows: int, n_cols: int) -> tuple:
@@ -244,17 +220,27 @@ def _product(a: tuple, b: tuple, rows: int, cols: int) -> np.ndarray:
     return out
 
 
+def _from_nonzeros(mode: str, n_vars: int, dim: int, var, red, val, **ds) -> NullSpaceRep:
+    """The basis whose Z has entry val[t] at (var[t], red[t]), no position
+    twice; ds passes basis, free and y on."""
+    zt = _csr(red, var, val, dim, n_vars)
+    zr = _csr(var, red, val, n_vars, dim)
+    return NullSpaceRep(mode, n_vars, dim, zt, zr, _product(zt, zr, dim, dim), **ds)
+
+
 def build_Z(m: ArcVarMap, mode: str) -> NullSpaceRep:
     a = m.n_arcs
     if mode == "s":
         # arcs are numbered row-major, so each row's first arc leads it and
-        # every other arc of the row gives one basis column
+        # every other arc of the row gives one basis column, e_arc - e_lead
         lead = np.searchsorted(m.row, m.row)
         rest = lead != np.arange(a)
         if len(np.unique(m.row)) != len(m.nodes):
             raise ValueError("a node has no outgoing arc")
         cols = np.flatnonzero(rest)
-        return NullSpaceRep(mode="s", n_vars=a, dim=len(cols), cols=cols, leads=lead[rest])
+        k = np.arange(len(cols))
+        return _from_nonzeros("s", a, len(cols), np.concatenate([cols, lead[rest]]),
+                              np.concatenate([k, k]), np.repeat([1.0, -1.0], len(cols)))
     if mode != "ds":
         raise ValueError(f"unknown mode {mode!r}")
     rds = reorder_ds(m)
@@ -267,11 +253,11 @@ def build_Z(m: ArcVarMap, mode: str) -> NullSpaceRep:
     y = np.ascontiguousarray(y)
     if not ((y == 0.0) | (np.abs(y) == 1.0)).all():
         raise AssertionError(f"null space block has entries {np.unique(y).tolist()}")
-    return NullSpaceRep(
-        mode="ds",
-        n_vars=a,
-        dim=a - rds.rank,
-        basis=np.asarray(rds.perm[: rds.rank], dtype=np.intp),
-        free=np.asarray(rds.perm[rds.rank :], dtype=np.intp),
-        y=y,
+    # Z's row basis[p] is -y[p], its row free[q] is e_q
+    dim = len(rds.free)
+    p, q = np.nonzero(y)
+    return _from_nonzeros(
+        "ds", a, dim, np.concatenate([rds.basis[p], rds.free]),
+        np.concatenate([q, np.arange(dim)]), np.concatenate([-y[p, q], np.ones(dim)]),
+        basis=rds.basis, free=rds.free, y=y,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -106,7 +106,8 @@ class TraceRow:
 
     @staticmethod
     def header() -> str:
-        return "iter,mu,f,phi,merit,step,kind,delta_hat,x_min,deflations"
+        """The field names in declaration order, it written as iter."""
+        return ",".join("iter" if f.name == "it" else f.name for f in fields(TraceRow))
 
     def csv(self) -> str:
         """The fields in declaration order: floats as %.17g, which writes
@@ -189,38 +190,25 @@ def mu_trigger(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext) -> float:
     return propose_mu(lam_hat, lam_bar, spec.mu)
 
 
-def forced_zero_arcs(m: ArcVarMap, matched: np.ndarray | None = None) -> tuple:
+def forced_zero_arcs(m: ArcVarMap) -> tuple:
     """Indices of the arcs that carry zero weight in every doubly stochastic
     point of the support, ascending. By Birkhoff-von Neumann those points are
     the convex combinations of the perfect matchings (row i to column j for
     each arc (i, j)) inside the support, so an arc is forced exactly when it
-    lies in no perfect matching. With one perfect matching in hand, an
-    unmatched arc (i, j) lies in another exactly when i and the row matched
-    to j share a strong component of the digraph with an edge from i to that
-    row for each unmatched arc (Dulmage-Mendelsohn). Raises NoInteriorPoint
-    when the support has no perfect matching.
-
-    matched, when given, holds the position of each row's matched arc, or
-    -1: the search starts from that partial matching, augments only the
-    rows at -1, and leaves the perfect matching it found in matched. Which
-    perfect matching it finds does not change the result."""
+    lies in no perfect matching. With one perfect matching in hand, any one,
+    an unmatched arc (i, j) lies in another exactly when i and the row
+    matched to j share a strong component of the digraph with an edge from
+    i to that row for each unmatched arc (Dulmage-Mendelsohn). Raises
+    NoInteriorPoint when the support has no perfect matching."""
     n = len(m.nodes)
-    if matched is None:
-        matched = np.full(n, -1)
     rows, cols = m.row.tolist(), m.col.tolist()
     succ: list = [[] for _ in range(n)]
     for i, j in zip(rows, cols):
         succ[i].append(j)
+    # augmenting paths, one breadth-first search from each row
     mate = [-1] * n  # column matched to row i
     owner = [-1] * n  # row matched to column j
-    for i, k in enumerate(matched.tolist()):
-        if k >= 0:
-            mate[i] = cols[k]
-            owner[cols[k]] = i
-    # augmenting paths, one breadth-first search from each unmatched row
     for r in range(n):
-        if mate[r] >= 0:
-            continue
         came_from = {}
         queue = [r]
         free = -1
@@ -240,28 +228,10 @@ def forced_zero_arcs(m: ArcVarMap, matched: np.ndarray | None = None) -> tuple:
         while j >= 0:
             i = came_from[j]
             owner[j], mate[i], j = i, j, mate[i]
-    # arcs are numbered row-major, so (i, mate[i]) is found by its key
-    matched[:] = np.searchsorted(m.row * n + m.col, np.arange(n) * n + mate)
     # the edge of arc (i, j) runs from i to the row matched to j; a matched
     # arc gives the loop i -> i and always passes
     comp = _strong_components([[owner[j] for j in row_cols] for row_cols in succ])
     return tuple(k for k, (i, j) in enumerate(zip(rows, cols)) if comp[i] != comp[owner[j]])
-
-
-def _carry_matching(matched: np.ndarray, keep: np.ndarray, n_arcs: int, m2: ArcVarMap) -> np.ndarray:
-    """A perfect matching of a map with n_arcs arcs (each row's matched arc
-    position) carried to m2, the map deflate or delete_arc made from it with
-    keep: the matched arcs m2 retains, at their positions in m2 and on their
-    rows there, and -1 on each row whose matched arc is gone. Deflation
-    moves the arc matched into the removed node onto the node that takes
-    its in-arcs, whose own in-arcs all leave, so the result is a matching."""
-    at = np.full(n_arcs, -1)
-    at[keep] = np.arange(len(keep))
-    kept = at[matched]
-    kept = kept[kept >= 0]
-    out = np.full(len(m2.nodes), -1)
-    out[m2.row[kept]] = kept
-    return out
 
 
 def _strong_components(succ: list) -> list:
@@ -306,20 +276,14 @@ def _strong_components(succ: list) -> list:
     return comp
 
 
-def drop_forced(m: ArcVarMap, matched: np.ndarray | None = None) -> tuple:
+def drop_forced(m: ArcVarMap) -> tuple:
     """m without the arcs forced_zero_arcs finds, deleted in one map
     rebuild: (reduced map, keep, number deleted), keep as delete_arc gives
-    it. matched is passed to forced_zero_arcs and, when given, left holding
-    its perfect matching at the reduced map's positions: no matched arc is
-    forced. Raises NoInteriorPoint when the support has no perfect
-    matching."""
-    if matched is None:
-        matched = np.full(len(m.nodes), -1)
-    forced = forced_zero_arcs(m, matched)
+    it. Raises NoInteriorPoint when the support has no perfect matching."""
+    forced = forced_zero_arcs(m)
     if not forced:
         return m, np.arange(m.n_arcs), 0
     m2, keep = delete_arc(m, forced)
-    matched[:] = _carry_matching(matched, keep, m.n_arcs, m2)
     return m2, keep, len(forced)
 
 
@@ -483,11 +447,9 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     if mode == "ds":
         # arcs in no perfect matching are zero at every doubly stochastic
         # point, so at every Hamiltonian cycle; deleting them leaves a
-        # support with a strict interior; matched, each row's matched arc,
-        # is carried through every later change of the map
-        matched = np.full(len(m.nodes), -1)
+        # support with a strict interior
         try:
-            m, _, forced = drop_forced(m, matched)
+            m, _, forced = drop_forced(m)
         except NoInteriorPoint as exc:
             return report(NO_HC_DISCONNECTED, message=str(exc))
         deletions += forced
@@ -508,7 +470,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         matching, or its restoration failed, and then x and m are from
         before that change. A dead end proves nothing about the input
         graph."""
-        nonlocal deletions, matched
+        nonlocal deletions
         m_now = work.m
         while True:
             high = np.flatnonzero(x >= params.deflation_threshold)
@@ -522,11 +484,8 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                 else:
                     m2, keep = delete_arc(m_now, low[:1])
                     deletions += 1
-                matched2 = None
                 if mode == "ds":
-                    # the rows whose matched arc survived the change keep it
-                    matched2 = _carry_matching(matched, keep, m_now.n_arcs, m2)
-                    m2, keep2, forced = drop_forced(m2, matched2)
+                    m2, keep2, forced = drop_forced(m2)
                     keep = keep[keep2]
                     deletions += forced
                 if not support_connected(m2):
@@ -540,7 +499,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                     x2 = restore_DS_qp(x2, m2)
             except (StarvationError, NoInteriorPoint, LPError) as exc:
                 return x, m_now, f"surgery dead end: {exc}"
-            m_now, x, matched = m2, x2, matched2
+            m_now, x = m2, x2
 
     spec = BarrierSpec(mu=params.mu_initial, upper_log=params.upper_log)
     # the curvature estimate step_once carries from step to step

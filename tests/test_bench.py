@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 
 import numpy as np
@@ -290,6 +291,10 @@ class TestTraceSolve:
         assert len(rows) == rep.iterations + 1
         header_cols = TraceRow.header().count(",") + 1
         assert header_cols == 10
+        # the header names the fields in order, it as iter
+        names = [f.name for f in dataclasses.fields(TraceRow)]
+        assert TraceRow.header().split(",") == ["iter", *names[1:]]
+        assert names[0] == "it"
         for row in rows:
             assert row.count(",") == 9
         assert rows[-1].split(",")[6] == rep.status

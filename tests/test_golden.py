@@ -1,5 +1,6 @@
-"""Golden trajectories: every benchmark workload instance solved once and
-compared, bit for bit, with the record in golden_trajectories.json.
+"""Golden trajectories: every benchmark workload instance, and each instance
+of the s-mode surgery family below, solved once and compared, bit for bit,
+with the record in golden_trajectories.json.
 
 Each record holds the SHA-256 of the solve's TraceRow.csv rows, its status,
 counts and message, the cycle and the bytes of f_final. A change that moves
@@ -37,6 +38,7 @@ import pytest  # noqa: E402
 import scipy  # noqa: E402
 
 import harness  # noqa: E402
+from dipa.bench import BenchSetting  # noqa: E402
 from dipa.outer import dipa_solve  # noqa: E402
 from test_threads import openblas_query, openblas_thread_counts  # noqa: E402
 
@@ -68,12 +70,20 @@ def record(rep) -> dict:
     }
 
 
+# s mode with the default surgery thresholds: the benchmark's one s-mode
+# workload runs no surgery, so this family pins the s-mode null space on
+# deflated maps
+S_SURGERY = harness.Workload("s-surgery", BenchSetting(name="s", mode="s"), 20,
+                             tuple(range(100, 110)))
+
+
 def compute() -> dict:
-    """workload/seed -> record, over every instance of every workload."""
+    """workload/seed -> record, over every instance of every workload and of
+    S_SURGERY."""
     out = {}
-    for name, wl in harness.WORKLOADS.items():
+    for wl in (*harness.WORKLOADS.values(), S_SURGERY):
         for seed, g in wl.graphs().items():
-            out[f"{name}/{seed}"] = record(dipa_solve(g, wl.params(seed)))
+            out[f"{wl.name}/{seed}"] = record(dipa_solve(g, wl.params(seed)))
     return out
 
 

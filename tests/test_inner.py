@@ -802,9 +802,9 @@ class TestImproveNegcurvReference:
         x = initial_interior(m, "ds")
         h_red = z.reduce_hessian(value_grad_hess(x, m, "ds")[2])
         d0 = np.random.default_rng(3).standard_normal(z.dim)
-        for target in [math.inf, _default_delta(h_red)] + restart_targets(h_red, d0, z.gram()):
-            d, q = improve_negcurv(h_red, d0, metric=z.gram(), target=target)
-            d_ref, q_ref, _ = improve_negcurv_calls_reference(h_red, d0, z.gram(), target)
+        for target in [math.inf, _default_delta(h_red)] + restart_targets(h_red, d0, z.gram):
+            d, q = improve_negcurv(h_red, d0, metric=z.gram, target=target)
+            d_ref, q_ref, _ = improve_negcurv_calls_reference(h_red, d0, z.gram, target)
             assert d.tobytes() == d_ref.tobytes()
             assert np.float64(q).tobytes() == np.float64(q_ref).tobytes()
 
@@ -930,7 +930,7 @@ class TestLinesearch:
         phi0, _, _ = barrier_eval(x, spec)
         m0 = objective(x) + 0.1 * phi0
         d = np.array([-0.05, -0.3])
-        res = linesearch(x, d, 0.9, spec, objective, m0)
+        res = linesearch(x, d, spec, objective, m0)
         assert res.merit < m0
         assert res.t <= 0.9 * max_boundary_step(x, d, False) + 1e-15
 
@@ -943,7 +943,7 @@ class TestLinesearch:
         phi0, _, _ = barrier_eval(x, spec)
         m0 = objective(x) + 1.0 * phi0
         with pytest.raises(LinesearchStall):
-            linesearch(x, np.array([-0.4, 0.4]), 0.9, spec, objective, m0)
+            linesearch(x, np.array([-0.4, 0.4]), spec, objective, m0)
 
 
 def linesearch_reference(x, direction, alpha, spec, objective, m0):
@@ -1012,13 +1012,15 @@ def linesearch_cases():
 
 
 @pytest.mark.filterwarnings("error")
-def test_linesearch_matches_reference():
+def test_linesearch_matches_reference(monkeypatch):
     # a trial on a bound that the interior test let through would take a
-    # log of 0.0 and warn
+    # log of 0.0 and warn; linesearch reads the step fraction ALPHA at call
+    # time, so each case sets it
     kinds = set()
-    for case in linesearch_cases():
-        got = ls_outcome(linesearch, *case)
-        assert got == ls_outcome(linesearch_reference, *case)
+    for x, d, alpha, *rest in linesearch_cases():
+        monkeypatch.setattr(dipa.inner, "ALPHA", alpha)
+        got = ls_outcome(linesearch, x, d, *rest)
+        assert got == ls_outcome(linesearch_reference, x, d, alpha, *rest)
         kinds.add(got[0] == "stall")
     assert kinds == {True, False}
 

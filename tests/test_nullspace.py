@@ -22,6 +22,18 @@ def out_arcs(m, v):
     return [k for k, (i, _) in enumerate(m.arcs) if i == v]
 
 
+def s_basis(m):
+    """(cols, leads) of the s-mode basis, from the arcs: column q of Z is
+    e_cols[q] - e_leads[q], one column for each out-arc of a node but its
+    first, which leads them."""
+    cols, leads = [], []
+    for v in m.nodes:
+        first, *rest = out_arcs(m, v)
+        cols.extend(rest)
+        leads.extend([first] * len(rest))
+    return np.array(cols, dtype=np.intp), np.array(leads, dtype=np.intp)
+
+
 def dense_z(Z):
     """Z as a dense matrix, one Z.apply column per reduced coordinate."""
     return np.array([Z.apply(e) for e in np.eye(Z.dim)]).reshape(Z.dim, Z.n_vars).T
@@ -83,7 +95,7 @@ class TestNullSpace:
         # d_i is that node's out-degree
         for g, m in cases():
             Z = build_Z(m, mode="s")
-            w = np.linalg.eigvalsh(Z.gram())
+            w = np.linalg.eigvalsh(Z.gram)
             expected = []
             for v in m.nodes:
                 d = len(out_arcs(m, v))
@@ -95,13 +107,13 @@ class TestNullSpace:
     def test_s_basis_led_by_first_out_arc(self):
         for g, m in cases():
             Z = build_Z(m, mode="s")
-            cols, leads = [], []
-            for v in m.nodes:
-                first, *rest = out_arcs(m, v)
-                cols.extend(rest)
-                leads.extend([first] * len(rest))
-            assert Z.cols.tolist() == cols
-            assert Z.leads.tolist() == leads
+            cols, leads = s_basis(m)
+            # row q of Z.T is -1 at its lead, the lower position, then +1
+            ptr, idx, val = Z.zt
+            assert np.array_equal(np.diff(ptr), np.full(Z.dim, 2))
+            assert val.tolist() == [-1.0, 1.0] * Z.dim
+            assert idx[1::2].tolist() == cols.tolist()
+            assert idx[::2].tolist() == leads.tolist()
 
     @pytest.mark.parametrize("mode", ["s", "ds"])
     def test_basis_completes_full_rank(self, mode):
@@ -139,7 +151,7 @@ class TestNullSpace:
             assert np.allclose(
                 Z.reduce_diag_quadform(d), zd.T @ np.diag(d) @ zd, atol=1e-11
             )
-            assert np.allclose(Z.gram(), zd.T @ zd, atol=1e-13)
+            assert np.allclose(Z.gram, zd.T @ zd, atol=1e-13)
 
     @staticmethod
     def planted_maps(rng):
@@ -176,7 +188,7 @@ class TestNullSpace:
             h = 1.0 / rng.uniform(0.01, 0.99, size=a) ** 2
             want = np.asarray((zs.T.multiply(h) @ zs).todense())
             assert Z.reduce_diag_quadform(h).tobytes() == want.tobytes()
-            assert Z.gram().tobytes() == (zs.T @ zs).toarray().tobytes()
+            assert Z.gram.tobytes() == (zs.T @ zs).toarray().tobytes()
             checked += 1
         assert checked >= 30
 
@@ -354,7 +366,8 @@ class TestRebuildMatchesReference:
             mat = build_A(m)
             perm, row_order, b, s = reorder_ds_reference(mat)
             rds = reorder_ds(m)
-            assert rds.perm == perm
+            rank = len(rds.basis)
+            assert (*rds.basis.tolist(), *rds.free.tolist()) == perm
             # the rows of B and S are the retained rows in row_order, written
             # from the incidence with the bytes of the constraint rows
             for got, want in ((rds.b, b), (rds.s, s)):
@@ -362,8 +375,8 @@ class TestRebuildMatchesReference:
                 assert got.tobytes() == want.astype(float).tobytes()
             y_ref = forward_substitute_reference(b, s).astype(float)
             Z = build_Z(m, mode="ds")
-            assert np.array_equal(Z.basis, perm[: rds.rank])
-            assert np.array_equal(Z.free, perm[rds.rank :])
+            assert np.array_equal(Z.basis, perm[:rank])
+            assert np.array_equal(Z.free, perm[rank:])
             assert np.array_equal(Z.y, y_ref)
             # no -0.0 either, and C order, which fixes how y @ v sums
             assert Z.y.tobytes() == y_ref.tobytes()
@@ -393,22 +406,24 @@ def csr_of_dense(dense):
     return ptr, cols.astype(np.int32), dense[rows, cols]
 
 
-def z_by_fields(Z):
-    """The dense a x dim Z written from the basis fields, as before."""
+def z_by_fields(Z, m):
+    """The dense a x dim Z written from the ds basis fields, or in s mode
+    from the arcs of m (s_basis)."""
     zm = np.zeros((Z.n_vars, Z.dim))
     if Z.mode == "ds":
         zm[Z.basis] = -Z.y
         zm[Z.free] = np.eye(Z.dim)
     else:
+        cols, leads = s_basis(m)
         k = np.arange(Z.dim)
-        zm[Z.cols, k] = 1.0
-        zm[Z.leads, k] = -1.0
+        zm[cols, k] = 1.0
+        zm[leads, k] = -1.0
     return zm
 
 
 class TestOperatorsWithoutDenseZ:
     """The CSR arrays of Z.T and Z, written from the nonzeros of y (ds) or
-    from cols and leads (s), against those of the dense Z, byte for byte,
+    from each row's arcs (s), against those of the dense Z, byte for byte,
     on planted maps before and after deflate and delete_arc."""
 
     @pytest.mark.parametrize("mode", ["s", "ds"])
@@ -417,11 +432,97 @@ class TestOperatorsWithoutDenseZ:
         checked = 0
         for mm in TestNullSpace.planted_maps(rng):
             Z = build_Z(mm, mode=mode)
-            zm = z_by_fields(Z)
+            zm = z_by_fields(Z, mm)
             assert np.array_equal(zm, dense_z(Z))
-            zt, zr = Z._operators()
-            for got, want in ((zt, csr_of_dense(zm.T)), (zr, csr_of_dense(zm))):
+            for got, want in ((Z.zt, csr_of_dense(zm.T)), (Z.zr, csr_of_dense(zm))):
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             checked += 1
         assert checked >= 30
+
+
+def scatter_apply(cols, leads, n_vars, v):
+    """s-mode Z @ v as NullSpaceRep scattered it before it held Z's CSR
+    arrays: frozen as the byte oracle of csr_matvec."""
+    out = np.zeros(n_vars)
+    np.add.at(out, cols, v)
+    np.subtract.at(out, leads, v)
+    return out
+
+
+def scatter_rmatvec(cols, leads, w):
+    """s-mode Z.T @ w as NullSpaceRep formed it before, frozen the same way."""
+    return w[cols] - w[leads]
+
+
+class TestSModeProducts:
+    """s-mode apply and rmatvec, csr_matvec on the CSR arrays of Z and Z.T,
+    against the frozen scatter code and scipy.sparse's CSR product, on
+    planted maps before and after deflate and delete_arc."""
+
+    @staticmethod
+    def bases(seed):
+        rng = np.random.default_rng(seed)
+        for mm in TestNullSpace.planted_maps(rng):
+            yield rng, build_Z(mm, mode="s"), *s_basis(mm)
+
+    def test_random_inputs_match_scatter_bytes(self):
+        checked = 0
+        for rng, Z, cols, leads in self.bases(14):
+            for _ in range(20):
+                v = rng.standard_normal(Z.dim)
+                w = rng.standard_normal(Z.n_vars)
+                assert Z.apply(v).tobytes() == scatter_apply(cols, leads, Z.n_vars, v).tobytes()
+                assert Z.rmatvec(w).tobytes() == scatter_rmatvec(cols, leads, w).tobytes()
+            checked += 1
+        assert checked >= 30
+
+    def test_signed_zeros(self):
+        # both apply codes sum each variable's terms into +0.0, one term per
+        # free variable and -v per column a lead leads, so their bytes match.
+        # rmatvec's scatter formed w[col] - w[lead]; csr_matvec sums
+        # 0.0 + -w[lead] + w[col], the lead being the lower position. Only
+        # -0.0 - +0.0 gives -0.0 there and +0.0 here; every other pair of
+        # entries gives the same bytes
+        pool = np.array([0.0, -0.0, 1.5, -1.5, 2.25])
+        moved = 0
+        for rng, Z, cols, leads in self.bases(15):
+            for _ in range(20):
+                v = rng.choice(pool, Z.dim)
+                w = rng.choice(pool, Z.n_vars)
+                assert Z.apply(v).tobytes() == scatter_apply(cols, leads, Z.n_vars, v).tobytes()
+                got, want = Z.rmatvec(w), scatter_rmatvec(cols, leads, w)
+                differ = got.view(np.int64) != want.view(np.int64)
+                expect = (w[cols] == 0.0) & np.signbit(w[cols]) & (w[leads] == 0.0) & ~np.signbit(w[leads])
+                assert np.array_equal(differ, expect)
+                assert (got[differ] == 0.0).all() and not np.signbit(got[differ]).any()
+                assert np.signbit(want[differ]).all()
+                moved += int(differ.sum())
+        assert moved > 0
+
+    def test_csr_matvec_is_scipys_csr_product(self):
+        # scipy.sparse's CSR @ vector runs the same kernel on the same arrays
+        pool = np.array([0.0, -0.0, 1.5, -2.25])
+        checked = 0
+        for rng, Z, _, _ in self.bases(16):
+            zt = sp.csr_matrix(Z.zt[::-1], shape=(Z.dim, Z.n_vars))
+            zr = sp.csr_matrix(Z.zr[::-1], shape=(Z.n_vars, Z.dim))
+            for v, w in (
+                (rng.standard_normal(Z.dim), rng.standard_normal(Z.n_vars)),
+                (rng.choice(pool, Z.dim), rng.choice(pool, Z.n_vars)),
+            ):
+                assert Z.apply(v).tobytes() == np.asarray(zr @ v).tobytes()
+                assert Z.rmatvec(w).tobytes() == np.asarray(zt @ w).tobytes()
+            checked += 1
+        assert checked >= 30
+
+    def test_wrong_shapes_raise(self):
+        # csr_matvec reads as many entries as the matrix has columns, so
+        # the shape is checked first, as the scatter's indexing checked it
+        _, Z, _, _ = next(self.bases(17))
+        for v in (np.ones(Z.dim - 1), np.ones(Z.dim + 1), np.ones((Z.dim, 1))):
+            with pytest.raises(ValueError):
+                Z.apply(v)
+        for w in (np.ones(Z.n_vars - 1), np.ones(Z.n_vars + 1)):
+            with pytest.raises(ValueError):
+                Z.rmatvec(w)
