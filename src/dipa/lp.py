@@ -316,20 +316,3 @@ def qp_least_distance(
                 x[block] = lb[block]
     raise LPError("active-set projection did not converge")
 
-
-def verify_qp(x, xbar, a_eq, b_eq, lb, ub, tol: float = 1e-8) -> float:
-    """Max KKT residual of a projection solution; raises if infeasible."""
-    aeq = np.asarray(a_eq, dtype=float)
-    resid = np.max(np.abs(aeq @ x - np.asarray(b_eq, dtype=float)))
-    if resid > tol:
-        raise LPError(f"projection equality residual {resid:.3e}")
-    if np.any(x < lb - tol) or np.any(x > ub + tol):
-        raise LPError("projection bound violation")
-    g = x - xbar
-    atol = 1e-9
-    interior = (x > lb + atol) & (x < ub - atol)
-    # only interior components are free of bound multipliers, so the
-    # equality multipliers must be fitted on those rows alone
-    lam, *_ = np.linalg.lstsq(aeq[:, interior].T, g[interior], rcond=None)
-    r = g[interior] - aeq[:, interior].T @ lam
-    return float(np.max(np.abs(r), initial=0.0))

@@ -183,6 +183,9 @@ class NullSpaceRep:
         barrier on their diagonal: H.T is then read as H, without a copy."""
         ptr, idx, val = self.zt
         dim, a = self.dim, self.n_vars
+        # csr_matvecs reads a x a entries of H whatever its shape
+        if H.shape != (a, a):
+            raise ValueError(f"Z.T H Z needs shape ({a}, {a}), got {H.shape}")
         half = np.zeros((dim, a))
         _SPARSETOOLS.csr_matvecs(dim, a, a, ptr, idx, val, H.ravel(), half.ravel())
         out = np.zeros((dim, dim))

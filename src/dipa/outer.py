@@ -411,7 +411,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     t0 = time.monotonic()
     mode = params.mode
     trace: list = []
-    # one deflation record per deflation, including one a dead end undid
+    # one deflation record per deflation kept
     records: list = []
     deletions = 0
     iterations = 0
@@ -444,32 +444,31 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         # neighbours, and each edge gives both arcs
         m, _ = delete_arc(m, [0])
         deletions += 1
-    if mode == "ds":
-        # arcs in no perfect matching are zero at every doubly stochastic
-        # point, so at every Hamiltonian cycle; deleting them leaves a
-        # support with a strict interior
-        try:
-            m, _, forced = drop_forced(m)
-        except NoInteriorPoint as exc:
-            return report(NO_HC_DISCONNECTED, message=str(exc))
-        deletions += forced
-        if not support_connected(m):
-            return report(NO_HC_DISCONNECTED, message="support disconnected after reduction")
+    # a Hamiltonian cycle is a perfect matching in either relaxation, so
+    # an arc in no perfect matching lies on none; deleting those arcs
+    # leaves a support with a strict doubly stochastic interior
+    try:
+        m, _, forced = drop_forced(m)
+    except NoInteriorPoint as exc:
+        return report(NO_HC_DISCONNECTED, message=str(exc))
+    deletions += forced
+    if not support_connected(m):
+        return report(NO_HC_DISCONNECTED, message="support disconnected after reduction")
     x, work = neutral_start(m, params)
 
     def surgery(x: np.ndarray):
         """Threshold sweep: deflate any variable at or above the deflation
         threshold (lowest index first), else delete any at or below the
-        deletion threshold, rescanning until clean. In ds mode every change
-        is followed by deleting the arcs it left in no perfect matching,
-        and x moves to the reduced map once, through the composed keep.
+        deletion threshold, rescanning until clean. Every change is
+        followed by deleting the arcs it left in no perfect matching, and x
+        moves to the reduced map once, through the composed keep.
         Then the support's connectivity is checked and feasibility restored.
         Returns (x, m, dead_end): x lives on the map m, which is work.m when
         nothing changed; dead_end is None, or a message when a change
         starved or disconnected the support, left it without a perfect
-        matching, or its restoration failed, and then x and m are from
-        before that change. A dead end proves nothing about the input
-        graph."""
+        matching, or its restoration failed, and then x and m, the records
+        and the deletion count are from before that change. A dead end
+        proves nothing about the input graph."""
         nonlocal deletions
         m_now = work.m
         while True:
@@ -480,14 +479,12 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             try:
                 if high.size:
                     m2, keep, rec = deflate(m_now, int(high[0]))
-                    records.append(rec)
+                    new_records, cut = [rec], 0
                 else:
                     m2, keep = delete_arc(m_now, low[:1])
-                    deletions += 1
-                if mode == "ds":
-                    m2, keep2, forced = drop_forced(m2)
-                    keep = keep[keep2]
-                    deletions += forced
+                    new_records, cut = [], 1
+                m2, keep2, forced = drop_forced(m2)
+                keep = keep[keep2]
                 if not support_connected(m2):
                     return x, m_now, "surgery dead end: support disconnected"
                 x2 = x[keep]
@@ -499,27 +496,20 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                     x2 = restore_DS_qp(x2, m2)
             except (StarvationError, NoInteriorPoint, LPError) as exc:
                 return x, m_now, f"surgery dead end: {exc}"
+            # a change counts once it is kept, so the records describe m_now
             m_now, x = m2, x2
+            records.extend(new_records)
+            deletions += cut + forced
 
     spec = BarrierSpec(mu=params.mu_initial, upper_log=params.upper_log)
     # the curvature estimate step_once carries from step to step
     delta_hat = 0.0
     # step_once calls since the last trigger; surgery does not reset it
     phase_steps = 0
-    while True:
-        # on a map with no free direction, the start's included, only the
-        # rounding is left to try
-        if work.z.dim <= 0:
-            cert = round_to_hc(x, work.m, records, g)
-            if cert is not None:
-                return report(HC_FOUND, cycle=cert, x=x, m=work.m)
-            return report(
-                GAVE_UP,
-                message="reduced problem fully determined but not a cycle",
-                x=x, m=work.m,
-            )
+    dead_end = None
+    while dead_end is None and work.z.dim > 0:
         if time.monotonic() - t0 > params.time_limit:
-            return report(GAVE_UP, message="time limit", x=x, m=work.m)
+            return report(GAVE_UP, message="time limit", x=x, m=m)
         iterations += 1
 
         info = step_once(x, spec, work, delta_hat)
@@ -531,7 +521,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         if phase_end and info.kind == "stall" and not info.modified:
             x = newton_polish(x, spec, work)
             # the row reports the polished point, so it values it too
-            f = detfun.value_only(x, work.m, mode)
+            f = detfun.value_only(x, m, mode)
             phi, _, _ = barrier_eval(x, spec)
             info = replace(info, x=x, f=f, phi=phi, merit=f + spec.mu * phi)
         row = TraceRow(
@@ -549,19 +539,28 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                 message = "barrier weight exhausted"
                 if np.all(np.minimum(x, np.abs(1.0 - x)) <= 0.25):
                     message += " at a near-binary non-cycle point"
-                return report(GAVE_UP, message=message, x=x, m=work.m)
+                return report(GAVE_UP, message=message, x=x, m=m)
             spec = BarrierSpec(mu=mu2, upper_log=params.upper_log)
             delta_hat = 0.0
             phase_steps = 0
             continue
 
-        cert = round_to_hc(x, work.m, records, g)
+        cert = round_to_hc(x, m, records, g)
         if cert is not None:
-            return report(HC_FOUND, cycle=cert, x=x, m=work.m)
+            return report(HC_FOUND, cycle=cert, x=x, m=m)
 
-        x, m_now, dead_end = surgery(x)
-        if dead_end is not None:
-            return report(GAVE_UP, message=dead_end, x=x, m=m_now)
-        if m_now is not work.m:
-            work = replace(work, z=build_Z(m_now, mode=mode), m=m_now)
+        x, m, dead_end = surgery(x)
+        if dead_end is None and m is not work.m:
+            work = replace(work, z=build_Z(m, mode=mode), m=m)
             delta_hat = 0.0
+
+    # on a map with no free direction, the start's included, or on the last
+    # map a surgery dead end kept, only the rounding is left to try
+    cert = round_to_hc(x, m, records, g)
+    if cert is not None:
+        return report(HC_FOUND, cycle=cert, x=x, m=m)
+    return report(
+        GAVE_UP,
+        message=dead_end or "reduced problem fully determined but not a cycle",
+        x=x, m=m,
+    )

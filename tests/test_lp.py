@@ -19,7 +19,6 @@ from dipa.lp import (
     _verify_lp,
     lp_solve,
     qp_least_distance,
-    verify_qp,
 )
 from dipa.nullspace import build_A
 from dipa.outer import (
@@ -30,6 +29,24 @@ from dipa.outer import (
     restore_DS_qp,
     restore_S,
 )
+
+
+def verify_qp(x, xbar, a_eq, b_eq, lb, ub, tol: float = 1e-8) -> float:
+    """Max KKT residual of a projection solution; raises if infeasible."""
+    aeq = np.asarray(a_eq, dtype=float)
+    resid = np.max(np.abs(aeq @ x - np.asarray(b_eq, dtype=float)))
+    if resid > tol:
+        raise LPError(f"projection equality residual {resid:.3e}")
+    if np.any(x < lb - tol) or np.any(x > ub + tol):
+        raise LPError("projection bound violation")
+    g = x - xbar
+    atol = 1e-9
+    interior = (x > lb + atol) & (x < ub - atol)
+    # only interior components are free of bound multipliers, so the
+    # equality multipliers must be fitted on those rows alone
+    lam, *_ = np.linalg.lstsq(aeq[:, interior].T, g[interior], rcond=None)
+    r = g[interior] - aeq[:, interior].T @ lam
+    return float(np.max(np.abs(r), initial=0.0))
 
 
 def lp_solve_reference(c, aeq, beq, lb, ub):

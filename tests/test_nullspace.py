@@ -153,6 +153,18 @@ class TestNullSpace:
             )
             assert np.allclose(Z.gram, zd.T @ zd, atol=1e-13)
 
+    @pytest.mark.parametrize("mode", ["s", "ds"])
+    def test_reduce_hessian_wrong_shape_raises(self, mode):
+        # csr_matvecs reads n_vars x n_vars entries of H whatever its shape:
+        # a short H read past its buffer, and a long one returned a
+        # plausible matrix from its leading entries
+        m = build_arc_map(gen_random_graph(8, 3, 6, seed=0, plant=True))
+        Z = build_Z(m, mode=mode)
+        a = m.n_arcs
+        for shape in ((a - 1, a - 1), (a + 1, a + 1), (a, a + 1), (a * a,)):
+            with pytest.raises(ValueError, match="Z.T H Z needs shape"):
+                Z.reduce_hessian(np.ones(shape))
+
     @staticmethod
     def planted_maps(rng):
         """Planted maps, each also after one deflate and one delete_arc."""

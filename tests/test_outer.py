@@ -486,6 +486,16 @@ class TestSolveSmall:
         assert rep.status != HC_FOUND
         assert rep.cycle is None
 
+    @pytest.mark.parametrize("mode", ["s", "ds"])
+    def test_no_perfect_matching_proved_up_front(self, mode):
+        # K_{2,3}: three nodes can only be matched to the other two, so no
+        # permutation, and no Hamiltonian cycle, lies on the support
+        g = make_graph(5, [(a, b) for a in (1, 2) for b in (3, 4, 5)])
+        rep = dipa_solve(g, DipaParams(mode=mode))
+        assert rep.status == NO_HC_DISCONNECTED
+        assert rep.message == "no perfect matching on this support"
+        assert rep.iterations == 0
+
     def test_disconnected_input(self):
         g = make_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
         rep = dipa_solve(g, DipaParams(mode="ds"))
@@ -562,8 +572,9 @@ class TestSolveSmall:
 
 
 class TestSurgeryDeadEnds:
-    """A dead end inside surgery says nothing about the input graph: it ends
-    the solve as gave-up and never raises out of dipa_solve."""
+    """A dead end inside surgery says nothing about the input graph: the
+    solve rounds the last map the sweep kept, ends as gave-up when that
+    gives no cycle, and never raises out of dipa_solve."""
 
     @pytest.mark.parametrize("error", [StarvationError, LPError])
     def test_restoration_failure_gives_up(self, monkeypatch, error):
@@ -594,6 +605,34 @@ class TestSurgeryDeadEnds:
         assert rep.status == GAVE_UP
         assert rep.message == "surgery dead end: planted failure"
         assert math.isfinite(rep.f_final)
+
+    def test_last_two_node_map_rounds(self):
+        # surgery deflates down to a map of two nodes, whose one cycle
+        # expands to a Hamiltonian cycle of the input; the next deflation
+        # would leave one node, a dead end that once gave that cycle up
+        g = gen_random_graph(12, 3, 6, seed=9, plant=True)
+        rep = dipa_solve(g, DipaParams(mode="s"))
+        assert rep.status == HC_FOUND
+        assert rep.deflations == 10
+        rep.cycle.validate(g)
+
+    def test_undone_change_leaves_no_record(self, monkeypatch):
+        # here a deflation disconnects the support and is undone: the
+        # rounding of the map kept before it must not splice its node
+        # back, so every rounding sees one record per node gone
+        seen = []
+        real = dipa.outer.round_to_hc
+
+        def record(x, m, records, original):
+            seen.append(len(m.nodes) + len(records))
+            return real(x, m, records, original)
+
+        monkeypatch.setattr(dipa.outer, "round_to_hc", record)
+        g = gen_random_graph(20, 3, 6, seed=133, plant=True)
+        rep = dipa_solve(g, DipaParams(mode="s"))
+        assert set(seen) == {g.n}
+        assert rep.status == HC_FOUND
+        rep.cycle.validate(g)
 
     @pytest.mark.parametrize("n, seed", [(40, 0), (40, 7), (50, 19)])
     def test_planted_regressions_claim_no_proof(self, n, seed):
@@ -755,20 +794,19 @@ class TestPhaseBudget:
 
 # (n, graph seed, solver parameters, (status, iterations, deflations,
 # deletions, message)) of small solves that go through surgery, recorded
-# before deflate and delete_arc returned keep. Bookkeeping that moves a
+# before deflate and delete_arc returned keep (the s rows once s mode took
+# the forced-arc reduction and a dead end rounded). Bookkeeping that moves a
 # trajectory changes a row; the perfbench reference digests are stale and
 # would not show it.
 SURGERY_OUTCOMES = (
     (14, 1, dict(mode="ds", restore="lp"), (HC_FOUND, 24, 2, 0, "")),
     (14, 1, dict(mode="ds", restore="qp"), (HC_FOUND, 25, 3, 0, "")),
-    (10, 3, dict(mode="s"), (HC_FOUND, 16, 4, 0, "")),
+    (10, 3, dict(mode="s"), (HC_FOUND, 15, 8, 9, "")),
     (12, 2, dict(mode="ds", drop_one_var=True), (HC_FOUND, 26, 1, 1, "")),
     (10, 24, dict(mode="ds"), (HC_FOUND, 2, 0, 6, "")),
     (14, 9, dict(mode="ds"), (HC_FOUND, 34, 4, 8, "")),
-    (12, 7, dict(mode="s"),
-     (GAVE_UP, 15, 9, 0, "surgery dead end: node 5 isolated after deflation of (2, 10)")),
-    (12, 9, dict(mode="s"),
-     (GAVE_UP, 12, 10, 0, "surgery dead end: deflation would leave fewer than 2 nodes")),
+    (12, 7, dict(mode="s"), (GAVE_UP, 15, 6, 1, "surgery dead end: support disconnected")),
+    (12, 9, dict(mode="s"), (HC_FOUND, 12, 10, 13, "")),
 )
 
 
