@@ -7,7 +7,6 @@ from dipa.graph import (
     DeflationRecord,
     Graph,
     GraphError,
-    StarvationError,
     build_arc_map,
     deflate,
     delete_arc,
@@ -26,7 +25,6 @@ __all__ = [
     "DeflationRecord",
     "Graph",
     "GraphError",
-    "StarvationError",
     "build_arc_map",
     "deflate",
     "delete_arc",

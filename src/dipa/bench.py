@@ -303,7 +303,7 @@ def neutral_point(g: Graph) -> np.ndarray:
     default parameters), used as the common start of every profile, on the
     arcs of build_arc_map(g). The arcs in no perfect matching are deleted
     first, as dipa_solve deletes them, and read 0; raises NoInteriorPoint
-    when g has no perfect matching."""
+    when g has no perfect matching or is disconnected without them."""
     m = build_arc_map(g)
     x = np.zeros(m.n_arcs)
     m, keep, _ = outer.drop_forced(m)

@@ -20,10 +20,6 @@ class GraphError(ValueError):
     """Malformed graph input or an operation violating graph invariants."""
 
 
-class StarvationError(GraphError):
-    """Surgery left a node without an outgoing or incoming arc."""
-
-
 class EnumerationCapError(RuntimeError):
     """enumerate_hc found more cycles than the caller allowed."""
 
@@ -221,10 +217,9 @@ def deflate(m: ArcVarMap, k: int) -> tuple:
     (h,i) to (h,j), and zero the companions (i,h) h!=j, (h,j) h!=i, (j,i).
     Returns the reduced map, keep (the position in m of each of its arcs;
     for a redirected (h,j), that of (h,i)) and the record that splices i
-    back into a cycle."""
+    back into a cycle. The reduced map is not checked: a node may be left
+    without an out-arc or an in-arc, which outer.drop_forced rejects."""
     nodes, row, col = m.nodes, m.row, m.col
-    if len(nodes) < 3:
-        raise StarvationError("deflation would leave fewer than 2 nodes")
     ri, cj = row[k], col[k]
     i, j = nodes[ri], nodes[cj]
     # the fixed arc and the companions it zeroes leave; (j,i) leaves too, so
@@ -233,12 +228,6 @@ def deflate(m: ArcVarMap, k: int) -> tuple:
     col2 = np.where(col[keep] == ri, cj, col[keep])
     order = np.lexsort((col2, row[keep]))
     keep, row2, col2 = keep[order], row[keep][order], col2[order]
-    n = len(nodes)
-    bare = (np.bincount(row2, minlength=n) == 0) | (np.bincount(col2, minlength=n) == 0)
-    bare[ri] = False
-    if bare.any():
-        v = nodes[int(np.argmax(bare))]
-        raise StarvationError(f"node {v} isolated after deflation of {(i, j)}")
     sources = frozenset(nodes[a] for a in row2[col[keep] == ri].tolist())
     # node i leaves: the positions above its own move down by one
     m2 = ArcVarMap(nodes[:ri] + nodes[ri + 1 :], row2 - (row2 > ri), col2 - (col2 > ri))
@@ -248,16 +237,10 @@ def deflate(m: ArcVarMap, k: int) -> tuple:
 def delete_arc(m: ArcVarMap, ks) -> tuple:
     """Fix the directed arc variables at positions ks (a sequence) to 0;
     their reverse arcs are untouched. Returns the reduced map and keep, the
-    position in m of each arc it retains."""
-    nodes, row, col = m.nodes, m.row, m.col
+    position in m of each arc it retains; like deflate's, the map is not
+    checked."""
     keep = np.delete(np.arange(m.n_arcs), ks)
-    for side, pos in (("out", row), ("in", col)):
-        left = np.bincount(pos[keep], minlength=len(nodes))
-        for k in ks:
-            if not left[pos[k]]:
-                arc = (nodes[row[k]], nodes[col[k]])
-                raise StarvationError(f"node {nodes[pos[k]]} starved: no {side}-arc after deleting {arc}")
-    return ArcVarMap(nodes, row[keep], col[keep]), keep
+    return ArcVarMap(m.nodes, m.row[keep], m.col[keep]), keep
 
 
 def expand_cycle(records, c: CycleCertificate, original: Graph) -> CycleCertificate:

@@ -21,7 +21,6 @@ from dipa.graph import (
     CycleCertificate,
     Graph,
     GraphError,
-    StarvationError,
     build_arc_map,
     delete_arc,
     deflate,
@@ -56,7 +55,9 @@ X_MIN_FLOOR = 1e-10
 
 
 class NoInteriorPoint(RuntimeError):
-    """The relaxation admits no strictly positive feasible point."""
+    """The relaxation admits no strictly positive feasible point: the
+    support has no perfect matching or is disconnected without the arcs in
+    none (drop_forced), or a restoration after surgery found no point."""
 
 
 @dataclass(frozen=True)
@@ -279,11 +280,14 @@ def _strong_components(succ: list) -> list:
 def drop_forced(m: ArcVarMap) -> tuple:
     """m without the arcs forced_zero_arcs finds, deleted in one map
     rebuild: (reduced map, keep, number deleted), keep as delete_arc gives
-    it. Raises NoInteriorPoint when the support has no perfect matching."""
+    it. The one check of every support a solve reduces to: raises
+    NoInteriorPoint when the support has no perfect matching, which a node
+    without an out-arc or an in-arc rules out, or when the reduced support
+    is disconnected."""
     forced = forced_zero_arcs(m)
-    if not forced:
-        return m, np.arange(m.n_arcs), 0
-    m2, keep = delete_arc(m, forced)
+    m2, keep = delete_arc(m, forced) if forced else (m, np.arange(m.n_arcs))
+    if not support_connected(m2):
+        raise NoInteriorPoint("support disconnected")
     return m2, keep, len(forced)
 
 
@@ -291,13 +295,13 @@ def restore_S(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
     """Renormalize every out-neighborhood to sum one by dividing each row by
     its sum, untouched rows too: a row that summed to one before surgery and
     lost a variable of weight w is scaled by 1/(1-w), and an untouched row
-    moves only by the rounding of its sum. Raises StarvationError when a row
+    moves only by the rounding of its sum. Raises NoInteriorPoint when a row
     has no mass left."""
     x = np.asarray(xbar, dtype=float)
     sums = np.bincount(m.row, weights=x)[m.row]
     if np.any(sums <= 0.0):
         i = m.nodes[m.row[np.argmax(sums <= 0.0)]]
-        raise StarvationError(f"row {i} has zero mass after surgery")
+        raise NoInteriorPoint(f"row {i} has zero mass after surgery")
     return x / sums
 
 
@@ -319,7 +323,7 @@ def restore_DS(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
     feasible reconciliation beats a residual one. The support must carry no
     arc forced to zero (forced_zero_arcs), which makes gamma = 0 feasible;
     a solve that still ends with gamma positive, or not optimal, raises
-    StarvationError."""
+    NoInteriorPoint."""
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
     A = build_A(m)
@@ -332,14 +336,14 @@ def restore_DS(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
     ub = np.concatenate([np.maximum(1.0 - xbar, 0.0), np.maximum(xbar - x_min, 0.0), [1.0]])
     uvg, status = lp_solve(c, aeq, s, lb, ub)
     if status != "optimal" or uvg[-1] > 1e-9:
-        raise StarvationError("restoration program infeasible")
+        raise NoInteriorPoint("restoration program infeasible")
     return _polish_equalities(xbar + uvg[:a] - uvg[a : 2 * a], A)
 
 
 def restore_DS_qp(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
     """Least-distance variant: the Euclidean projection of xbar onto the sum
     constraints within the box [x_min, 1], with restore_DS's x_min, by one
-    qp_least_distance call. Raises StarvationError when it is not optimal."""
+    qp_least_distance call. Raises NoInteriorPoint when it is not optimal."""
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
     A = build_A(m)
@@ -347,7 +351,7 @@ def restore_DS_qp(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
         xbar, A, np.ones(A.shape[0]), np.full(a, _restore_floor(xbar)), np.ones(a)
     )
     if status != "optimal":
-        raise StarvationError("restoration program infeasible")
+        raise NoInteriorPoint("restoration program infeasible")
     return _polish_equalities(x, A)
 
 
@@ -452,23 +456,20 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     except NoInteriorPoint as exc:
         return report(NO_HC_DISCONNECTED, message=str(exc))
     deletions += forced
-    if not support_connected(m):
-        return report(NO_HC_DISCONNECTED, message="support disconnected after reduction")
     x, work = neutral_start(m, params)
 
     def surgery(x: np.ndarray):
         """Threshold sweep: deflate any variable at or above the deflation
         threshold (lowest index first), else delete any at or below the
         deletion threshold, rescanning until clean. Every change is
-        followed by deleting the arcs it left in no perfect matching, and x
-        moves to the reduced map once, through the composed keep.
-        Then the support's connectivity is checked and feasibility restored.
-        Returns (x, m, dead_end): x lives on the map m, which is work.m when
-        nothing changed; dead_end is None, or a message when a change
-        starved or disconnected the support, left it without a perfect
-        matching, or its restoration failed, and then x and m, the records
-        and the deletion count are from before that change. A dead end
-        proves nothing about the input graph."""
+        followed by drop_forced, which deletes the arcs it left in no
+        perfect matching and checks the support, and x moves to the
+        reduced map once, through the composed keep; then feasibility is
+        restored. Returns (x, m, dead_end): x lives on the map m, which is
+        work.m when nothing changed; dead_end is None, or a message when
+        drop_forced or the restoration raised, and then x and m, the
+        records and the deletion count are from before that change. A
+        dead end proves nothing about the input graph."""
         nonlocal deletions
         m_now = work.m
         while True:
@@ -485,8 +486,6 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                     new_records, cut = [], 1
                 m2, keep2, forced = drop_forced(m2)
                 keep = keep[keep2]
-                if not support_connected(m2):
-                    return x, m_now, "surgery dead end: support disconnected"
                 x2 = x[keep]
                 if mode == "s":
                     x2 = restore_S(x2, m2)
@@ -494,7 +493,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
                     x2 = restore_DS(x2, m2)
                 else:
                     x2 = restore_DS_qp(x2, m2)
-            except (StarvationError, NoInteriorPoint, LPError) as exc:
+            except (NoInteriorPoint, LPError) as exc:
                 return x, m_now, f"surgery dead end: {exc}"
             # a change counts once it is kept, so the records describe m_now
             m_now, x = m2, x2
@@ -507,6 +506,9 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     # step_once calls since the last trigger; surgery does not reset it
     phase_steps = 0
     dead_end = None
+    # the map the loop rounded last; a dead end on a sweep's first change
+    # hands it back with the point already rounded
+    rounded = None
     while dead_end is None and work.z.dim > 0:
         if time.monotonic() - t0 > params.time_limit:
             return report(GAVE_UP, message="time limit", x=x, m=m)
@@ -548,6 +550,7 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
         cert = round_to_hc(x, m, records, g)
         if cert is not None:
             return report(HC_FOUND, cycle=cert, x=x, m=m)
+        rounded = m
 
         x, m, dead_end = surgery(x)
         if dead_end is None and m is not work.m:
@@ -555,8 +558,9 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
             delta_hat = 0.0
 
     # on a map with no free direction, the start's included, or on the last
-    # map a surgery dead end kept, only the rounding is left to try
-    cert = round_to_hc(x, m, records, g)
+    # map a surgery dead end kept, only the rounding is left to try, unless
+    # the loop already rounded that point
+    cert = None if m is rounded else round_to_hc(x, m, records, g)
     if cert is not None:
         return report(HC_FOUND, cycle=cert, x=x, m=m)
     return report(

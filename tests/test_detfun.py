@@ -12,14 +12,13 @@ from dipa.detfun import (
     value_only,
 )
 from dipa.graph import (
-    StarvationError,
     build_arc_map,
     deflate,
     delete_arc,
     gen_random_graph,
     make_graph,
 )
-from dipa.outer import initial_interior
+from dipa.outer import NoInteriorPoint, drop_forced, initial_interior
 
 
 def k3_map():
@@ -273,20 +272,23 @@ def bundle_reference(x, m, mode):
 
 def template_maps():
     """Planted maps, each with maps derived from it by deflate and by
-    delete_arc, so templates are built for new node counts and arc sets."""
+    delete_arc, so templates are built for new node counts and arc sets;
+    as in a solve, each change is followed by drop_forced, and one it
+    rejects is skipped."""
     for seed in range(4):
         m = build_arc_map(gen_random_graph(12 + 3 * seed, 3, 6, seed=seed, plant=True))
         yield m
         for k in (0, m.n_arcs // 2, m.n_arcs - 1):
             try:
-                m2 = deflate(m, k)[0]
-            except StarvationError:
+                m2 = drop_forced(deflate(m, k)[0])[0]
+            except NoInteriorPoint:
                 continue
             yield m2
             try:
-                yield delete_arc(m2, [m2.n_arcs // 3])[0]
-            except StarvationError:
-                pass
+                m3 = drop_forced(delete_arc(m2, [m2.n_arcs // 3])[0])[0]
+            except NoInteriorPoint:
+                continue
+            yield m3
 
 
 def template_points(m, rng):

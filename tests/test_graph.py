@@ -8,7 +8,6 @@ from dipa.graph import (
     EnumerationCapError,
     Graph,
     GraphError,
-    StarvationError,
     arc_map_from_arcs,
     build_arc_map,
     component_labels,
@@ -25,7 +24,7 @@ from dipa.graph import (
     support_connected,
     write_graph,
 )
-from dipa.outer import drop_forced
+from dipa.outer import NoInteriorPoint, drop_forced
 
 
 def support_graph(nodes, arcs) -> Graph:
@@ -261,10 +260,81 @@ class TestDeflation:
         assert m.arcs[keep[m2.arcs.index((3, 2))]] == (3, 1)
 
     def test_starvation_detected(self):
-        # asymmetric arc map where deflating (1,2) zeroes every arc
+        # asymmetric arc map where deflating (1,2) zeroes every arc: deflate
+        # returns the empty map, and the gate after it rejects it
         m = arc_map_from_arcs((1, 2, 3), [(1, 2), (2, 1), (1, 3), (3, 2)])
-        with pytest.raises(StarvationError):
-            deflate(m, m.arcs.index((1, 2)))
+        k = m.arcs.index((1, 2))
+        assert starvation_reference(m, k=k) == "node 2 isolated after deflation of (1, 2)"
+        m2, keep, _ = deflate(m, k)
+        assert m2.nodes == (2, 3) and m2.n_arcs == len(keep) == 0
+        with pytest.raises(NoInteriorPoint, match="no perfect matching on this support"):
+            drop_forced(m2)
+
+
+def starvation_reference(m, k=None, ks=()):
+    """The checks deflate and delete_arc made of their own result before
+    drop_forced became the one check of a reduced support, frozen: the
+    message of the error that deflating position k, or deleting positions
+    ks, raised, or None when the change passed."""
+    nodes, row, col = m.nodes, m.row, m.col
+    n = len(nodes)
+    if k is not None:
+        if n < 3:
+            return "deflation would leave fewer than 2 nodes"
+        ri, cj = row[k], col[k]
+        keep = np.flatnonzero((row != ri) & (col != cj) & ((row != cj) | (col != ri)))
+        col2 = np.where(col[keep] == ri, cj, col[keep])
+        bare = (np.bincount(row[keep], minlength=n) == 0) | (np.bincount(col2, minlength=n) == 0)
+        bare[ri] = False
+        if bare.any():
+            return f"node {nodes[int(np.argmax(bare))]} isolated after deflation of {m.arcs[k]}"
+        return None
+    keep = np.delete(np.arange(m.n_arcs), ks)
+    for side, pos in (("out", row), ("in", col)):
+        left = np.bincount(pos[keep], minlength=n)
+        for k in ks:
+            if not left[pos[k]]:
+                return f"node {nodes[pos[k]]} starved: no {side}-arc after deleting {m.arcs[k]}"
+    return None
+
+
+class TestOneGate:
+    """drop_forced is the one check of every support a solve reduces to:
+    each deflation or deletion that the frozen checks of deflate and
+    delete_arc reject leaves a support without a perfect matching, which
+    drop_forced rejects as well."""
+
+    def test_frozen_rejections_subsumed(self):
+        causes = ("fewer than 2 nodes", "isolated", "starved")
+        rejected = dict.fromkeys(causes, 0)
+        passed = 0
+        rng = random.Random(5)
+        for seed in range(60):
+            g = gen_random_graph(6 + seed % 12, 2, 4, seed=seed, plant=True)
+            m, _, _ = drop_forced(build_arc_map(g))
+            for _ in range(40):
+                if rng.random() < 0.3:
+                    k = rng.randrange(m.n_arcs)
+                    why = starvation_reference(m, k=k)
+                    m2 = deflate(m, k)[0]
+                else:
+                    ks = sorted(rng.sample(range(m.n_arcs), min(m.n_arcs, rng.choice((1, 3)))))
+                    why = starvation_reference(m, ks=ks)
+                    m2 = delete_arc(m, ks)[0]
+                try:
+                    m2 = drop_forced(m2)[0]
+                except NoInteriorPoint as exc:
+                    if why is not None:
+                        assert str(exc) == "no perfect matching on this support", why
+                        rejected[next(c for c in causes if c in why)] += 1
+                    continue
+                assert why is None, (seed, why)
+                passed += 1
+                m = m2
+        # each frozen check fires, on chains that also go on for a while
+        assert rejected["fewer than 2 nodes"] >= 100, rejected
+        assert rejected["isolated"] >= 30 and rejected["starved"] >= 800, rejected
+        assert passed >= 400, passed
 
 
 def remap_reference(m, x, deflated=None, deleted=()):
@@ -287,7 +357,8 @@ def remap_reference(m, x, deflated=None, deleted=()):
 
 class TestKeepMatchesRemap:
     """deflate and delete_arc against the frozen arc loop and label remap,
-    on chains of random deflations, deletions and deletion batches."""
+    on chains of random deflations, deletions and deletion batches, each
+    followed by drop_forced."""
 
     def test_random_chains(self):
         rng = random.Random(3)
@@ -297,19 +368,16 @@ class TestKeepMatchesRemap:
             for _ in range(8):
                 x = np.array([rng.random() for _ in range(m.n_arcs)])
                 kind = rng.choice(tuple(steps))
-                try:
-                    if kind == "deflate":
-                        k = rng.randrange(m.n_arcs)
-                        m2, keep, rec = deflate(m, k)
-                        nodes, arcs, ref = remap_reference(m, x, deflated=k)
-                        i, j = m.arcs[k]
-                        assert rec.sources == {h for h, b in m.arcs if b == i} - {j}
-                    else:
-                        ks = sorted(rng.sample(range(m.n_arcs), 1 if kind == "delete" else 3))
-                        m2, keep = delete_arc(m, ks)
-                        nodes, arcs, ref = remap_reference(m, x, deleted=ks)
-                except StarvationError:
-                    continue
+                if kind == "deflate":
+                    k = rng.randrange(m.n_arcs)
+                    m2, keep, rec = deflate(m, k)
+                    nodes, arcs, ref = remap_reference(m, x, deflated=k)
+                    i, j = m.arcs[k]
+                    assert rec.sources == {h for h, b in m.arcs if b == i} - {j}
+                else:
+                    ks = sorted(rng.sample(range(m.n_arcs), 1 if kind == "delete" else 3))
+                    m2, keep = delete_arc(m, ks)
+                    nodes, arcs, ref = remap_reference(m, x, deleted=ks)
                 # the map built from positions is the one built from labels
                 ref_map = arc_map_from_arcs(nodes, arcs)
                 assert m2.nodes == ref_map.nodes
@@ -321,7 +389,12 @@ class TestKeepMatchesRemap:
                 # the entries of x are distinct, so this pins keep itself
                 assert np.array_equal(x[keep], ref)
                 steps[kind] += 1
-                m = m2
+                # as in a solve's surgery, the chain goes on from the support
+                # drop_forced leaves, and a change it rejects is undone
+                try:
+                    m = drop_forced(m2)[0]
+                except NoInteriorPoint:
+                    pass
         assert min(steps.values()) >= 20, steps
 
     def test_forced_batch_read_only(self):
@@ -346,9 +419,15 @@ class TestDeletion:
         assert (1, 2) in support_graph(m2.nodes, m2.arcs).edges
 
     def test_out_arc_starvation(self):
+        # node 1 keeps no out-arc: delete_arc returns the map, and the gate
+        # after it rejects it
         m = arc_map_from_arcs((1, 2, 3), [(1, 2), (2, 3), (3, 1), (2, 1)])
-        with pytest.raises(StarvationError, match="node 1 starved: no out-arc"):
-            delete_arc(m, [m.arcs.index((1, 2))])
+        ks = [m.arcs.index((1, 2))]
+        assert starvation_reference(m, ks=ks) == "node 1 starved: no out-arc after deleting (1, 2)"
+        m2, _ = delete_arc(m, ks)
+        assert m2.arcs == ((2, 1), (2, 3), (3, 1))
+        with pytest.raises(NoInteriorPoint, match="no perfect matching on this support"):
+            drop_forced(m2)
 
 
 class TestGenerator:

@@ -5,8 +5,8 @@ import pytest
 from scipy.optimize import linprog
 
 import dipa.lp
+import dipa.outer
 from dipa.graph import (
-    StarvationError,
     build_arc_map,
     deflate,
     delete_arc,
@@ -22,6 +22,7 @@ from dipa.lp import (
 )
 from dipa.nullspace import build_A
 from dipa.outer import (
+    NoInteriorPoint,
     drop_forced,
     forced_zero_arcs,
     initial_interior,
@@ -433,6 +434,41 @@ class TestQPLeastDistance:
         assert status == "optimal"
         assert np.allclose(x, [0.8, 0.1, 0.1], atol=1e-12)
 
+    def test_perturbed_start_repaired(self, monkeypatch):
+        # an LP start off a_eq x = b_eq by far more than the tolerance, which
+        # HiGHS never hands back on the restoration boxes, goes through the
+        # least-norm repair and still ends at the projection: here the
+        # largest entry of xbar, well inside the box, moves up by 1e-6
+        real = dipa.lp.lp_solve
+
+        def perturbed(*lp):
+            uv, status = real(*lp)
+            uv = uv.copy()
+            uv[int(np.argmax(xbar))] += 1e-6
+            starts.append(uv)
+            return uv, status
+
+        repaired = 0
+        for seed in range(12):
+            box = TestQPMatchesVertexStart.planted_box(seed)
+            want, status = qp_least_distance(*box)
+            if status != "optimal":
+                continue
+            xbar, mat, beq, lb, ub = box
+            starts = []
+            monkeypatch.setattr(dipa.lp, "lp_solve", perturbed)
+            got, status = qp_least_distance(*box)
+            monkeypatch.undo()
+            assert status == "optimal"
+            assert np.max(np.abs(got - want)) <= 1e-12, seed
+            # the start the repair loop was handed is off the constraints
+            a = len(xbar)
+            xc = np.clip(xbar, lb, ub)
+            start = np.clip(xc + starts[0][:a] - starts[0][a:], lb, ub)
+            assert np.max(np.abs(beq - mat @ start)) > 1e-7
+            repaired += 1
+        assert repaired >= 6
+
 
 class TestQPMatchesVertexStart:
     """The nearest-point start against the frozen vertex start on the boxes
@@ -534,7 +570,7 @@ class TestRestoreS:
     def test_zero_mass_row_starves(self):
         m = build_arc_map(make_graph(3, [(1, 2), (1, 3), (2, 3)]))
         x = np.array([0.4, 0.6, 0.0, 0.0, 0.5, 0.5])
-        with pytest.raises(StarvationError, match="row 2"):
+        with pytest.raises(NoInteriorPoint, match="row 2"):
             restore_S(x, m)
 
 
@@ -588,6 +624,33 @@ class TestRestoreDS:
             lb = np.full(m.n_arcs, 1.0 / 12)
             assert verify_qp(x, xbar, mat, np.ones(mat.shape[0]), lb, np.ones(m.n_arcs)) <= 1e-7
 
+    @pytest.mark.parametrize("drift", [1e-9, 1e-11])
+    def test_polish_only_off_the_constraints(self, monkeypatch, drift):
+        # an LP optimum off A x = 1 by more than 1e-10 takes the
+        # least-squares correction; one within it comes back unchanged
+        m, mat, xbar = self.setup_unbalanced(13)
+        real = dipa.outer.lp_solve
+        optima = []
+
+        def drifted(*lp):
+            uvg, status = real(*lp)
+            uvg = uvg.copy()
+            uvg[0] += drift
+            optima.append(uvg)
+            return uvg, status
+
+        monkeypatch.setattr(dipa.outer, "lp_solve", drifted)
+        x = restore_DS(xbar, m)
+        a = m.n_arcs
+        raw = xbar + optima[0][:a] - optima[0][a : 2 * a]
+        off = np.max(np.abs(mat @ raw - 1.0))
+        if drift > 1e-10:
+            assert off > 1e-10
+            assert np.max(np.abs(mat @ x - 1.0)) <= 1e-12
+        else:
+            assert off <= 1e-10
+            assert x.tobytes() == raw.tobytes()
+
     @pytest.mark.parametrize("which", ["lp", "qp"])
     def test_forced_arc_left_in_raises(self, which):
         # this support has arcs in no perfect matching, which no point of a
@@ -597,5 +660,5 @@ class TestRestoreDS:
         assert forced_zero_arcs(m)
         xbar = 1.0 / np.bincount(m.row)[m.row]
         fn = restore_DS if which == "lp" else restore_DS_qp
-        with pytest.raises(StarvationError, match="restoration program infeasible"):
+        with pytest.raises(NoInteriorPoint, match="restoration program infeasible"):
             fn(xbar, m)

@@ -6,16 +6,15 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
 from dipa.graph import (
-    StarvationError,
     arc_map_from_arcs,
     build_arc_map,
     deflate,
     delete_arc,
     gen_random_graph,
     make_graph,
-    support_connected,
 )
 from dipa.nullspace import _retained_rows, build_A, build_Z, reorder_ds
+from dipa.outer import NoInteriorPoint, drop_forced
 
 
 def out_arcs(m, v):
@@ -167,16 +166,22 @@ class TestNullSpace:
 
     @staticmethod
     def planted_maps(rng):
-        """Planted maps, each also after one deflate and one delete_arc."""
+        """Planted maps, each also after one deflate and one delete_arc, each
+        change followed by drop_forced as in a solve; a map it rejects is
+        skipped."""
         for seed in range(12):
             m = build_arc_map(gen_random_graph(8 + seed, 3, 6, seed=seed, plant=True))
             yield m
             try:
-                m2 = deflate(m, int(rng.integers(m.n_arcs)))[0]
-            except StarvationError:
+                m2 = drop_forced(deflate(m, int(rng.integers(m.n_arcs)))[0])[0]
+            except NoInteriorPoint:
                 continue
             yield m2
-            yield delete_arc(m2, [int(rng.integers(m2.n_arcs))])[0]
+            try:
+                m3 = drop_forced(delete_arc(m2, [int(rng.integers(m2.n_arcs))])[0])[0]
+            except NoInteriorPoint:
+                continue
+            yield m3
 
     @pytest.mark.parametrize("mode", ["s", "ds"])
     def test_reduce_helpers_match_sparse_products_bytes(self, mode):
@@ -263,19 +268,16 @@ def random_bipartite(n_side, extra, seed):
 
 
 def surgery_maps(m, steps, seed):
-    """Maps reached from m by random deflations and deletions that keep the
-    support connected."""
+    """Maps reached from m by random deflations and deletions, each followed
+    by drop_forced as in a solve; a change it rejects is skipped."""
     rng = random.Random(seed)
     out = []
     for _ in range(steps):
         k = rng.randrange(m.n_arcs)
         try:
-            m2 = (deflate(m, k) if rng.random() < 0.5 else delete_arc(m, [k]))[0]
-        except StarvationError:
+            m = drop_forced((deflate(m, k) if rng.random() < 0.5 else delete_arc(m, [k]))[0])[0]
+        except NoInteriorPoint:
             continue
-        if not support_connected(m2):
-            break
-        m = m2
         out.append(m)
     return out
 

@@ -16,7 +16,6 @@ from dipa.graph import (
     CycleCertificate,
     _try_generate,
     Graph,
-    StarvationError,
     arc_map_from_arcs,
     build_arc_map,
     deflate,
@@ -317,8 +316,9 @@ class TestForcedZeroArcs:
 
 class TestForcedOverSurgeryChains:
     """forced_zero_arcs against the LP reference on every map of random
-    chains of deflations and deletions, each followed at random by
-    drop_forced as in dipa_solve: the maps a solve's surgery reaches."""
+    chains of deflations and deletions. A chain ends where drop_forced
+    rejects a change, as a solve's surgery does, and goes on at random from
+    the reduced support or the one with forced arcs still in."""
 
     def test_matches_lp_reference_on_every_map(self):
         seen = {"forced": 0, "none forced": 0, "no matching": 0}
@@ -340,18 +340,18 @@ class TestForcedOverSurgeryChains:
                 if len(m.nodes) < 4:
                     break
                 k = rng.randrange(m.n_arcs)
+                if rng.random() < 0.3:
+                    m, _, _ = deflate(m, k)
+                else:
+                    m, _ = dipa.graph.delete_arc(m, [k])
+                check(m, seed)
                 try:
-                    if rng.random() < 0.3:
-                        m, _, _ = deflate(m, k)
-                    else:
-                        m, _ = dipa.graph.delete_arc(m, [k])
-                except StarvationError:
-                    continue
-                if check(m, seed) is None:
+                    reduced, _, _ = drop_forced(m)
+                except NoInteriorPoint:
                     break
                 # the chain goes on from supports with forced arcs as well
                 if rng.random() < 0.5:
-                    m, _, _ = drop_forced(m)
+                    m = reduced
                     assert check(m, seed) == ()
         assert min(seen.values()) >= 10, seen
 
@@ -442,10 +442,11 @@ class TestRoundingMatchesReference:
             g = gen_random_graph(int(rng.integers(5, 13)), 2, 4, seed=seed, plant=True)
             m = build_arc_map(g)
             maps = [(m, [])]
+            m2, _, rec = deflate(m, seed % m.n_arcs)
             try:
-                m2, _, rec = deflate(m, seed % m.n_arcs)
-                maps.append((m2, [rec]))
-            except StarvationError:
+                # the solver rounds only maps that drop_forced passes
+                maps.append((drop_forced(m2)[0], [rec]))
+            except NoInteriorPoint:
                 pass
             for mm, records in maps:
                 a = mm.n_arcs
@@ -495,6 +496,15 @@ class TestSolveSmall:
         assert rep.status == NO_HC_DISCONNECTED
         assert rep.message == "no perfect matching on this support"
         assert rep.iterations == 0
+
+    @pytest.mark.parametrize("mode", ["s", "ds"])
+    def test_disconnected_reduction_proved_up_front(self, mode):
+        # nodes 3 and 5 see only 1 and 6, so every perfect matching, and
+        # every Hamiltonian cycle, would map {1, 3, 5, 6} onto itself
+        g = make_graph(6, [(1, 3), (1, 4), (1, 5), (2, 4), (2, 6), (3, 6), (4, 6), (5, 6)])
+        rep = dipa_solve(g, DipaParams(mode=mode))
+        assert (rep.status, rep.message) == (NO_HC_DISCONNECTED, "support disconnected")
+        assert rep.iterations == 0 and enumerate_hc(g) == []
 
     def test_disconnected_input(self):
         g = make_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
@@ -576,16 +586,29 @@ class TestSurgeryDeadEnds:
     solve rounds the last map the sweep kept, ends as gave-up when that
     gives no cycle, and never raises out of dipa_solve."""
 
-    @pytest.mark.parametrize("error", [StarvationError, LPError])
+    @pytest.mark.parametrize("error", [NoInteriorPoint, LPError])
     def test_restoration_failure_gives_up(self, monkeypatch, error):
+        # the first sweep's first change is the dead end, so the map and
+        # point it keeps are the ones the loop rounded just before: the
+        # exit must not round them again
+        calls = []
+        real = dipa.outer.round_to_hc
+
+        def record(x, m, records, original):
+            calls.append((x.tobytes(), m, len(records)))
+            return real(x, m, records, original)
+
         def fail(*args, **kwargs):
             raise error("planted failure")
 
+        monkeypatch.setattr(dipa.outer, "round_to_hc", record)
         monkeypatch.setattr(dipa.outer, "restore_DS", fail)
         g = gen_random_graph(14, 3, 6, seed=1)
         rep = dipa_solve(g, DipaParams(mode="ds", restore="lp"))
         assert rep.status == GAVE_UP
         assert rep.message == "surgery dead end: planted failure"
+        assert len(calls) == 17
+        assert all(a != b for a, b in zip(calls, calls[1:]))
 
     def test_dead_end_mid_sweep_reports_objective(self, monkeypatch):
         # the first surgery sweep on this graph makes two changes, so the
@@ -596,7 +619,7 @@ class TestSurgeryDeadEnds:
         def second_fails(*args, **kwargs):
             calls.append(1)
             if len(calls) > 1:
-                raise StarvationError("planted failure")
+                raise NoInteriorPoint("planted failure")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(dipa.outer, "restore_DS", second_fails)
@@ -636,8 +659,8 @@ class TestSurgeryDeadEnds:
 
     @pytest.mark.parametrize("n, seed", [(40, 0), (40, 7), (50, 19)])
     def test_planted_regressions_claim_no_proof(self, n, seed):
-        # 40/0 and 40/7 once returned no-HC-disconnected; 50/19 raised
-        # StarvationError out of restore_DS
+        # 40/0 and 40/7 once returned no-HC-disconnected; 50/19 once raised
+        # out of restore_DS
         g = gen_random_graph(n, 3, 6, seed=seed, plant=True)
         rep = dipa_solve(g, DipaParams(mode="ds"))
         assert not rep.status.startswith("no-HC")
