@@ -192,8 +192,8 @@ def qp_least_distance(
     Primal active-set iteration started from the feasible point nearest to
     clip(xbar, lb, ub) in the 1-norm, found by one bounded-change LP. That
     point has few bounds active, so few releases stand between it and the
-    projection; an arbitrary feasible vertex has many. Returns
-    (x, "optimal") or (None, "infeasible").
+    projection; an arbitrary feasible vertex has many. Returns (x, "optimal"),
+    or (None, "infeasible") when the LP or the loop's last correction fails.
     """
     xbar = np.asarray(xbar, dtype=float)
     a = len(xbar)
@@ -215,21 +215,8 @@ def qp_least_distance(
     )
     if status != "optimal":
         return None, "infeasible"
+    # the active set's least-norm steps close the LP's tolerance gap themselves
     x = np.clip(xc + uv[:a] - uv[a:], lb, ub)
-    # The LP optimum can carry solver-tolerance violations, and the LP
-    # solver's default feasibility tolerance can even report "feasible" for a
-    # box that admits no exact solution. Alternating least-norm equality
-    # corrections with box clips either repairs the start or exposes that.
-    ftol = 1e-10 * (1.0 + float(np.max(np.abs(beq), initial=0.0)))
-    gap_norm = float(np.max(np.abs(beq - aeq @ x), initial=0.0))
-    for _ in range(40):
-        if gap_norm <= ftol:
-            break
-        fix, *_ = np.linalg.lstsq(aeq, beq - aeq @ x, rcond=None)
-        x = np.clip(x + fix, lb, ub)
-        gap_norm = float(np.max(np.abs(beq - aeq @ x), initial=0.0))
-    if gap_norm > ftol:
-        return None, "infeasible"
 
     atol = 1e-9 * (1.0 + np.max(np.abs(beq), initial=0.0))
     active_lo = np.abs(x - lb) <= atol
@@ -269,13 +256,16 @@ def qp_least_distance(
             viol = (mult_lo < release_tol) | (mult_hi < release_tol)
             bad = np.flatnonzero(viol & ~banned)
             if bad.size == 0:
-                # remove the float drift accumulated over blocked partial
-                # steps with one least-norm correction; the free block alone
-                # can be row-rank-deficient, so correct over all variables
+                # a least-norm correction over all variables (the free block
+                # can be row-rank-deficient) removes the drift; a gap left
+                # after its clip means an LP-feasible box with no exact point
                 gap = beq - aeq @ x
                 if float(np.max(np.abs(gap))) > 1e-12:
                     fix, *_ = np.linalg.lstsq(aeq, gap, rcond=None)
                     x = np.clip(x + fix, lb, ub)
+                    ftol = 1e-10 * (1.0 + float(np.max(np.abs(beq), initial=0.0)))
+                    if float(np.max(np.abs(beq - aeq @ x))) > ftol:
+                        return None, "infeasible"
                 return x, "optimal"
             # release the lowest violating index (Bland's rule); picking the
             # most negative multiplier can cycle at degenerate vertices

@@ -343,16 +343,15 @@ def restore_DS(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
 def restore_DS_qp(xbar: np.ndarray, m: ArcVarMap) -> np.ndarray:
     """Least-distance variant: the Euclidean projection of xbar onto the sum
     constraints within the box [x_min, 1], with restore_DS's x_min, by one
-    qp_least_distance call. Raises NoInteriorPoint when it is not optimal."""
+    qp_least_distance call, unpolished. Raises NoInteriorPoint unless optimal."""
     xbar = np.asarray(xbar, dtype=float)
-    a = len(xbar)
     A = build_A(m)
     x, status = qp_least_distance(
-        xbar, A, np.ones(A.shape[0]), np.full(a, _restore_floor(xbar)), np.ones(a)
+        xbar, A, np.ones(A.shape[0]), np.full_like(xbar, _restore_floor(xbar)), np.ones_like(xbar)
     )
     if status != "optimal":
         raise NoInteriorPoint("restoration program infeasible")
-    return _polish_equalities(x, A)
+    return x
 
 
 def round_to_hc(
@@ -456,7 +455,10 @@ def dipa_solve(g: Graph, params: DipaParams | None = None) -> SolveReport:
     except NoInteriorPoint as exc:
         return report(NO_HC_DISCONNECTED, message=str(exc))
     deletions += forced
-    x, work = neutral_start(m, params)
+    try:
+        x, work = neutral_start(m, params)
+    except (NoInteriorPoint, LPError) as exc:
+        return report(GAVE_UP, message=f"start failed: {exc}")
 
     def surgery(x: np.ndarray):
         """Threshold sweep: deflate any variable at or above the deflation

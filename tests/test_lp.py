@@ -22,7 +22,9 @@ from dipa.lp import (
 )
 from dipa.nullspace import build_A
 from dipa.outer import (
+    DipaParams,
     NoInteriorPoint,
+    dipa_solve,
     drop_forced,
     forced_zero_arcs,
     initial_interior,
@@ -436,9 +438,10 @@ class TestQPLeastDistance:
 
     def test_perturbed_start_repaired(self, monkeypatch):
         # an LP start off a_eq x = b_eq by far more than the tolerance, which
-        # HiGHS never hands back on the restoration boxes, goes through the
-        # least-norm repair and still ends at the projection: here the
-        # largest entry of xbar, well inside the box, moves up by 1e-6
+        # HiGHS never hands back on the restoration boxes, goes straight into
+        # the active set, whose least-norm steps close the gap, and still
+        # ends at the projection: here the largest entry of xbar, well
+        # inside the box, moves up by 1e-6
         real = dipa.lp.lp_solve
 
         def perturbed(*lp):
@@ -461,13 +464,76 @@ class TestQPLeastDistance:
             monkeypatch.undo()
             assert status == "optimal"
             assert np.max(np.abs(got - want)) <= 1e-12, seed
-            # the start the repair loop was handed is off the constraints
+            # the start the active set was handed is off the constraints
             a = len(xbar)
             xc = np.clip(xbar, lb, ub)
             start = np.clip(xc + starts[0][:a] - starts[0][a:], lb, ub)
             assert np.max(np.abs(beq - mat @ start)) > 1e-7
             repaired += 1
         assert repaired >= 6
+
+    def test_start_off_on_many_arcs(self, monkeypatch):
+        # a start moved up by 1e-6 on every 5th arc of a box with floor 0.1:
+        # alternating least-norm corrections with box clips closed that gap
+        # only linearly and called the box infeasible; the active set ends
+        # at the projection of the unperturbed start
+        box = TestQPMatchesVertexStart.planted_box(10)
+        want, status = qp_least_distance(*box)
+        assert status == "optimal"
+        real = dipa.lp.lp_solve
+
+        def perturbed(*lp):
+            uv, status = real(*lp)
+            uv = uv.copy()
+            uv[: len(uv) // 2 : 5] += 1e-6
+            return uv, status
+
+        monkeypatch.setattr(dipa.lp, "lp_solve", perturbed)
+        got, status = qp_least_distance(*box)
+        assert status == "optimal"
+        assert np.max(np.abs(got - want)) <= 1e-12
+        xbar, mat, beq, lb, ub = box
+        assert verify_qp(got, xbar, mat, beq, lb, ub) <= 1e-7
+
+    @staticmethod
+    def tight_floor_box(seed, monkeypatch):
+        """(xbar, A, b, A's columns, t*) on a planted map with its forced
+        arcs deleted: t* is the largest uniform floor of a doubly stochastic
+        point, read from initial_interior's LP, and xbar is row-uniform."""
+        g = gen_random_graph(12 + 2 * seed, 3, 6, seed=seed, plant=True)
+        m, _ = without_forced(build_arc_map(g))
+        optima = []
+        real = dipa.outer.lp_solve
+
+        def record(*lp):
+            wt, status = real(*lp)
+            optima.append(wt)
+            return wt, status
+
+        monkeypatch.setattr(dipa.outer, "lp_solve", record)
+        initial_interior(m, "ds")
+        monkeypatch.undo()
+        mat = build_A(m)
+        return 1.0 / np.bincount(m.row)[m.row], mat, np.ones(mat.shape[0]), m.n_arcs, optima[0][-1]
+
+    @pytest.mark.parametrize(
+        "delta, verdict",
+        [(-1e-9, "optimal"), (1e-12, "optimal"), (1e-10, "infeasible"),
+         (1e-9, "infeasible"), (1e-8, "infeasible"), (1e-7, "infeasible")],
+    )
+    def test_tight_floor_verdict(self, monkeypatch, delta, verdict):
+        # a floor just above t* holds no exact point, though HiGHS's
+        # tolerance can call it feasible: the check after the active set's
+        # last correction says infeasible, and never hands back a point off
+        # the sums. A floor at or below t* projects onto the sums.
+        for seed in range(6):
+            xbar, mat, beq, a, t = self.tight_floor_box(seed, monkeypatch)
+            lb, ub = np.full(a, t + delta), np.ones(a)
+            x, status = qp_least_distance(xbar, mat, beq, lb, ub)
+            assert status == verdict, seed
+            if verdict == "optimal":
+                assert np.max(np.abs(mat @ x - beq)) <= 1e-10, seed
+                assert verify_qp(x, xbar, mat, beq, lb, ub) <= 1e-7, seed
 
 
 class TestQPMatchesVertexStart:
@@ -650,6 +716,26 @@ class TestRestoreDS:
         else:
             assert off <= 1e-10
             assert x.tobytes() == raw.tobytes()
+
+    def test_qp_points_above_floor_in_solves(self, monkeypatch):
+        # surgery deletes every arc at or below zero, so a QP restoration
+        # that handed back an entry there would delete arcs on rounding
+        # noise; over planted N=20 seeds 100-149 no entry falls below its
+        # box floor, and these five seeds are the cheap guard
+        real = dipa.outer.restore_DS_qp
+        outs = []
+
+        def record(xbar, m):
+            x = real(xbar, m)
+            outs.append(x)
+            return x
+
+        monkeypatch.setattr(dipa.outer, "restore_DS_qp", record)
+        params = DipaParams(mode="ds", restore="qp", deflation_threshold=0.9)
+        for seed in range(100, 105):
+            dipa_solve(gen_random_graph(20, 3, 6, seed=seed, plant=True), params)
+        assert len(outs) >= 10
+        assert all(np.min(x) > 0.0 for x in outs)
 
     @pytest.mark.parametrize("which", ["lp", "qp"])
     def test_forced_arc_left_in_raises(self, which):

@@ -537,6 +537,22 @@ class TestSolveSmall:
         assert rep.status == NO_HC_DISCONNECTED
         assert rep.iterations == 0 and rep.trace == []
 
+    @pytest.mark.parametrize(
+        "target, error",
+        [("lp_solve", LPError), ("initial_interior", NoInteriorPoint)],
+    )
+    def test_failed_start_gives_up(self, monkeypatch, target, error):
+        # a start that finds no point proves nothing about the input graph:
+        # the solve ends gave-up with the reason, and nothing escapes it
+        def fail(*args, **kwargs):
+            raise error("planted failure")
+
+        monkeypatch.setattr(dipa.outer, target, fail)
+        rep = dipa_solve(gen_random_graph(12, 3, 6, seed=40), DipaParams(mode="ds"))
+        assert rep.status == GAVE_UP
+        assert rep.message == "start failed: planted failure"
+        assert rep.iterations == 0 and rep.trace == []
+
     def test_support_reduction_recovers(self):
         g = gen_random_graph(10, 3, 6, seed=24)
         rep = dipa_solve(g, DipaParams(mode="ds"))
