@@ -35,10 +35,6 @@ _flapack = scipy_ext.load("scipy.linalg._flapack")
 _POTRF, _TRTRS = _flapack.dpotrf, _flapack.dtrtrs
 
 
-class LinesearchStall(RuntimeError):
-    """No merit decrease after the halving budget."""
-
-
 @dataclass(frozen=True)
 class BarrierSpec:
     """Barrier weight and which bounds carry logarithms. mu = inf selects the
@@ -305,15 +301,6 @@ def improve_negcurv(H: np.ndarray, d: np.ndarray, metric: np.ndarray, target: fl
     return d, num / den
 
 
-@dataclass
-class LsResult:
-    x: np.ndarray
-    t: float
-    f: float | None         # objective at x; None when the merit skips it
-    phi: float
-    merit: float
-
-
 def max_boundary_step(x: np.ndarray, direction: np.ndarray, upper_log: bool) -> float:
     t = math.inf
     neg = direction < 0.0
@@ -326,21 +313,14 @@ def max_boundary_step(x: np.ndarray, direction: np.ndarray, upper_log: bool) -> 
     return t
 
 
-def linesearch(x, direction, spec: BarrierSpec, objective, m0: float) -> LsResult:
+def linesearch(x, direction, spec: BarrierSpec, objective, m0: float) -> tuple | None:
     """Crude backtracking: start at ALPHA times the boundary step, halve until
     the merit strictly decreases below m0, the merit at x. objective(x)
     supplies the smooth term; it is skipped entirely in the barrier-only
-    phase."""
+    phase, where f is None and the merit is phi. Returns the accepted trial
+    (x, t, f, phi, merit), or None when 51 halvings find no decrease."""
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
-
-    def merit(pt) -> tuple:
-        phi = barrier_value(pt, spec)
-        if math.isinf(spec.mu):
-            return None, phi, phi
-        f = objective(pt)
-        return f, phi, f + spec.mu * phi
-
     tstar = max_boundary_step(x, direction, spec.upper_log)
     if not math.isfinite(tstar):
         tstar = 1.0 / max(float(np.max(np.abs(direction))), 1e-300)
@@ -349,11 +329,13 @@ def linesearch(x, direction, spec: BarrierSpec, objective, m0: float) -> LsResul
         xt = x + t * direction
         # min and max propagate NaN, so a NaN trial fails like np.all's
         if xt.min() > 0.0 and (not spec.upper_log or xt.max() < 1.0):
-            ft, phit, mt = merit(xt)
-            if mt < m0:
-                return LsResult(x=xt, t=t, f=ft, phi=phit, merit=mt)
+            phi = barrier_value(xt, spec)
+            f = None if math.isinf(spec.mu) else objective(xt)
+            merit = phi if f is None else f + spec.mu * phi
+            if merit < m0:
+                return xt, t, f, phi, merit
         t *= 0.5
-    raise LinesearchStall(f"no decrease along direction (merit {m0:.6e})")
+    return None
 
 
 @dataclass
@@ -365,6 +347,10 @@ class PhaseContext:
     z: NullSpaceRep
     m: ArcVarMap
     grad_tol: float         # relative factor, scaled by 1 + |merit anchor|
+
+    def objective(self, x: np.ndarray) -> float:
+        """f at x, the smooth term of the linesearch's merit."""
+        return detfun.value_only(x, self.m, self.z.mode)
 
 
 @dataclass
@@ -425,58 +411,44 @@ def step_once(x: np.ndarray, spec: BarrierSpec, ctx: PhaseContext, delta_hat: fl
     """One step from x. delta_hat is the previous step's curvature estimate
     (StepInfo.delta_hat), 0.0 at the start of a phase or on a new map."""
     f, phi, g_red, h_red = reduced_model(x, spec, ctx)
-    if f is None:
-        merit = phi
-        anchor = abs(phi)
-    else:
-        merit = f + spec.mu * phi
-        anchor = abs(f)
+    merit = phi if f is None else f + spec.mu * phi
+    anchor = abs(phi if f is None else f)
     gnorm = float(np.max(np.abs(g_red), initial=0.0))
     res, delta_used = _factor_with_policy(h_red, delta_hat)
     tol = ctx.grad_tol * (1.0 + anchor)
-    kind, delta_hat = "descent", 0.0
-
-    def finish(kind, ls=None) -> StepInfo:
-        # without a linesearch result the step ends where it started
-        if ls is None:
-            pt, f_pt, phi_pt, merit_pt, t = x, f, phi, merit, 0.0
-        else:
-            pt, f_pt, phi_pt, merit_pt, t = ls.x, ls.f, ls.phi, ls.merit, ls.t
-        return StepInfo(
-            kind=kind, x=pt, f=f_pt, phi=phi_pt, merit=merit_pt, step=t,
-            delta_hat=delta_hat, modified=res.modified,
-        )
-
-    if gnorm <= tol and not res.modified:
-        return finish("converged")
-
-    if res.modified:
-        d_z = negcurv_direction(res.r, res.j)
-        gram = ctx.z.gram
-        # Several cheap univariate sweeps pull the direction much closer to
-        # the extreme eigenvector; direction quality decides which basin the
-        # polarization cascade lands in, so the extra sweeps pay for
-        # themselves many times over.
-        d_z, q = improve_negcurv(h_red, d_z, metric=gram, target=delta_used)
-        if q < 0.0:
-            # downhill, oriented here only: improve_negcurv is odd in its start
-            if float(d_z @ g_red) > 0.0:
-                d_z = -d_z
-            kind, delta_hat = "negcurv", q
-    if kind == "descent":
-        # also after a modification without usable curvature: the
-        # regularized Newton step, which the factorization makes positive
-        d_z = descent_direction(res.r, g_red)
-
-    direction = ctx.z.apply(d_z)
-    if float(np.max(np.abs(direction), initial=0.0)) == 0.0:
-        return finish("stall")
-    objective = lambda pt: detfun.value_only(pt, ctx.m, ctx.z.mode)
-    try:
-        ls = linesearch(x, direction, spec, objective, merit)
-    except LinesearchStall:
-        return finish("stall")
-    return finish(kind, ls)
+    kind, delta_hat, trial = "converged", 0.0, None
+    # a NaN gradient norm is not converged
+    if not (gnorm <= tol and not res.modified):
+        kind = "descent"
+        if res.modified:
+            d_z = negcurv_direction(res.r, res.j)
+            # Several cheap univariate sweeps pull the direction much closer
+            # to the extreme eigenvector; direction quality decides which
+            # basin the polarization cascade lands in, so the extra sweeps
+            # pay for themselves many times over.
+            d_z, q = improve_negcurv(h_red, d_z, metric=ctx.z.gram, target=delta_used)
+            if q < 0.0:
+                # downhill, oriented here only: improve_negcurv is odd in
+                # its start
+                if float(d_z @ g_red) > 0.0:
+                    d_z = -d_z
+                kind, delta_hat = "negcurv", q
+        if kind == "descent":
+            # also after a modification without usable curvature: the
+            # regularized Newton step, which the factorization makes positive
+            d_z = descent_direction(res.r, g_red)
+        direction = ctx.z.apply(d_z)
+        # a NaN direction goes to the linesearch, where every trial fails
+        if float(np.max(np.abs(direction), initial=0.0)) != 0.0:
+            trial = linesearch(x, direction, spec, ctx.objective, merit)
+        if trial is None:
+            kind = "stall"
+    # without an accepted trial the step ends where it started
+    x, t, f, phi, merit = trial or (x, 0.0, f, phi, merit)
+    return StepInfo(
+        kind=kind, x=x, f=f, phi=phi, merit=merit, step=t,
+        delta_hat=delta_hat, modified=res.modified,
+    )
 
 
 def newton_polish(x, spec: BarrierSpec, ctx: PhaseContext) -> np.ndarray:

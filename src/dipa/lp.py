@@ -256,9 +256,11 @@ def qp_least_distance(
             viol = (mult_lo < release_tol) | (mult_hi < release_tol)
             bad = np.flatnonzero(viol & ~banned)
             if bad.size == 0:
-                # a least-norm correction over all variables (the free block
-                # can be row-rank-deficient) removes the drift; a gap left
+                # a step blocks only past atol, so clip back into the box; a
+                # least-norm correction over all variables (the free block can
+                # be row-rank-deficient) removes the drift, and a gap left
                 # after its clip means an LP-feasible box with no exact point
+                x = np.clip(x, lb, ub)
                 gap = beq - aeq @ x
                 if float(np.max(np.abs(gap))) > 1e-12:
                     fix, *_ = np.linalg.lstsq(aeq, gap, rcond=None)

@@ -403,7 +403,7 @@ def round_to_hc(
         seq.append(nodes[node])
         node = succ[node]
     try:
-        return expand_cycle(records, CycleCertificate(seq=tuple(seq)).canonical(), original)
+        return expand_cycle(records, CycleCertificate(seq=tuple(seq)), original)
     except GraphError:
         return None
 

@@ -12,7 +12,6 @@ from dipa.graph import build_arc_map, gen_random_graph, make_graph
 from dipa.inner import (
     ALPHA,
     BarrierSpec,
-    LinesearchStall,
     PhaseContext,
     barrier_eval,
     barrier_value,
@@ -930,11 +929,11 @@ class TestLinesearch:
         phi0, _, _ = barrier_eval(x, spec)
         m0 = objective(x) + 0.1 * phi0
         d = np.array([-0.05, -0.3])
-        res = linesearch(x, d, spec, objective, m0)
-        assert res.merit < m0
-        assert res.t <= 0.9 * max_boundary_step(x, d, False) + 1e-15
+        _, t, _, _, merit = linesearch(x, d, spec, objective, m0)
+        assert merit < m0
+        assert t <= 0.9 * max_boundary_step(x, d, False) + 1e-15
 
-    def test_stall_raises(self):
+    def test_stall_returns_none(self):
         spec = BarrierSpec(mu=1.0, upper_log=False)
         x = np.array([0.5, 0.5])
         # any nonzero move pays a huge objective penalty, so no trial step
@@ -942,8 +941,7 @@ class TestLinesearch:
         objective = lambda v: 0.0 if np.array_equal(v, x) else 1e9
         phi0, _, _ = barrier_eval(x, spec)
         m0 = objective(x) + 1.0 * phi0
-        with pytest.raises(LinesearchStall):
-            linesearch(x, np.array([-0.4, 0.4]), spec, objective, m0)
+        assert linesearch(x, np.array([-0.4, 0.4]), spec, objective, m0) is None
 
 
 def linesearch_reference(x, direction, alpha, spec, objective, m0):
@@ -970,18 +968,18 @@ def linesearch_reference(x, direction, alpha, spec, objective, m0):
         if np.all(xt > 0.0) and (not spec.upper_log or np.all(xt < 1.0)):
             ft, phit, mt = merit(xt)
             if mt < m0:
-                return dipa.inner.LsResult(x=xt, t=t, f=ft, phi=phit, merit=mt)
+                return xt, t, ft, phit, mt
         t *= 0.5
-    raise LinesearchStall(f"no decrease along direction (merit {m0:.6e})")
+    return None
 
 
 def ls_outcome(fn, *args):
-    try:
-        r = fn(*args)
-    except LinesearchStall as exc:
-        return ("stall", str(exc))
-    return (r.x.tobytes(), np.float64(r.t).tobytes(), None if r.f is None else np.float64(r.f).tobytes(),
-            np.float64(r.phi).tobytes(), np.float64(r.merit).tobytes())
+    r = fn(*args)
+    if r is None:
+        return ("stall",)
+    xt, t, f, phi, merit = r
+    return (xt.tobytes(), np.float64(t).tobytes(), None if f is None else np.float64(f).tobytes(),
+            np.float64(phi).tobytes(), np.float64(merit).tobytes())
 
 
 def linesearch_cases():
@@ -1061,6 +1059,25 @@ class TestPhases:
         info = step_once(x, spec, ctx, 0.0)
         assert info.kind == "converged"
 
+    def test_nan_gradient_not_converged(self, monkeypatch):
+        # the converged point of the test above with a NaN in its reduced
+        # gradient: the step goes on to the descent solve, which rejects it
+        g = gen_random_graph(10, 3, 6, seed=22)
+        m = build_arc_map(g)
+        ctx = phase_context(g, m, "ds", grad_tol=1e-8)
+        spec = BarrierSpec(mu=math.inf, upper_log=False)
+        x = minimize_phase(initial_interior(m, "ds"), spec, ctx)
+        real = dipa.inner.reduced_model
+
+        def poisoned(*args):
+            f, phi, g_red, h_red = real(*args)
+            g_red[0] = math.nan
+            return f, phi, g_red, h_red
+
+        monkeypatch.setattr(dipa.inner, "reduced_model", poisoned)
+        with pytest.raises(ValueError, match="NaN"):
+            step_once(x, spec, ctx, 0.0)
+
     def test_step_once_negcurv_kind(self):
         # descend from the neutral point with a small barrier weight: the
         # reduced merit Hessian quickly turns indefinite
@@ -1126,6 +1143,63 @@ class TestPhases:
         assert info.kind in ("descent", "negcurv")
         assert info.f is None
         assert calls == []
+
+    def test_stall_ends_where_it_started(self, monkeypatch):
+        # the first negative-curvature step of test_step_once_negcurv_kind's
+        # descent, taken again with a linesearch that accepts no trial
+        g = gen_random_graph(12, 3, 6, seed=23)
+        m = build_arc_map(g)
+        nctx = phase_context(g, m, "ds", grad_tol=1e-10)
+        x = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf, upper_log=False), nctx)
+        ctx = phase_context(g, m, "ds", grad_tol=1e-9)
+        spec = BarrierSpec(mu=1e-4, upper_log=False)
+        delta_hat = 0.0
+        for _ in range(25):
+            info = step_once(x, spec, ctx, delta_hat)
+            if info.kind == "negcurv":
+                break
+            x, delta_hat = info.x, info.delta_hat
+        assert info.kind == "negcurv" and info.delta_hat < 0.0
+        start = x.tobytes()
+        f, phi, _, _ = dipa.inner.reduced_model(x, spec, ctx)
+        calls = []
+
+        def refuse(*args):
+            calls.append(1)
+            return None
+
+        monkeypatch.setattr(dipa.inner, "linesearch", refuse)
+        stall = step_once(x, spec, ctx, delta_hat)
+        assert calls == [1]
+        assert stall.kind == "stall"
+        assert stall.x.tobytes() == start and x.tobytes() == start
+        assert (stall.f, stall.phi, stall.merit) == (f, phi, f + spec.mu * phi)
+        assert stall.step == 0.0
+        assert stall.delta_hat == info.delta_hat
+        assert stall.modified
+
+    @pytest.mark.parametrize("entry, searches", [(math.nan, 1), (0.0, 0)])
+    def test_degenerate_direction_stalls(self, monkeypatch, entry, searches):
+        # a NaN direction still goes to the linesearch, whose trials all
+        # fail; a zero direction never does
+        g = gen_random_graph(12, 3, 6, seed=23)
+        m = build_arc_map(g)
+        ctx = phase_context(g, m, "ds", grad_tol=1e-10)
+        x = minimize_phase(initial_interior(m, "ds"), BarrierSpec(mu=math.inf, upper_log=False), ctx)
+        spec = BarrierSpec(mu=1e-2, upper_log=False)
+        assert step_once(x, spec, ctx, 0.0).kind == "descent"
+        results = []
+        real = dipa.inner.linesearch
+
+        def spy(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(dipa.inner, "descent_direction", lambda r, g_red: np.full(len(g_red), entry))
+        monkeypatch.setattr(dipa.inner, "linesearch", spy)
+        info = step_once(x, spec, ctx, 0.0)
+        assert results == [None] * searches
+        assert info.kind == "stall" and info.x is x and info.step == 0.0
 
     def test_newton_polish_tightens(self):
         g = gen_random_graph(10, 3, 6, seed=25)

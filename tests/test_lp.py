@@ -525,7 +525,8 @@ class TestQPLeastDistance:
         # a floor just above t* holds no exact point, though HiGHS's
         # tolerance can call it feasible: the check after the active set's
         # last correction says infeasible, and never hands back a point off
-        # the sums. A floor at or below t* projects onto the sums.
+        # the sums. A floor at or below t* projects onto the sums, inside
+        # the box: the active set's steps block only past its tolerance.
         for seed in range(6):
             xbar, mat, beq, a, t = self.tight_floor_box(seed, monkeypatch)
             lb, ub = np.full(a, t + delta), np.ones(a)
@@ -533,6 +534,7 @@ class TestQPLeastDistance:
             assert status == verdict, seed
             if verdict == "optimal":
                 assert np.max(np.abs(mat @ x - beq)) <= 1e-10, seed
+                assert np.all(x >= lb) and np.all(x <= ub), seed
                 assert verify_qp(x, xbar, mat, beq, lb, ub) <= 1e-7, seed
 
 
